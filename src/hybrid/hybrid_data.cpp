@@ -3,7 +3,7 @@
 // tracker mode (Section 5.5).
 #include <algorithm>
 #include <cassert>
-#include <memory>
+#include <utility>
 
 #include "hybrid/hybrid_system.hpp"
 
@@ -86,132 +86,159 @@ void HybridSystem::store_id(PeerIndex from, DataId id, const std::string& key,
 
   // Up the tree to the local t-peer, around the ring to the responsible
   // t-peer, then place.
-  const PeerIndex origin = from;
-  forward_up_to_tpeer(
-      from, proto::kDataBytes, TrafficClass::kData,
-      [this, item = std::move(item), origin, st, done = std::move(done)](
-          PeerIndex root, std::uint32_t hops) mutable {
-        route_ring(root, item.id.value(), hops, 0, TrafficClass::kData,
-                   proto::kDataBytes,
-                   [this, item = std::move(item), origin,
-                    done = std::move(done)](PeerIndex owner, std::uint32_t,
-                                            std::uint32_t) mutable {
-                     place_item(owner, std::move(item), std::move(done));
-                     (void)origin;
-                   },
-                   {}, st);
-      },
-      0,
-      [this, st] {
-        // Upward path gone: the store can never be placed.  Close the root
-        // so the trace doesn't dangle open.
-        if (tracer_ != nullptr && st.valid()) {
-          tracer_->add_arg(st, "no_route", 1);
-          tracer_->end_span(st, sim_.now());
-        }
-      },
-      st);
+  RouteRef r = new_route(RouteKind::kStore, id.value(), st);
+  r->item = std::move(item);
+  r->done = std::move(done);
+  climb(r, from, 0);
 }
 
-void HybridSystem::forward_up_to_tpeer(
-    PeerIndex at, std::uint32_t bytes, proto::TrafficClass cls,
-    std::function<void(PeerIndex, std::uint32_t)> at_root,
-    std::uint32_t hops, std::function<void()> on_dead,
-    stats::TraceContext ctx) {
+// --- Routed requests ----------------------------------------------------------------
+//
+// A store, re-home or remote lookup climbs the cp chain to its t-peer and
+// walks the ring to the key's owner.  Everything the hops share lives in one
+// pooled Route record; a message carries a handle to it plus the hop's own
+// position and counters, so forwarding allocates nothing per hop.
+
+HybridSystem::RouteRef HybridSystem::new_route(RouteKind kind,
+                                               std::uint64_t target,
+                                               stats::TraceContext ctx) {
+  RouteRef r = routes_.acquire();
+  r->kind = kind;
+  r->target = target;
+  r->ctx = ctx;
+  return r;
+}
+
+void HybridSystem::climb(const RouteRef& r, PeerIndex at, std::uint32_t hops) {
   Peer& p = peer(at);
   if (p.role == Role::kTPeer) {
-    at_root(at, hops);
+    route_at_root(r, at, hops);
     return;
   }
   const PeerIndex next = p.cp != kNoPeer ? p.cp : p.tpeer;
   if (next == kNoPeer) {
     // Detached orphan: there is no upward path, so the request can never
-    // reach the t-network.  Tell the caller now instead of going silent.
-    net_.note_drop(at, proto::DropReason::kNoRoute, cls, ctx);
-    if (on_dead) on_dead();
+    // reach the t-network.  Tell the requester now instead of going silent.
+    net_.note_drop(at, proto::DropReason::kNoRoute, r->cls(), r->ctx);
+    route_dead_end(*r);
     return;
   }
-  net_.send(at, next, cls, bytes, ctx,
-            [this, next, bytes, cls, at_root = std::move(at_root), hops, ctx,
-             on_dead = std::move(on_dead)] {
-              if (tracer_ != nullptr && ctx.valid()) {
-                tracer_->instant(ctx, "climb_hop", next.value(), sim_.now(),
-                                 "hop", hops + 1);
-              }
-              forward_up_to_tpeer(next, bytes, cls, at_root, hops + 1,
-                                  on_dead, ctx);
-            });
+  auto deliver = [this, r, next, hops] {
+    if (tracer_ != nullptr && r->ctx.valid()) {
+      tracer_->instant(r->ctx, "climb_hop", next.value(), sim_.now(), "hop",
+                       hops + 1);
+    }
+    climb(r, next, hops + 1);
+  };
+  static_assert(proto::OverlayNetwork::Delivery::stores_inline<
+                decltype(deliver)>);
+  net_.send(at, next, r->cls(), r->bytes(), r->ctx, std::move(deliver));
 }
 
-void HybridSystem::route_ring(
-    PeerIndex at, std::uint64_t target, std::uint32_t hops,
-    std::uint32_t contacted, proto::TrafficClass cls, std::uint32_t bytes,
-    std::function<void(PeerIndex, std::uint32_t, std::uint32_t)> at_owner,
-    std::function<bool(PeerIndex, std::uint32_t)> intercept,
-    stats::TraceContext ctx) {
+void HybridSystem::route_at_root(const RouteRef& r, PeerIndex root,
+                                 std::uint32_t hops) {
+  switch (r->kind) {
+    case RouteKind::kStore:
+    case RouteKind::kRehome:
+      route_ring(r, root, hops, 0);
+      return;
+    case RouteKind::kLookup: {
+      auto it = queries_.find(r->qid);
+      if (it == queries_.end() || it->second.finished) return;
+      it->second.contacted += hops;  // cp-chain forwarders
+      trace_stage(r->qid, "ring", "ring", root);
+      r->ctx = query_trace(r->qid);
+      route_ring(r, root, hops, 0);
+      return;
+    }
+    case RouteKind::kTrackerLookup:
+      bt_lookup(r->origin, r->qid, root, hops);
+      return;
+    case RouteKind::kKeywordRing: {
+      const PeerIndex next = peer(root).successor;
+      if (next == kNoPeer || next == root) return;
+      net_.send(root, next, TrafficClass::kQuery, proto::kQueryBytes,
+                [this, next, root, qid = r->qid] {
+                  keyword_ring_walk(next, root, qid);
+                });
+      return;
+    }
+  }
+}
+
+void HybridSystem::route_dead_end(Route& r) {
+  switch (r.kind) {
+    case RouteKind::kStore:
+      // The store can never be placed.  Close the root so the trace
+      // doesn't dangle open.
+      if (tracer_ != nullptr && r.ctx.valid()) {
+        tracer_->add_arg(r.ctx, "no_route", 1);
+        tracer_->end_span(r.ctx, sim_.now());
+      }
+      return;
+    case RouteKind::kRehome:
+      // A misplaced copy beats a lost one; the next churn transfer gets
+      // another chance to move it home.
+      store_or_merge(peer(r.origin), std::move(r.item));
+      return;
+    case RouteKind::kLookup:
+    case RouteKind::kTrackerLookup:
+      fail_query_fast(r.qid);
+      return;
+    case RouteKind::kKeywordRing:
+      return;
+  }
+}
+
+void HybridSystem::route_ring(const RouteRef& r, PeerIndex at,
+                              std::uint32_t hops, std::uint32_t contacted) {
   sim::ComponentScope prof{sim_, sim::Component::kRing};
   Peer& here = peer(at);
   if (!here.joined || here.role != Role::kTPeer) {
     // Mid-churn loss: the request reached a peer that left the ring.
-    net_.note_drop(at, proto::DropReason::kNoRoute, cls, ctx);
+    net_.note_drop(at, proto::DropReason::kNoRoute, r->cls(), r->ctx);
     return;
   }
-  if (ring::in_arc_open_closed(target, here.predecessor_id.value(),
+  if (ring::in_arc_open_closed(r->target, here.predecessor_id.value(),
                                here.pid.value()) ||
       here.successor == at) {
-    at_owner(at, hops, contacted);
+    route_at_owner(*r, at, hops, contacted);
     return;
   }
-  if (intercept && intercept(at, hops)) return;  // surrogate answered
-  ring_forward(at, target, hops, contacted, cls, bytes,
-               std::make_shared<std::function<void(PeerIndex, std::uint32_t,
-                                                   std::uint32_t)>>(
-                   std::move(at_owner)),
-               std::make_shared<std::function<bool(PeerIndex, std::uint32_t)>>(
-                   std::move(intercept)),
-               ctx, 0);
+  if (route_intercept(*r, at, hops)) return;  // surrogate answered
+  ring_forward(r, at, hops, contacted, 0);
 }
 
-void HybridSystem::ring_forward(
-    PeerIndex at, std::uint64_t target, std::uint32_t hops,
-    std::uint32_t contacted, proto::TrafficClass cls, std::uint32_t bytes,
-    std::shared_ptr<std::function<void(PeerIndex, std::uint32_t,
-                                       std::uint32_t)>> at_owner,
-    std::shared_ptr<std::function<bool(PeerIndex, std::uint32_t)>> intercept,
-    stats::TraceContext ctx, unsigned attempt) {
+void HybridSystem::ring_forward(const RouteRef& r, PeerIndex at,
+                                std::uint32_t hops, std::uint32_t contacted,
+                                unsigned attempt) {
   sim::ComponentScope prof{sim_, sim::Component::kRing};
   Peer& here = peer(at);
   PeerIndex next = here.successor;
   if (params_.t_routing == TRouting::kFinger) {
-    const chord::Finger f = here.fingers.closest_preceding(target);
+    const chord::Finger f = here.fingers.closest_preceding(r->target);
     if (f.node != kNoPeer && f.node != at) next = f.node;
   }
   if (next == kNoPeer) {
-    net_.note_drop(at, proto::DropReason::kNoRoute, cls, ctx);
+    net_.note_drop(at, proto::DropReason::kNoRoute, r->cls(), r->ctx);
     return;
   }
-  auto delivered = std::make_shared<bool>(false);
-  net_.send(at, next, cls, bytes, ctx,
-            [this, next, target, hops, contacted, cls, bytes, ctx, at_owner,
-             intercept, delivered] {
-              *delivered = true;
-              if (tracer_ != nullptr && ctx.valid()) {
-                tracer_->instant(ctx, "ring_hop", next.value(), sim_.now(),
-                                 "hop", hops + 1);
-              }
-              route_ring(
-                  next, target, hops + 1, contacted + 1, cls, bytes,
-                  [at_owner](PeerIndex o, std::uint32_t h, std::uint32_t c) {
-                    if (*at_owner) (*at_owner)(o, h, c);
-                  },
-                  *intercept ? [intercept](PeerIndex p, std::uint32_t h) {
-                    return (*intercept)(p, h);
-                  } : std::function<bool(PeerIndex, std::uint32_t)>{},
-                  ctx);
-            });
-  if (params_.ring_retry_limit == 0 || attempt >= params_.ring_retry_limit) {
-    return;
-  }
+  const bool watched =
+      params_.ring_retry_limit != 0 && attempt < params_.ring_retry_limit;
+  const auto send = static_cast<std::uint32_t>(r->delivered.size());
+  if (watched) r->delivered.push_back(0);
+  auto deliver = [this, r, next, hops, contacted, send, watched] {
+    if (watched) r->delivered[send] = 1;
+    if (tracer_ != nullptr && r->ctx.valid()) {
+      tracer_->instant(r->ctx, "ring_hop", next.value(), sim_.now(), "hop",
+                       hops + 1);
+    }
+    route_ring(r, next, hops + 1, contacted + 1);
+  };
+  static_assert(proto::OverlayNetwork::Delivery::stores_inline<
+                decltype(deliver)>);
+  net_.send(at, next, r->cls(), r->bytes(), r->ctx, std::move(deliver));
+  if (!watched) return;
   // Retry watchdog: the hop is lost iff the receiver dies while the message
   // is in flight (delivery closures of dead receivers never run).  After a
   // conservative 2x hop RTT plus backoff, re-resolve the next hop -- our
@@ -222,18 +249,63 @@ void HybridSystem::ring_forward(
     backoff += backoff;
   }
   if (params_.ring_retry_cap < backoff) backoff = params_.ring_retry_cap;
-  const sim::Duration wait =
-      net_.hop_latency(at, next, bytes) + net_.hop_latency(at, next, bytes) +
-      backoff;
-  sim_.schedule_after(wait, [this, at, target, hops, contacted, cls, bytes,
-                             ctx, at_owner, intercept, delivered, attempt] {
-    if (*delivered) return;
+  const sim::Duration hop = net_.hop_latency(at, next, r->bytes());
+  auto watchdog = [this, r, at, hops, contacted, send, attempt] {
+    if (r->delivered[send] != 0) return;
     if (!net_.alive(at)) return;
     const Peer& h = peer(at);
     if (!h.joined || h.role != Role::kTPeer) return;
-    ring_forward(at, target, hops, contacted, cls, bytes, at_owner, intercept,
-                 ctx, attempt + 1);
-  });
+    ring_forward(r, at, hops, contacted, attempt + 1);
+  };
+  static_assert(sim::Simulator::Action::stores_inline<decltype(watchdog)>);
+  sim_.schedule_after(hop + hop + backoff, std::move(watchdog));
+}
+
+bool HybridSystem::route_intercept(const Route& r, PeerIndex at,
+                                   std::uint32_t hops) {
+  // Only caching lookups stop early: a surrogate t-peer on the path may
+  // hold a cached copy (Section 7).
+  if (r.kind != RouteKind::kLookup || !params_.enable_caching) return false;
+  auto it = queries_.find(r.qid);
+  if (it == queries_.end() || it->second.finished) return true;
+  if (it->second.visited.insert(at.value()).second) ++it->second.contacted;
+  return try_answer(at, r.qid, hops);
+}
+
+void HybridSystem::route_at_owner(Route& r, PeerIndex owner,
+                                  std::uint32_t hops,
+                                  std::uint32_t contacted) {
+  switch (r.kind) {
+    case RouteKind::kStore:
+      place_item(owner, std::move(r.item), std::move(r.done));
+      return;
+    case RouteKind::kRehome:
+      place_item(owner, std::move(r.item), {});
+      return;
+    case RouteKind::kLookup: {
+      const std::uint64_t qid = r.qid;
+      auto it = queries_.find(qid);
+      if (it == queries_.end() || it->second.finished) return;
+      it->second.contacted += contacted;
+      if (it->second.visited.insert(owner.value()).second) {
+        ++it->second.contacted;
+      }
+      if (params_.style == SNetworkStyle::kBitTorrent) {
+        bt_lookup(it->second.origin, qid, owner, hops);
+        return;
+      }
+      if (try_answer(owner, qid, hops)) return;
+      trace_stage(qid, "flood", "flood", owner);
+      search_snetwork(owner, kNoPeer, qid, params_.ttl, hops);
+      // The remote flood can miss transiently (a holder mid re-attach after
+      // churn); arm the same re-flood the local path gets.
+      arm_reflood(qid, owner);
+      return;
+    }
+    case RouteKind::kTrackerLookup:
+    case RouteKind::kKeywordRing:
+      return;  // these never enter the ring
+  }
 }
 
 void HybridSystem::place_item(PeerIndex at, proto::DataItem item,
@@ -303,24 +375,12 @@ void HybridSystem::spread_item(PeerIndex at, proto::DataItem item,
 }
 
 void HybridSystem::route_and_place(PeerIndex from, proto::DataItem item) {
-  // The item travels by value through the closures below; if the upward
-  // path is dead we fall back to keeping it at `from` -- a misplaced copy
-  // beats a lost one, and the next churn transfer gets another chance.
-  auto boxed = std::make_shared<proto::DataItem>(std::move(item));
-  forward_up_to_tpeer(
-      from, proto::kDataBytes, TrafficClass::kData,
-      [this, boxed](PeerIndex root, std::uint32_t hops) {
-        route_ring(root, boxed->id.value(), hops, 0, TrafficClass::kData,
-                   proto::kDataBytes,
-                   [this, boxed](PeerIndex owner, std::uint32_t,
-                                 std::uint32_t) {
-                     place_item(owner, std::move(*boxed), {});
-                   });
-      },
-      0,
-      [this, from, boxed] {
-        store_or_merge(peer(from), std::move(*boxed));
-      });
+  // The item rides in the route record; if the upward path is dead it stays
+  // at `from` (route_dead_end).
+  RouteRef r = new_route(RouteKind::kRehome, item.id.value(), {});
+  r->origin = from;
+  r->item = std::move(item);
+  climb(r, from, 0);
 }
 
 void HybridSystem::insert_or_rehome(PeerIndex at, proto::DataItem item) {
@@ -491,12 +551,11 @@ void HybridSystem::lookup_id(PeerIndex from, DataId id, LookupCallback done) {
     if (params_.style == SNetworkStyle::kBitTorrent) {
       // Ask the tracker directly.
       trace_stage(qid, "climb", "climb", from);
-      forward_up_to_tpeer(
-          from, proto::kQueryBytes, TrafficClass::kQuery,
-          [this, qid, from](PeerIndex root, std::uint32_t hops) {
-            bt_lookup(from, qid, root, hops);
-          },
-          0, [this, qid] { fail_query_fast(qid); }, query_trace(qid));
+      RouteRef r =
+          new_route(RouteKind::kTrackerLookup, id.value(), query_trace(qid));
+      r->origin = from;
+      r->qid = qid;
+      climb(r, from, 0);
       return;
     }
     // Local search with the configured TTL.
@@ -533,50 +592,10 @@ void HybridSystem::start_remote_lookup(PeerIndex origin, std::uint64_t qid,
                                        DataId id) {
   arm_reroute(qid, origin, id);
   trace_stage(qid, "climb", "climb", origin);
-  forward_up_to_tpeer(
-      origin, proto::kQueryBytes, TrafficClass::kQuery,
-      [this, qid, id](PeerIndex root, std::uint32_t hops) {
-        auto it = queries_.find(qid);
-        if (it == queries_.end() || it->second.finished) return;
-        it->second.contacted += hops;  // cp-chain forwarders
-        std::function<bool(PeerIndex, std::uint32_t)> intercept;
-        if (params_.enable_caching) {
-          intercept = [this, qid](PeerIndex at, std::uint32_t at_hops) {
-            auto qit = queries_.find(qid);
-            if (qit == queries_.end() || qit->second.finished) return true;
-            if (qit->second.visited.insert(at.value()).second) {
-              ++qit->second.contacted;
-            }
-            return try_answer(at, qid, at_hops);
-          };
-        }
-        trace_stage(qid, "ring", "ring", root);
-        route_ring(root, id.value(), hops, 0, TrafficClass::kQuery,
-                   proto::kQueryBytes,
-                   [this, qid](PeerIndex owner, std::uint32_t owner_hops,
-                               std::uint32_t ring_contacted) {
-                     auto qit = queries_.find(qid);
-                     if (qit == queries_.end() || qit->second.finished) return;
-                     qit->second.contacted += ring_contacted;
-                     if (qit->second.visited.insert(owner.value()).second) {
-                       ++qit->second.contacted;
-                     }
-                     if (params_.style == SNetworkStyle::kBitTorrent) {
-                       bt_lookup(qit->second.origin, qid, owner, owner_hops);
-                       return;
-                     }
-                     if (try_answer(owner, qid, owner_hops)) return;
-                     trace_stage(qid, "flood", "flood", owner);
-                     search_snetwork(owner, kNoPeer, qid, params_.ttl,
-                                     owner_hops);
-                     // The remote flood can miss transiently (a holder mid
-                     // re-attach after churn); arm the same re-flood the
-                     // local path gets.
-                     arm_reflood(qid, owner);
-                   },
-                   std::move(intercept), query_trace(qid));
-      },
-      0, [this, qid] { fail_query_fast(qid); }, query_trace(qid));
+  RouteRef r = new_route(RouteKind::kLookup, id.value(), query_trace(qid));
+  r->origin = origin;
+  r->qid = qid;
+  climb(r, origin, 0);
 }
 
 void HybridSystem::bt_lookup(PeerIndex /*origin*/, std::uint64_t qid,
@@ -896,17 +915,9 @@ void HybridSystem::lookup_keyword_global(PeerIndex from,
   keyword_flood(from, kNoPeer, qid, params_.ttl);
   const PeerIndex root = peer(from).tpeer;
   if (root == kNoPeer || !peer(root).joined) return;
-  forward_up_to_tpeer(
-      from, proto::kQueryBytes, TrafficClass::kQuery,
-      [this, qid](PeerIndex entry, std::uint32_t) {
-        const PeerIndex next = peer(entry).successor;
-        if (next == kNoPeer || next == entry) return;
-        net_.send(entry, next, TrafficClass::kQuery, proto::kQueryBytes,
-                  [this, next, entry, qid] {
-                    keyword_ring_walk(next, entry, qid);
-                  });
-      },
-      0);
+  RouteRef r = new_route(RouteKind::kKeywordRing, 0, {});
+  r->qid = qid;
+  climb(r, from, 0);
 }
 
 void HybridSystem::keyword_ring_walk(PeerIndex at, PeerIndex stop_at,

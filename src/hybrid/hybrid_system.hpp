@@ -28,6 +28,7 @@
 
 #include "chord/finger_table.hpp"
 #include "common/ids.hpp"
+#include "common/ref_pool.hpp"
 #include "common/rng.hpp"
 #include "hybrid/params.hpp"
 #include "proto/data_store.hpp"
@@ -275,6 +276,11 @@ class HybridSystem {
   /// Lookups currently in flight (issued, neither answered nor timed out).
   [[nodiscard]] std::size_t pending_lookups() const { return queries_.size(); }
 
+  /// Routed requests (climb + ring trips of stores, re-homes and lookups)
+  /// still referenced by an in-flight message or retry watchdog.  Zero once
+  /// the event queue has drained; a nonzero count then is a leaked record.
+  [[nodiscard]] std::size_t routes_in_flight() const { return routes_.live(); }
+
   /// Called with (peer, ttl) each time a flood/walk wave starts at `peer`
   /// with `ttl` hops left.  The auditor uses it to bound in-flight TTLs.
   using FloodObserver = std::function<void(PeerIndex, unsigned)>;
@@ -458,38 +464,88 @@ class HybridSystem {
   // --- Data path ---------------------------------------------------------------
 
   [[nodiscard]] bool in_local_segment(const Peer& p, DataId id) const;
-  /// Forwards up the cp chain to the s-network's t-peer, then runs `at_root`
-  /// there.  When the upward path is gone (detached orphan, mid-churn)
-  /// `on_dead` runs instead -- lookups use it to fail fast rather than
-  /// letting the requester wait out lookup_timeout.
-  void forward_up_to_tpeer(PeerIndex at, std::uint32_t bytes,
-                           proto::TrafficClass cls,
-                           std::function<void(PeerIndex, std::uint32_t)> at_root,
-                           std::uint32_t hops,
-                           std::function<void()> on_dead = {},
-                           stats::TraceContext ctx = {});
-  /// Forwards around the t-network until the owner of `target` is reached.
-  /// When `intercept` is set it runs at every intermediate t-peer; returning
-  /// true consumes the request there (cache hits at surrogate peers,
-  /// Section 7).
-  void route_ring(PeerIndex at, std::uint64_t target, std::uint32_t hops,
-                  std::uint32_t contacted, proto::TrafficClass cls,
-                  std::uint32_t bytes,
-                  std::function<void(PeerIndex, std::uint32_t, std::uint32_t)>
-                      at_owner,
-                  std::function<bool(PeerIndex, std::uint32_t)> intercept = {},
-                  stats::TraceContext ctx = {});
+
+  // --- Routed requests (cp-chain climb + t-network forwarding) -----------------
+
+  /// What a request routed up the cp chain and around the t-network does at
+  /// its three decision points: reaching the local t-peer (route_at_root),
+  /// the owner of its key (route_at_owner), or a dead upward path
+  /// (route_dead_end).  One kind per originating call site.
+  enum class RouteKind : std::uint8_t {
+    kStore,          // store(): place `item` at the owner, then run `done`
+    kRehome,         // route_and_place(): place `item` at the owner; keep it
+                     // at `origin` when the upward path is gone
+    kLookup,         // remote lookup `qid`: answer or flood at the owner
+    kTrackerLookup,  // tracker-mode local lookup `qid`: ask the root tracker
+    kKeywordRing,    // global keyword query `qid`: start the ring walk
+  };
+
+  /// One routed request: the state all of its hops share.  Records come
+  /// from routes_ and are reference-counted by the message and watchdog
+  /// closures that carry them, so a hop captures {handle, position,
+  /// counters} and allocates nothing once the pool is warm.
+  struct Route {
+    RouteKind kind = RouteKind::kStore;
+    std::uint64_t target = 0;  // ring key: the data id being routed to
+    PeerIndex origin = kNoPeer;
+    std::uint64_t qid = 0;     // lookup kinds
+    stats::TraceContext ctx;   // causal context of the current phase
+    proto::DataItem item;      // kStore / kRehome payload
+    StoreCallback done;        // kStore completion
+    /// delivered[s]: watched ring send s reached its receiver.  Read by
+    /// send s's retry watchdog.  A resend takes a fresh index, so a late
+    /// original and its resend are told apart exactly.
+    std::vector<std::uint8_t> delivered;
+
+    /// Item-carrying requests travel as data messages, the rest as queries.
+    [[nodiscard]] bool carries_item() const {
+      return kind == RouteKind::kStore || kind == RouteKind::kRehome;
+    }
+    [[nodiscard]] proto::TrafficClass cls() const {
+      return carries_item() ? proto::TrafficClass::kData
+                            : proto::TrafficClass::kQuery;
+    }
+    [[nodiscard]] std::uint32_t bytes() const {
+      return carries_item() ? proto::kDataBytes : proto::kQueryBytes;
+    }
+
+    /// Back to the pooled state: drops the payload, keeps the capacity.
+    void clear() {
+      origin = kNoPeer;
+      qid = 0;
+      item = {};
+      done = nullptr;
+      delivered.clear();
+    }
+  };
+  using RouteRef = RefPool<Route>::Ref;
+
+  /// A fresh record for a request of `kind` towards ring key `target`.
+  [[nodiscard]] RouteRef new_route(RouteKind kind, std::uint64_t target,
+                                   stats::TraceContext ctx);
+  /// Forwards up the cp chain to the s-network's t-peer, then runs
+  /// route_at_root there.  When the upward path is gone (detached orphan,
+  /// mid-churn) route_dead_end runs instead -- lookups use it to fail fast
+  /// rather than letting the requester wait out lookup_timeout.
+  void climb(const RouteRef& r, PeerIndex at, std::uint32_t hops);
+  void route_at_root(const RouteRef& r, PeerIndex root, std::uint32_t hops);
+  void route_dead_end(Route& r);
+  /// Forwards around the t-network until the owner of r.target is reached,
+  /// then runs route_at_owner.  Caching lookups are offered to every
+  /// intermediate t-peer first (route_intercept); a hit there consumes the
+  /// request (cache hits at surrogate peers, Section 7).
+  void route_ring(const RouteRef& r, PeerIndex at, std::uint32_t hops,
+                  std::uint32_t contacted);
   /// One ring hop with retry: sends to the next hop and, while
   /// params_.ring_retry_limit allows, re-resolves and resends after
   /// 2x hop latency + capped exponential backoff if the hop was never
   /// delivered (receiver crashed with the message in flight).
-  void ring_forward(
-      PeerIndex at, std::uint64_t target, std::uint32_t hops,
-      std::uint32_t contacted, proto::TrafficClass cls, std::uint32_t bytes,
-      std::shared_ptr<std::function<void(PeerIndex, std::uint32_t,
-                                         std::uint32_t)>> at_owner,
-      std::shared_ptr<std::function<bool(PeerIndex, std::uint32_t)>> intercept,
-      stats::TraceContext ctx, unsigned attempt);
+  void ring_forward(const RouteRef& r, PeerIndex at, std::uint32_t hops,
+                    std::uint32_t contacted, unsigned attempt);
+  [[nodiscard]] bool route_intercept(const Route& r, PeerIndex at,
+                                     std::uint32_t hops);
+  void route_at_owner(Route& r, PeerIndex owner, std::uint32_t hops,
+                      std::uint32_t contacted);
   void place_item(PeerIndex at, proto::DataItem item, StoreCallback done);
   void spread_item(PeerIndex at, proto::DataItem item, StoreCallback done);
   /// Routes `item` from `from` to the responsible t-peer's s-network
@@ -647,6 +703,7 @@ class HybridSystem {
   std::unordered_map<std::uint32_t, PeerIndex> interest_snetwork_;
   std::vector<HostIndex> landmarks_;
   std::unordered_map<std::uint64_t, Query> queries_;
+  RefPool<Route> routes_;
   std::uint64_t next_query_id_ = 1;
   std::uint64_t next_key_ = 1;
   bool failure_detection_ = false;

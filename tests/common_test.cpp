@@ -1,13 +1,17 @@
-// Unit tests for the common module: ids, ring arithmetic, hashing, RNG.
+// Unit tests for the common module: ids, ring arithmetic, hashing, RNG,
+// the recycling RefPool.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/hashing.hpp"
 #include "common/ids.hpp"
+#include "common/ref_pool.hpp"
 #include "common/ring_math.hpp"
 #include "common/rng.hpp"
 
@@ -221,6 +225,72 @@ TEST(Rng, IndexIsUniformish) {
   std::vector<int> counts(5, 0);
   for (int i = 0; i < 25000; ++i) ++counts[rng.index(5)];
   for (int c : counts) EXPECT_NEAR(c, 5000, 400);
+}
+
+// --- RefPool -------------------------------------------------------------------
+
+struct Record {
+  int tag = 0;
+  std::vector<int> hops;
+  void clear() {
+    tag = 0;
+    hops.clear();
+  }
+};
+
+TEST(RefPool, ReleasedRecordIsClearedAndReused) {
+  RefPool<Record> pool;
+  const Record* first = nullptr;
+  {
+    auto r = pool.acquire();
+    r->tag = 7;
+    r->hops.assign(100, 1);
+    first = &*r;
+    EXPECT_EQ(pool.live(), 1u);
+  }
+  EXPECT_EQ(pool.live(), 0u);
+  auto again = pool.acquire();
+  EXPECT_EQ(&*again, first) << "the free list must hand the record back";
+  EXPECT_EQ(again->tag, 0);
+  EXPECT_TRUE(again->hops.empty());
+  EXPECT_GE(again->hops.capacity(), 100u) << "clear() keeps the capacity";
+}
+
+TEST(RefPool, CopiesShareOneRecordUntilTheLastGoes) {
+  RefPool<Record> pool;
+  auto a = pool.acquire();
+  const Record* shared = &*a;
+  a->tag = 3;
+  {
+    auto b = a;             // copy: second owner
+    auto c = std::move(b);  // move: still two owners
+    EXPECT_FALSE(b);        // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(c->tag, 3);
+    a = RefPool<Record>::Ref{};  // the first owner lets go
+    EXPECT_EQ(pool.live(), 1u);
+  }
+  EXPECT_EQ(pool.live(), 0u);
+  auto d = pool.acquire();
+  auto e = pool.acquire();
+  EXPECT_EQ(&*d, shared) << "released only when the last copy went";
+  EXPECT_NE(&*e, shared);
+  EXPECT_EQ(pool.live(), 2u);
+}
+
+TEST(RefPool, HandlesMayOutliveThePool) {
+  // Message closures in the event queue are destroyed after the protocol
+  // object that owns the pool; their handles must stay valid until then.
+  auto pool = std::make_unique<RefPool<Record>>();
+  auto survivor = pool->acquire();
+  survivor->hops.assign(64, 2);
+  auto spare = pool->acquire();
+  spare = RefPool<Record>::Ref{};  // back on the free list before teardown
+  pool.reset();
+  ASSERT_TRUE(survivor);
+  EXPECT_EQ(survivor->hops.size(), 64u);
+  auto copy = survivor;
+  survivor = RefPool<Record>::Ref{};
+  EXPECT_EQ(copy->hops[63], 2);  // the last handle frees it on scope exit
 }
 
 }  // namespace

@@ -5,10 +5,13 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <numeric>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "common/alloc_stats.hpp"
 #include "common/hashing.hpp"
 #include "common/ring_math.hpp"
 #include "hybrid/hybrid_system.hpp"
@@ -1693,6 +1696,143 @@ TEST(Hybrid, CacheEntryExpiresExactlyAtDeadline) {
   EXPECT_TRUE(miss_checked);
   EXPECT_EQ(f.system.cache_hits(), hits_after_fetch + 1)
       << "only the pre-deadline lookup may count as a cache hit";
+}
+
+// --- Routed requests (pooled route records) ------------------------------------
+
+/// Every peer a t-peer: a remote lookup is a pure ring walk of ~N_t/2 hops.
+HybridParams ring_only() {
+  auto p = defaults();
+  p.ps = 0.0;
+  return p;
+}
+
+/// A key whose owner is not `origin` and which `origin` does not hold, so
+/// its lookup from `origin` must walk the ring.
+std::string remote_key(const HybridFixture& f,
+                       const std::vector<std::string>& keys,
+                       PeerIndex origin) {
+  for (const auto& k : keys) {
+    const DataId id = hash_key(k);
+    if (f.system.owner_tpeer(id) != origin &&
+        f.system.store_of(origin).find(id) == nullptr) {
+      return k;
+    }
+  }
+  return {};
+}
+
+TEST(Hybrid, RingForwardingAllocatesNothingPerHop) {
+  HybridFixture f{81, ring_only()};
+  f.build(120);
+  const auto keys = f.populate(60);
+  std::uint64_t hops = 0;
+  std::size_t successes = 0;
+  auto lookup_all = [&] {
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      f.system.lookup(f.peers[(i * 7 + 3) % f.peers.size()], keys[i],
+                      [&](proto::LookupResult r) {
+                        successes += r.success ? 1 : 0;
+                        hops += r.request_hops;
+                      });
+    }
+    f.world.sim.run();
+  };
+  lookup_all();  // warm-up: grows the route pool and the event arena
+  hops = 0;
+  successes = 0;
+  const std::uint64_t before = alloc_stats::allocation_count();
+  lookup_all();
+  const std::uint64_t allocs = alloc_stats::allocation_count() - before;
+  ASSERT_EQ(successes, keys.size());
+  const double hops_per_lookup =
+      static_cast<double>(hops) / static_cast<double>(keys.size());
+  ASSERT_GT(hops_per_lookup, 20.0) << "the walks must be long to mean much";
+  // What remains is per-lookup bookkeeping (the query record, its visited
+  // set, the reply), independent of the walk length.  Per-hop
+  // continuations cost several allocations on every one of those hops.
+  const double allocs_per_lookup =
+      static_cast<double>(allocs) / static_cast<double>(keys.size());
+  EXPECT_LT(allocs_per_lookup, 16.0)
+      << allocs << " allocations for " << keys.size() << " lookups of "
+      << hops_per_lookup << " hops each";
+  EXPECT_EQ(f.system.routes_in_flight(), 0u);
+}
+
+TEST(Hybrid, DelayedRingHopAndItsResendShareOneRoute) {
+  HybridFixture f{82, ring_only()};
+  f.build(40);
+  const auto keys = f.populate(20);
+  const PeerIndex origin = f.peers[5];
+  const std::string key = remote_key(f, keys, origin);
+  ASSERT_FALSE(key.empty());
+
+  // Hold the lookup's first ring hop back far past its retry watchdog: the
+  // watchdog resends, so two copies of the request walk the ring on one
+  // route record, each hop tracked by its own delivery flag.
+  bool held = false;
+  f.world.network->set_fault([&](PeerIndex, PeerIndex, proto::TrafficClass cls,
+                                 std::uint32_t) {
+    proto::FaultAction action;
+    if (cls == proto::TrafficClass::kQuery && !held) {
+      held = true;
+      action.extra_delay = sim::SimTime::seconds(10);
+    }
+    return action;
+  });
+  int calls = 0;
+  bool found = false;
+  f.system.lookup(origin, key, [&](proto::LookupResult r) {
+    ++calls;
+    found = r.success;
+  });
+  f.world.sim.run_until(f.world.sim.now() + sim::SimTime::seconds(5));
+  ASSERT_TRUE(held);
+  EXPECT_EQ(calls, 1);
+  EXPECT_TRUE(found) << "the resend must finish the lookup on its own";
+  EXPECT_EQ(f.system.routes_in_flight(), 1u)
+      << "the held-back original still references the route";
+  f.world.sim.run();
+  EXPECT_EQ(calls, 1) << "the late original must not answer twice";
+  EXPECT_EQ(f.system.routes_in_flight(), 0u);
+}
+
+TEST(Hybrid, RoutesDrainWhenRingHopsDieInFlight) {
+  HybridFixture f{83, ring_only()};
+  f.build(60);
+  const auto keys = f.populate(40);
+  std::size_t calls = 0;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    f.system.lookup(f.peers[(i * 11 + 2) % f.peers.size()], keys[i],
+                    [&](proto::LookupResult) { ++calls; });
+  }
+  f.world.sim.run_until(f.world.sim.now() + sim::SimTime::millis(200));
+  ASSERT_GT(f.system.routes_in_flight(), 0u);
+  // Crash a quarter of the ring under the walks: hops to dead receivers are
+  // dropped unrun, and the retry watchdogs give up once attempts run out.
+  // Every record must still find its way back to the pool.
+  for (std::size_t i = 1; i < f.peers.size(); i += 4) {
+    f.system.crash(f.peers[i]);
+  }
+  f.world.sim.run();
+  EXPECT_EQ(calls, keys.size());
+  EXPECT_EQ(f.system.pending_lookups(), 0u);
+  EXPECT_EQ(f.system.routes_in_flight(), 0u);
+}
+
+TEST(Hybrid, SystemMayBeDestroyedWithRoutesInFlight) {
+  // The world's simulator outlives the system, so queued hops release their
+  // route handles after the pool is gone (run under ASan to see it).
+  auto f = std::make_unique<HybridFixture>(84, ring_only());
+  f->build(30);
+  const auto keys = f->populate(10);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    f->system.lookup(f->peers[(i * 3 + 1) % f->peers.size()], keys[i],
+                     [](proto::LookupResult) {});
+  }
+  f->world.sim.run_until(f->world.sim.now() + sim::SimTime::millis(100));
+  ASSERT_GT(f->system.routes_in_flight(), 0u);
+  f.reset();
 }
 
 }  // namespace
