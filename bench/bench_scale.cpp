@@ -24,9 +24,7 @@
 
 #include "bench_util.hpp"
 #include "common/proc_stats.hpp"
-#include "common/rng.hpp"
 #include "exp/metrics_collect.hpp"
-#include "net/transit_stub.hpp"
 #include "net/underlay.hpp"
 #include "stats/table.hpp"
 
@@ -41,25 +39,6 @@ const char* mode_name(net::RoutingMode mode) {
     case net::RoutingMode::kAuto: break;
   }
   return "auto";
-}
-
-struct UnderlayFootprint {
-  net::RoutingMode mode;
-  std::size_t routing_bytes;
-  std::uint32_t hosts;
-};
-
-/// Rebuilds the underlay exactly as the harness does (same params, same RNG
-/// stream) to report the routing mode and table footprint; RunResult does
-/// not carry the underlay itself.
-UnderlayFootprint underlay_footprint(std::uint64_t seed, std::uint32_t peers) {
-  Rng rng{seed};
-  Rng topo_rng = rng.fork(1);
-  const auto params = net::TransitStubParams::for_total_nodes(peers + 1);
-  net::Underlay underlay{net::generate_transit_stub(params, topo_rng),
-                         topo_rng};
-  return {underlay.routing_mode(), underlay.routing_memory_bytes(),
-          underlay.num_hosts()};
 }
 
 exp::RunConfig rung_config(const bench::Scale& scale, std::uint32_t peers) {
@@ -103,7 +82,6 @@ int main() {
   // reading is dominated by its own (largest-so-far) run.
   const bool profiling = bench::profile_from_env();
   for (const std::uint32_t peers : ladder) {
-    const auto fp = underlay_footprint(scale.seed, peers);
     auto cfg = rung_config(scale, peers);
     // HP2P_PROFILE=1 profiles the ladder's top rung (the interesting one):
     // component attribution plus 1 s-period occupancy gauges (arena slots,
@@ -136,8 +114,9 @@ int main() {
 
     table.row()
         .cell(std::uint64_t{peers})
-        .cell(mode_name(fp.mode))
-        .cell(static_cast<double>(fp.routing_bytes) / (1024.0 * 1024.0), 2)
+        .cell(mode_name(r.routing_mode))
+        .cell(static_cast<double>(r.routing_table_bytes) / (1024.0 * 1024.0),
+              2)
         .cell(r.sim_stats.events_executed)
         .cell(events_per_sec / 1e6, 2)
         .cell(wall_ms / 1000.0, 2)
@@ -148,10 +127,11 @@ int main() {
     const std::string key = "n" + std::to_string(peers);
     exp::collect_run_result(reporter.metrics(), key, r);
     auto& m = reporter.metrics();
-    m.set(key + ".routing_mode", stats::JsonValue{std::string{mode_name(fp.mode)}});
+    m.set(key + ".routing_mode",
+          stats::JsonValue{std::string{mode_name(r.routing_mode)}});
     m.set(key + ".routing_table_bytes",
-          stats::JsonValue{static_cast<std::uint64_t>(fp.routing_bytes)});
-    m.set(key + ".hosts", stats::JsonValue{std::uint64_t{fp.hosts}});
+          stats::JsonValue{static_cast<std::uint64_t>(r.routing_table_bytes)});
+    m.set(key + ".hosts", stats::JsonValue{std::uint64_t{r.hosts}});
     m.set(key + ".events_per_sec", stats::JsonValue{events_per_sec});
     m.set(key + ".wall_ms_total", stats::JsonValue{wall_ms});
     m.set(key + ".sim_ms_total", stats::JsonValue{sim_ms});

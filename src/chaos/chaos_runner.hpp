@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "chaos/fault_schedule.hpp"
+#include "chaos/world.hpp"
 #include "hybrid/params.hpp"
 #include "stats/flight_recorder.hpp"
 #include "stats/json.hpp"
@@ -48,18 +49,8 @@ struct ChaosConfig {
   FaultSchedule schedule;
   /// Recovery time simulated after the last phase before the oracle runs.
   sim::Duration settle = sim::SimTime::seconds(60);
-  bool strict_audit = true;
   /// Optional (not owned): receives phase/crash/join/violation events.
   stats::FlightRecorder* flight = nullptr;
-};
-
-struct ChaosViolation {
-  const char* kind = "";  // stable name (string literal)
-  std::string detail;
-  std::uint64_t a = 0;
-  std::uint64_t b = 0;
-
-  [[nodiscard]] stats::JsonValue to_json() const;
 };
 
 struct ChaosReport {

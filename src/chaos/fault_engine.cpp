@@ -7,23 +7,19 @@ namespace hp2p::chaos {
 
 using proto::TrafficClass;
 
-FaultScheduleEngine::FaultScheduleEngine(sim::Simulator& sim,
-                                         proto::OverlayNetwork& net,
-                                         hybrid::HybridSystem& system,
-                                         FaultSchedule schedule,
+FaultScheduleEngine::FaultScheduleEngine(World& world, FaultSchedule schedule,
                                          stats::FlightRecorder* flight)
-    : sim_(sim), net_(net), system_(system), schedule_(std::move(schedule)),
-      flight_(flight), rng_(schedule_.seed) {}
+    : world_(world), schedule_(std::move(schedule)), flight_(flight),
+      rng_(schedule_.seed) {}
 
 std::uint32_t FaultScheduleEngine::domain_of(PeerIndex peer) const {
-  const auto& topo = net_.underlay().topology();
-  return topo.domain[net_.host_of(peer).value()];
+  const auto& topo = world_.underlay.topology();
+  return topo.domain[world_.network.host_of(peer).value()];
 }
 
-void FaultScheduleEngine::arm(std::function<HostIndex()> host_source) {
-  host_source_ = std::move(host_source);
-  net_.set_fault([this](PeerIndex from, PeerIndex to, TrafficClass cls,
-                        std::uint32_t bytes) {
+void FaultScheduleEngine::arm() {
+  world_.network.set_fault([this](PeerIndex from, PeerIndex to,
+                                  TrafficClass cls, std::uint32_t bytes) {
     return on_message(from, to, cls, bytes);
   });
   for (std::size_t i = 0; i < schedule_.phases.size(); ++i) {
@@ -41,8 +37,8 @@ void FaultScheduleEngine::arm(std::function<HostIndex()> host_source) {
     for (std::uint32_t k = 0; k < n; ++k) {
       const auto offset = sim::SimTime::micros(
           phase.duration.as_micros() * k / n);
-      sim_.schedule_at(phase.start + offset, [this, i, crash] {
-        sim::ComponentScope prof{sim_, sim::Component::kChaos};
+      world_.sim.schedule_at(phase.start + offset, [this, i, crash] {
+        sim::ComponentScope prof{world_.sim, sim::Component::kChaos};
         const FaultPhase& p = schedule_.phases[i];
         if (crash) {
           apply_crash(p, i);
@@ -54,14 +50,14 @@ void FaultScheduleEngine::arm(std::function<HostIndex()> host_source) {
   }
 }
 
-void FaultScheduleEngine::disarm() { net_.set_fault({}); }
+void FaultScheduleEngine::disarm() { world_.network.set_fault({}); }
 
 proto::FaultAction FaultScheduleEngine::on_message(PeerIndex from,
                                                    PeerIndex to,
                                                    TrafficClass cls,
                                                    std::uint32_t bytes) {
   proto::FaultAction action;
-  const sim::SimTime now = sim_.now();
+  const sim::SimTime now = world_.sim.now();
   for (const FaultPhase& p : schedule_.phases) {
     if (now < p.start || p.end() <= now) continue;
     switch (p.kind) {
@@ -72,7 +68,7 @@ proto::FaultAction FaultScheduleEngine::on_message(PeerIndex from,
         }
         break;
       case FaultKind::kLatencyStorm: {
-        const auto base = net_.hop_latency(from, to, bytes);
+        const auto base = world_.network.hop_latency(from, to, bytes);
         action.extra_delay += sim::SimTime::micros(static_cast<std::int64_t>(
             static_cast<double>(base.as_micros()) * p.intensity));
         break;
@@ -116,13 +112,8 @@ void FaultScheduleEngine::apply_crash(const FaultPhase& phase,
   const bool want_tpeer = phase.kind == FaultKind::kTPeerCrashStorm;
   std::vector<PeerIndex> candidates;
   std::size_t live_tpeers = 0;
-  for (std::uint32_t i = 0; i < system_.num_peers(); ++i) {
-    const PeerIndex p{i};
-    if (system_.is_server_peer(p) || !system_.is_alive(p) ||
-        !system_.is_joined(p)) {
-      continue;
-    }
-    const bool is_t = system_.role_of(p) == hybrid::Role::kTPeer;
+  for (const PeerIndex p : world_.live_nonserver_peers()) {
+    const bool is_t = world_.system.role_of(p) == hybrid::Role::kTPeer;
     live_tpeers += is_t ? 1 : 0;
     if (is_t == want_tpeer) candidates.push_back(p);
   }
@@ -132,25 +123,26 @@ void FaultScheduleEngine::apply_crash(const FaultPhase& phase,
     // Keep the system recoverable: a t-peer may only crash while another
     // t-peer survives or its own s-network has members to compete for the
     // slot.
-    const bool has_orphans = system_.snetwork_members(victim).size() > 1;
+    const bool has_orphans =
+        world_.system.snetwork_members(victim).size() > 1;
     if (live_tpeers <= 1 && !has_orphans) return;
   }
   ++crashes_applied_;
   if (flight_ != nullptr) {
-    flight_->record(sim_.now(), "chaos_crash", victim.value(),
+    flight_->record(world_.sim.now(), "chaos_crash", victim.value(),
                     want_tpeer ? 1 : 0, phase_idx);
   }
-  system_.crash(victim);
+  world_.system.crash(victim);
 }
 
 void FaultScheduleEngine::apply_join(const FaultPhase& phase,
                                      std::size_t phase_idx) {
-  if (!host_source_) return;
   ++joins_applied_;
-  const PeerIndex joiner =
-      system_.add_peer_with_role(host_source_(), hybrid::Role::kSPeer);
+  const PeerIndex joiner = world_.system.add_peer_with_role(
+      world_.next_host(), hybrid::Role::kSPeer);
   if (flight_ != nullptr) {
-    flight_->record(sim_.now(), "chaos_join", joiner.value(), 0, phase_idx);
+    flight_->record(world_.sim.now(), "chaos_join", joiner.value(), 0,
+                    phase_idx);
   }
   (void)phase;
 }

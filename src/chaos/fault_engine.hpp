@@ -8,15 +8,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <vector>
 
 #include "chaos/fault_schedule.hpp"
+#include "chaos/world.hpp"
 #include "common/ids.hpp"
 #include "common/rng.hpp"
-#include "hybrid/hybrid_system.hpp"
-#include "proto/overlay_network.hpp"
-#include "sim/simulator.hpp"
 #include "stats/flight_recorder.hpp"
 
 namespace hp2p::chaos {
@@ -25,13 +21,12 @@ class FaultScheduleEngine {
  public:
   /// `flight` (optional, not owned) receives one record per phase at arm
   /// time and one per applied crash/join.
-  FaultScheduleEngine(sim::Simulator& sim, proto::OverlayNetwork& net,
-                      hybrid::HybridSystem& system, FaultSchedule schedule,
+  FaultScheduleEngine(World& world, FaultSchedule schedule,
                       stats::FlightRecorder* flight = nullptr);
 
-  /// Installs the transport fault hook and schedules the membership events.
-  /// `host_source` supplies hosts for flash-crowd joiners.
-  void arm(std::function<HostIndex()> host_source);
+  /// Installs the transport fault hook and schedules the membership events;
+  /// flash-crowd joiners take the world's next hosts.
+  void arm();
   /// Removes the transport hook (call after the schedule has ended).
   void disarm();
 
@@ -51,13 +46,10 @@ class FaultScheduleEngine {
   void apply_join(const FaultPhase& phase, std::size_t phase_idx);
   [[nodiscard]] std::uint32_t domain_of(PeerIndex peer) const;
 
-  sim::Simulator& sim_;
-  proto::OverlayNetwork& net_;
-  hybrid::HybridSystem& system_;
+  World& world_;
   FaultSchedule schedule_;
   stats::FlightRecorder* flight_;
   Rng rng_;
-  std::function<HostIndex()> host_source_;
   std::uint32_t crashes_applied_ = 0;
   std::uint32_t joins_applied_ = 0;
   std::uint64_t dropped_ = 0;

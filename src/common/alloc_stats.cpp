@@ -39,14 +39,20 @@ inline std::uint64_t usable_size(void* p, std::size_t requested) {
 #endif
 }
 
-void* counted_alloc(std::size_t size) {
+/// Returns nullptr when malloc fails.
+void* counted_alloc(std::size_t size) noexcept {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   g_alloc_bytes.fetch_add(static_cast<std::uint64_t>(size),
                           std::memory_order_relaxed);
-  if (void* p = std::malloc(size > 0 ? size : 1)) {
+  void* p = std::malloc(size > 0 ? size : 1);
+  if (p != nullptr) {
     g_live_bytes.fetch_add(usable_size(p, size), std::memory_order_relaxed);
-    return p;
   }
+  return p;
+}
+
+void* counted_alloc_or_throw(std::size_t size) {
+  if (void* p = counted_alloc(size)) return p;
   throw std::bad_alloc{};
 }
 
@@ -59,10 +65,24 @@ void counted_free(void* p, std::size_t requested) {
 
 }  // namespace
 
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
+// The nothrow forms are replaced too (std::stable_sort's temporary buffer
+// uses them): every allocation and free must go through one allocator.
+void* operator new(std::size_t size) { return counted_alloc_or_throw(size); }
+void* operator new[](std::size_t size) { return counted_alloc_or_throw(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
 void operator delete(void* p) noexcept { counted_free(p, 0); }
 void operator delete[](void* p) noexcept { counted_free(p, 0); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  counted_free(p, 0);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  counted_free(p, 0);
+}
 void operator delete(void* p, std::size_t size) noexcept {
   counted_free(p, size);
 }

@@ -7,14 +7,12 @@
 #include <set>
 
 #include "audit/overlay_auditor.hpp"
+#include "chaos/world.hpp"
 #include "common/alloc_stats.hpp"
 #include "common/env.hpp"
 #include "common/proc_stats.hpp"
 #include "common/rng.hpp"
 #include "hybrid/hybrid_system.hpp"
-#include "net/transit_stub.hpp"
-#include "net/underlay.hpp"
-#include "sim/simulator.hpp"
 #include "workload/workload.hpp"
 
 namespace hp2p::exp {
@@ -62,20 +60,20 @@ RunResult run_hybrid_experiment(const RunConfig& raw_config) {
 
   // One underlay host per peer plus one for the server, as in the paper's
   // 1,000-node GT-ITM topologies.
-  const auto ts_params =
-      net::TransitStubParams::for_total_nodes(config.num_peers + 1);
-  net::Underlay underlay{net::generate_transit_stub(ts_params, topo_rng),
-                         topo_rng};
-
-  sim::Simulator sim;
   proto::OverlayNetworkOptions net_opts;
   net_opts.model_transmission_delay = config.model_transmission_delay;
   net_opts.track_link_stress = config.track_link_stress;
-  proto::OverlayNetwork network{sim, underlay, net_opts};
-
-  HybridSystem system{network, config.hybrid, HostIndex{0}, build_rng};
+  chaos::World world{topo_rng, build_rng, config.num_peers + 1, config.hybrid,
+                     net_opts};
+  sim::Simulator& sim = world.sim;
+  const net::Underlay& underlay = world.underlay;
+  proto::OverlayNetwork& network = world.network;
+  HybridSystem& system = world.system;
 
   RunResult result;
+  result.routing_mode = underlay.routing_mode();
+  result.routing_table_bytes = underlay.routing_memory_bytes();
+  result.hosts = underlay.num_hosts();
 
   // ---- Observability wiring -------------------------------------------------
   if (config.tracer != nullptr) {

@@ -19,6 +19,7 @@
 
 #include "common/ids.hpp"
 #include "hybrid/params.hpp"
+#include "net/underlay.hpp"
 #include "proto/metrics.hpp"
 #include "proto/overlay_network.hpp"
 #include "sim/simulator.hpp"
@@ -170,6 +171,11 @@ struct RunResult {
   /// many of them some live joined peer still holds at the end of the run.
   std::size_t items_stored = 0;
   std::size_t items_recoverable = 0;
+  /// The underlay the replica ran on: routing backend, routing-table
+  /// bytes, host count.
+  net::RoutingMode routing_mode = net::RoutingMode::kAuto;
+  std::size_t routing_table_bytes = 0;
+  std::uint32_t hosts = 0;
   /// Replication machinery counters (all 0 with replication_factor = 1).
   std::uint64_t replica_pushes = 0;
   std::uint64_t re_replication_pushes = 0;

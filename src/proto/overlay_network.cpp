@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "net/transit_stub.hpp"
 #include "stats/profiler.hpp"
 
 namespace hp2p::proto {
@@ -167,5 +168,12 @@ void OverlayNetwork::note_drop(PeerIndex at, DropReason reason,
                     at.value(), simulator_.now());
   }
 }
+
+Substrate::Substrate(Rng& topo_rng, std::uint32_t hosts,
+                     OverlayNetworkOptions net_opts)
+    : underlay(net::generate_transit_stub(
+                   net::TransitStubParams::for_total_nodes(hosts), topo_rng),
+               topo_rng),
+      network(sim, underlay, net_opts) {}
 
 }  // namespace hp2p::proto

@@ -270,4 +270,19 @@ class OverlayNetwork {
   stats::Profiler* profiler_ = nullptr;
 };
 
+/// The simulation substrate an overlay runs on: the kernel, a transit-stub
+/// underlay, and the transport over it.  chaos::World (so every runner)
+/// and the protocol test fixtures build their topology with this one
+/// constructor.
+struct Substrate {
+  /// Generates at least `hosts` hosts and deals their capacities, both from
+  /// `topo_rng`.
+  Substrate(Rng& topo_rng, std::uint32_t hosts,
+            OverlayNetworkOptions net_opts = {});
+
+  sim::Simulator sim;
+  net::Underlay underlay;
+  OverlayNetwork network;
+};
+
 }  // namespace hp2p::proto

@@ -1,40 +1,22 @@
 #include "verify/scenario.hpp"
 
-#include <memory>
 #include <string>
 
-#include "audit/overlay_auditor.hpp"
-#include "chaos/reference_model.hpp"
-#include "common/rng.hpp"
-#include "hybrid/hybrid_system.hpp"
-#include "net/transit_stub.hpp"
-#include "net/underlay.hpp"
-#include "proto/overlay_network.hpp"
+#include "chaos/chaos_runner.hpp"
+#include "chaos/world.hpp"
 #include "verify/state_hash.hpp"
 #include "workload/workload.hpp"
 
 namespace hp2p::verify {
 
 hybrid::HybridParams verify_default_params() {
-  hybrid::HybridParams p;
-  p.style = hybrid::SNetworkStyle::kTree;
-  p.t_routing = hybrid::TRouting::kRing;
-  // Every rng-drawing protocol path is off: deterministic placement at the
-  // responsible t-peer (no spread walk), flood search (no random walks),
-  // and the scenarios force roles and use tree s-networks (no mesh
-  // shuffle).  What remains is a pure function of the event order.
+  // The chaos defaults with every rng-drawing path off: placement at the
+  // responsible t-peer (no spread walk) and flood search (no random walks);
+  // the scenarios force roles and use trees (no mesh shuffle).
+  hybrid::HybridParams p = chaos::chaos_default_params();
   p.placement = hybrid::PlacementScheme::kTPeerStores;
   p.s_search = hybrid::SSearch::kFlood;
-  p.ttl = 10;
-  p.delta = 3;
-  p.hello_interval = sim::SimTime::millis(500);
-  p.hello_timeout = sim::SimTime::millis(1500);
   p.lookup_timeout = sim::SimTime::seconds(5);
-  p.reflood_on_timeout = true;
-  p.ring_retry_limit = 3;
-  p.ring_retry_base = sim::SimTime::seconds(1);
-  p.enable_caching = false;
-  p.bypass_links = false;
   return p;
 }
 
@@ -46,32 +28,15 @@ std::string ScenarioOutcome::dump() const {
   return out;
 }
 
-namespace {
-
-struct TrackedLookup {
-  DataId id{};
-  PeerIndex origin = kNoPeer;
-  bool must_at_issue = false;
-  bool issued = false;
-  bool done = false;
-  bool success = false;
-};
-
-}  // namespace
-
 ScenarioOutcome run_scenario(const ScenarioConfig& cfg,
                              ScenarioPolicy* policy) {
   ScenarioOutcome out;
 
   Rng rng(cfg.seed);
-  sim::Simulator sim;
+  chaos::World world(rng, rng, cfg.hosts, cfg.params);
+  hybrid::HybridSystem& system = world.system;
+  sim::Simulator& sim = world.sim;
   if (policy != nullptr) sim.set_tie_break_policy(policy, cfg.window);
-  net::Underlay underlay(
-      net::generate_transit_stub(
-          net::TransitStubParams::for_total_nodes(cfg.hosts), rng),
-      rng);
-  proto::OverlayNetwork network(sim, underlay, {});
-  hybrid::HybridSystem system(network, cfg.params, HostIndex{0}, rng);
 
   const std::uint32_t num_peers = cfg.num_tpeers + cfg.num_speers;
 
@@ -79,9 +44,9 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg,
   if (cfg.hello_delay_from != 0 && cfg.hello_delay_to != 0) {
     const PeerIndex df{cfg.hello_delay_from};
     const PeerIndex dt{cfg.hello_delay_to};
-    network.set_fault([&sim, &cfg, df, dt](PeerIndex from, PeerIndex to,
-                                           proto::TrafficClass cls,
-                                           std::uint32_t) {
+    world.network.set_fault([&sim, &cfg, df, dt](PeerIndex from, PeerIndex to,
+                                                 proto::TrafficClass cls,
+                                                 std::uint32_t) {
       proto::FaultAction action;
       if (cls == proto::TrafficClass::kHeartbeat && from == df && to == dt &&
           sim.now() >= cfg.hello_delay_start &&
@@ -96,31 +61,23 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg,
   // Joins 100ms apart (t-peers first, forced roles): well clear of any
   // plausible commutation window, so dense peer indices -- and therefore
   // the canonical hash -- are stable across interleavings.
-  for (std::uint32_t i = 0; i < num_peers; ++i) {
-    const auto role = i < cfg.num_tpeers ? hybrid::Role::kTPeer
-                                         : hybrid::Role::kSPeer;
-    const HostIndex host{1 + i % (cfg.hosts - 1)};
-    sim.schedule_at(sim::SimTime::millis(100 * (i + 1)),
-                    [&system, host, role] {
-                      system.add_peer_with_role(host, role);
-                    });
-  }
+  world.schedule_joins(num_peers, cfg.num_tpeers, sim::SimTime::millis(100));
 
   // Stores: fixed corpus, fixed origins (round-robin over the join order),
   // mirrored into the reference model as they execute.
-  chaos::ReferenceModel model(system);
+  chaos::Judge judge(world);
   const auto corpus = workload::uniform_corpus(cfg.num_items, cfg.seed);
   for (std::uint32_t k = 0; k < cfg.num_items; ++k) {
     const auto& item = corpus[k];
     const PeerIndex origin{1 + k % num_peers};
     sim.schedule_at(sim::SimTime::millis(1500 + 20 * k),
-                    [&system, &model, origin, item] {
+                    [&system, &judge, origin, item] {
                       if (!system.is_alive(origin) ||
                           !system.is_joined(origin)) {
                         return;
                       }
                       system.store_id(origin, item.id, item.key, item.value);
-                      model.record_store(item.id, origin);
+                      judge.model.record_store(item.id, origin);
                     });
   }
 
@@ -133,28 +90,19 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg,
   }
 
   // In-horizon lookups, judged post-hoc exactly like the chaos storm
-  // lookups: a failure only counts when the oracle said MUST both at issue
-  // time and after the dust settled.
-  std::vector<TrackedLookup> storm(cfg.num_lookups);
+  // lookups.
+  std::vector<chaos::TrackedLookup> storm(cfg.num_lookups);
   for (std::uint32_t k = 0; k < cfg.num_lookups; ++k) {
-    TrackedLookup* slot = &storm[k];
+    chaos::TrackedLookup* slot = &storm[k];
     const DataId id = corpus.empty() ? DataId{} : corpus[k % corpus.size()].id;
     const PeerIndex origin{1 + (k * 2 + 1) % num_peers};
     sim.schedule_at(cfg.lookup_at + sim::SimTime::millis(150 * k),
-                    [&system, &model, slot, id, origin] {
+                    [&system, &judge, slot, id, origin] {
                       if (!system.is_alive(origin) ||
                           !system.is_joined(origin)) {
                         return;
                       }
-                      slot->issued = true;
-                      slot->id = id;
-                      slot->origin = origin;
-                      slot->must_at_issue = !model.live_holders(id).empty();
-                      system.lookup_id(origin, id,
-                                       [slot](proto::LookupResult r) {
-                                         slot->done = true;
-                                         slot->success = r.success;
-                                       });
+                      judge.track(*slot, origin, id);
                     });
   }
 
@@ -177,63 +125,12 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg,
   sim.set_tie_break_policy(nullptr);
   out.state_hash = canonical_state_hash(system);
 
-  if (!system.verify_ring()) out.violations.push_back("ring_broken");
-  if (!system.verify_trees()) out.violations.push_back("trees_broken");
-
-  audit::AuditOptions audit_opts;
-  audit_opts.strict = true;
-  audit::OverlayAuditor auditor(system, network, sim, audit_opts);
-  const auto report = auditor.run();
-  for (const auto& v : report.violations) {
-    out.violations.push_back(std::string("audit:") + v.invariant + ": " +
-                             v.detail);
-  }
-
-  // Oracle wave: every stored item looked up from its storing origin.
-  struct WaveLookup {
-    chaos::Expectation exp;
-    DataId id{};
-    PeerIndex origin = kNoPeer;
-    bool done = false;
-    bool success = false;
-  };
-  auto wave = std::make_shared<std::vector<WaveLookup>>();
-  for (const auto& [id, origin] : model.stores()) {
-    if (!system.is_alive(origin) || !system.is_joined(origin)) continue;
-    const std::size_t slot = wave->size();
-    wave->push_back(
-        WaveLookup{model.classify(origin, DataId{id}), DataId{id}, origin});
-    system.lookup_id(origin, DataId{id}, [wave, slot](proto::LookupResult r) {
-      (*wave)[slot].done = true;
-      (*wave)[slot].success = r.success;
-    });
-  }
-  sim.run_until(sim.now() + cfg.params.lookup_timeout +
-                sim::SimTime::seconds(2));
-
-  for (const WaveLookup& w : *wave) {
-    if (!w.done) {
-      out.violations.push_back("wave_lookup_wedged id=" +
-                               std::to_string(w.id.value()));
-    } else if (!w.success && w.exp.must) {
-      out.violations.push_back("must_lookup_failed id=" +
-                               std::to_string(w.id.value()) + " (" +
-                               w.exp.reason + ")");
-    }
-  }
-  for (const TrackedLookup& s : storm) {
-    if (!s.issued) continue;
-    if (!s.done) {
-      out.violations.push_back("storm_lookup_wedged id=" +
-                               std::to_string(s.id.value()));
-    } else if (!s.success && s.must_at_issue &&
-               model.classify(s.origin, s.id).must) {
-      out.violations.push_back("storm_must_failed id=" +
-                               std::to_string(s.id.value()));
-    }
-  }
-  if (system.pending_lookups() != 0) {
-    out.violations.push_back("pending_lookups_after_wave");
+  judge.judge_quiescent();
+  // Oracle wave: every stored item looked up from its (live) storing origin.
+  judge.oracle_wave(sim::SimTime::seconds(2), /*skip_dead_origins=*/true);
+  judge.judge_tracked(storm, "in-horizon", "storm_must_failed");
+  for (const chaos::ChaosViolation& v : judge.violations) {
+    out.violations.push_back(v.to_json().dump(0));
   }
   return out;
 }

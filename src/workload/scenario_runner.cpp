@@ -1,21 +1,12 @@
 #include "workload/scenario_runner.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <utility>
 
-#include "audit/overlay_auditor.hpp"
 #include "chaos/fault_engine.hpp"
-#include "chaos/reference_model.hpp"
-#include "common/env.hpp"
-#include "hybrid/hybrid_system.hpp"
-#include "net/transit_stub.hpp"
-#include "net/underlay.hpp"
-#include "proto/overlay_network.hpp"
-#include "sim/simulator.hpp"
-#include "sim/tie_break.hpp"
+#include "chaos/world.hpp"
 
 namespace hp2p::workload {
 
@@ -24,32 +15,6 @@ namespace {
 /// Interest tag given to kRecentJoin joiners, so an interest-based server
 /// anchors the whole crowd into one s-network.
 constexpr std::uint32_t kCrowdInterest = 7;
-
-struct ScenLookup {
-  std::uint32_t item = 0;
-  DataId id{};
-  PeerIndex origin = kNoPeer;
-  bool issued = false;
-  bool must_at_issue = false;
-  bool done = false;
-  bool success = false;
-  std::uint64_t value = 0;
-  sim::SimTime latency{};
-};
-
-std::vector<PeerIndex> live_nonserver_peers(
-    const hybrid::HybridSystem& system) {
-  std::vector<PeerIndex> out;
-  for (std::size_t i = 0; i < system.num_peers(); ++i) {
-    const PeerIndex p{static_cast<std::uint32_t>(i)};
-    if (system.is_server_peer(p) || !system.is_alive(p) ||
-        !system.is_joined(p)) {
-      continue;
-    }
-    out.push_back(p);
-  }
-  return out;
-}
 
 /// Deterministic actor resolution: start at pick % size and walk forward to
 /// the first usable peer, so equal picks keep naming the same peer for as
@@ -66,17 +31,6 @@ PeerIndex resolve_actor(const hybrid::HybridSystem& system,
     }
   }
   return kNoPeer;
-}
-
-void add_violation(ScenarioReport& report, const ScenarioConfig& cfg,
-                   sim::SimTime at, const char* kind, std::string detail,
-                   std::uint64_t a = 0, std::uint64_t b = 0) {
-  if (cfg.flight != nullptr) {
-    cfg.flight->record(at, "scenario_violation", a, b,
-                       report.violations.size());
-  }
-  report.violations.push_back(
-      chaos::ChaosViolation{kind, std::move(detail), a, b});
 }
 
 }  // namespace
@@ -123,71 +77,34 @@ ScenarioReport run_scenario(const ScenarioConfig& cfg) {
   report.seed = cfg.seed;
   report.scenario = cfg.workload != nullptr ? cfg.workload->name() : "?";
   if (cfg.workload == nullptr) {
-    add_violation(report, cfg, {}, "config_error", "no workload set");
+    if (cfg.flight != nullptr) {
+      cfg.flight->record({}, "scenario_violation", 0, 0, 0);
+    }
+    report.violations.push_back(
+        chaos::ChaosViolation{"config_error", "no workload set"});
     return report;
   }
 
   Rng rng(cfg.seed);
-  sim::Simulator sim;
-
-  // Same optional shuffled tie-break as the chaos runner, so scenario runs
-  // can be order-fuzzed from the environment without recompiling.
-  std::unique_ptr<sim::ShuffleTieBreak> shuffler;
-  {
-    const std::string spec = cfg.tie_break.empty()
-                                 ? env_or("HP2P_TIEBREAK", "")
-                                 : cfg.tie_break;
-    constexpr const char* kPrefix = "shuffle:";
-    if (spec.rfind(kPrefix, 0) == 0) {
-      const std::uint64_t tb_seed = std::strtoull(
-          spec.c_str() + std::string(kPrefix).size(), nullptr, 10);
-      shuffler = std::make_unique<sim::ShuffleTieBreak>(tb_seed);
-      sim.set_tie_break_policy(shuffler.get());
-    }
-  }
-
-  net::Underlay underlay(
-      net::generate_transit_stub(
-          net::TransitStubParams::for_total_nodes(cfg.hosts), rng),
-      rng);
-  proto::OverlayNetwork network(sim, underlay, {});
-  hybrid::HybridSystem system(network, cfg.params, HostIndex{0}, rng);
+  chaos::World world(rng, rng, cfg.hosts, cfg.params);
+  hybrid::HybridSystem& system = world.system;
+  sim::Simulator& sim = world.sim;
+  world.install_tie_break(cfg.tie_break);
 
   // --- Population (same staging as the chaos runner). ---------------------
-  std::uint32_t host_cursor = 0;
-  const auto next_host = [&] {
-    const HostIndex h{1 + host_cursor % (underlay.num_hosts() - 1)};
-    ++host_cursor;
-    return h;
-  };
-  const auto num_t = std::max<std::uint32_t>(
-      1, static_cast<std::uint32_t>(
-             std::lround((1.0 - cfg.ps) * cfg.num_peers)));
-  for (std::uint32_t i = 0; i < cfg.num_peers; ++i) {
-    const auto role = i < num_t ? hybrid::Role::kTPeer : hybrid::Role::kSPeer;
-    const HostIndex host = next_host();
-    sim.schedule_at(sim::SimTime::millis(40 * (i + 1)), [&system, host, role] {
-      system.add_peer_with_role(host, role);
-    });
-  }
+  world.schedule_joins(cfg.num_peers, chaos::tpeer_count(cfg.num_peers, cfg.ps),
+                       sim::SimTime::millis(40));
   sim.run();
 
-  chaos::ReferenceModel model(system);
+  chaos::Judge judge(world, cfg.flight, "scenario_violation");
   const auto corpus = cfg.workload->corpus(cfg.seed);
   const auto ops = cfg.workload->generate(cfg.seed);
   report.ops = static_cast<std::uint32_t>(ops.size());
 
-  // Strict pre-flight audit on the quiescent freshly built overlay.
   {
-    audit::AuditOptions opts;
-    opts.strict = true;
-    audit::OverlayAuditor pre(system, network, sim, opts);
-    for (const auto& v : pre.run().violations) {
-      add_violation(report, cfg, sim.now(), "audit_pre",
-                    std::string(v.invariant) + ": expected " + v.expected +
-                        ", got " + v.actual + " (" + v.detail + ")",
-                    v.peer.value());
-    }
+    // Strict pre-flight audit on the quiescent freshly built overlay.
+    audit::OverlayAuditor pre(system, world.network, sim, {.strict = true});
+    judge.add_audit("audit_pre", pre.run());
   }
 
   system.start_failure_detection();
@@ -199,14 +116,13 @@ ScenarioReport run_scenario(const ScenarioConfig& cfg) {
 
   chaos::FaultSchedule shifted = cfg.schedule;
   for (chaos::FaultPhase& phase : shifted.phases) phase.start += t0;
-  chaos::FaultScheduleEngine engine(sim, network, system, shifted,
-                                    cfg.flight);
-  engine.arm(next_host);
+  chaos::FaultScheduleEngine engine(world, shifted, cfg.flight);
+  engine.arm();
 
-  const std::vector<PeerIndex> base_actors = live_nonserver_peers(system);
+  const std::vector<PeerIndex> base_actors = world.live_nonserver_peers();
   std::vector<PeerIndex> recent_joins;
 
-  std::vector<ScenLookup> lookups;
+  std::vector<chaos::TrackedLookup> lookups;
   lookups.reserve(static_cast<std::size_t>(
       std::count_if(ops.begin(), ops.end(), [](const Op& op) {
         return op.kind == Op::Kind::kLookup;
@@ -219,10 +135,11 @@ ScenarioReport run_scenario(const ScenarioConfig& cfg) {
   // cfg.lookup_retries times after cfg.retry_backoff, from an origin shifted
   // by the attempt number (a client whose own attachment is severed must not
   // just retry through itself).  must_at_issue is pinned at the FIRST
-  // attempt; success/latency reflect the final one.
-  std::function<void(ScenLookup*, Op::Origin, std::uint32_t, std::uint32_t)>
+  // attempt; the result is the final one's.
+  std::function<void(chaos::TrackedLookup*, Op::Origin, std::uint32_t,
+                     std::uint32_t)>
       issue_lookup;
-  issue_lookup = [&](ScenLookup* slot, Op::Origin origin_kind,
+  issue_lookup = [&](chaos::TrackedLookup* slot, Op::Origin origin_kind,
                      std::uint32_t pick, std::uint32_t attempt) {
     const std::vector<PeerIndex>& pool =
         origin_kind == Op::Origin::kRecentJoin && !recent_joins.empty()
@@ -230,18 +147,16 @@ ScenarioReport run_scenario(const ScenarioConfig& cfg) {
             : base_actors;
     const PeerIndex origin = resolve_actor(system, pool, pick + attempt);
     if (origin == kNoPeer) {
-      if (!slot->issued) {
+      if (slot->origin == kNoPeer) {
         ++report.ops_skipped;
       } else {
         slot->done = true;  // retried into a dead pool: final failure
       }
       return;
     }
-    if (!slot->issued) {
-      slot->issued = true;
-      // MUST at issue only requires the data to be live; transient damage
-      // the hardening must ride out is judged post-hoc.
-      slot->must_at_issue = !model.live_holders(slot->id).empty();
+    if (slot->origin == kNoPeer) {
+      // Same pin as Judge::track: only the data must be live.
+      slot->must_at_issue = !judge.model.live_holders(slot->id).empty();
     }
     slot->origin = origin;
     system.lookup_id(
@@ -261,9 +176,7 @@ ScenarioReport run_scenario(const ScenarioConfig& cfg) {
             return;
           }
           slot->done = true;
-          slot->success = r.success;
-          slot->value = r.value;
-          slot->latency = r.latency;
+          slot->result = r;
         });
   };
 
@@ -280,14 +193,14 @@ ScenarioReport run_scenario(const ScenarioConfig& cfg) {
             return;
           }
           system.store_id(origin, item->id, item->key, item->value);
-          model.record_store(item->id, origin);
+          judge.model.record_store(item->id, origin);
           ++report.stores;
         });
         break;
       }
       case Op::Kind::kLookup: {
-        lookups.push_back(ScenLookup{});
-        ScenLookup* slot = &lookups.back();
+        lookups.push_back(chaos::TrackedLookup{});
+        chaos::TrackedLookup* slot = &lookups.back();
         slot->item = op.item % static_cast<std::uint32_t>(corpus.size());
         slot->id = corpus[slot->item].id;
         const Op::Origin origin_kind = op.origin;
@@ -300,7 +213,7 @@ ScenarioReport run_scenario(const ScenarioConfig& cfg) {
       case Op::Kind::kJoin: {
         const bool targeted = op.origin == Op::Origin::kRecentJoin;
         sim.schedule_at(at, [&, targeted] {
-          const HostIndex host = next_host();
+          const HostIndex host = world.next_host();
           // Joiners enter the recent pool immediately; resolve_actor skips
           // them until the join protocol flips `joined`, so a pre-completion
           // lookup just falls forward to an older crowd member.
@@ -341,7 +254,7 @@ ScenarioReport run_scenario(const ScenarioConfig& cfg) {
   // Lenient periodic audits while the scenario runs: any violation a
   // lenient pass reports is real corruption, not transient churn.
   {
-    audit::OverlayAuditor mid(system, network, sim, audit::AuditOptions{});
+    audit::OverlayAuditor mid(system, world.network, sim);
     if (cfg.audit_period > sim::Duration{}) {
       mid.set_period(cfg.audit_period);
       mid.ensure_running();
@@ -349,76 +262,34 @@ ScenarioReport run_scenario(const ScenarioConfig& cfg) {
 
     sim.run_until(window_end);
     engine.disarm();
-
-    if (mid.total_violations() > 0) {
-      for (const auto& v : mid.last_failing_report().violations) {
-        add_violation(report, cfg, sim.now(), "audit_mid",
-                      std::string(v.invariant) + ": expected " + v.expected +
-                        ", got " + v.actual + " (" + v.detail + ")",
-                      v.peer.value());
-      }
-    }
+    judge.add_audit("audit_mid", mid.last_failing_report());
   }
   report.crashes = engine.crashes_applied();
   report.chaos_joins = engine.joins_applied();
 
   // --- Quiescent verdicts. -------------------------------------------------
-  report.ring_ok = system.verify_ring();
-  report.trees_ok = system.verify_trees();
-  if (!report.ring_ok) {
-    add_violation(report, cfg, sim.now(), "ring_broken",
-                  "verify_ring() failed after settle");
-  }
-  if (!report.trees_ok) {
-    add_violation(report, cfg, sim.now(), "trees_broken",
-                  "verify_trees() failed after settle");
-  }
-  {
-    audit::AuditOptions opts;
-    opts.strict = true;
-    audit::OverlayAuditor post(system, network, sim, opts);
-    const auto rep = post.run();
-    report.audit_violations = static_cast<std::uint32_t>(
-        rep.violations.size());
-    for (const auto& v : rep.violations) {
-      add_violation(report, cfg, sim.now(), "audit",
-                    std::string(v.invariant) + ": expected " + v.expected +
-                        ", got " + v.actual + " (" + v.detail + ")",
-                    v.peer.value());
-    }
-  }
+  const chaos::QuiescentVerdict verdict = judge.judge_quiescent();
+  report.ring_ok = verdict.ring_ok;
+  report.trees_ok = verdict.trees_ok;
+  report.audit_violations = verdict.audit_violations;
 
   double latency_sum_ms = 0;
-  for (const ScenLookup& s : lookups) {
-    if (!s.issued) continue;
-    ++report.lookups_issued;
-    if (!s.done) {
-      add_violation(report, cfg, sim.now(), "lookup_wedged",
-                    "scenario lookup never completed", s.id.value(),
-                    s.origin.value());
-      continue;
-    }
-    if (s.success) {
-      ++report.lookups_succeeded;
-      latency_sum_ms += s.latency.as_millis();
-      if (cfg.verify_values && s.value != corpus[s.item].value) {
-        ++report.value_mismatches;
-        add_violation(report, cfg, sim.now(), "value_mismatch",
-                      "lookup returned wrong content for " +
-                          corpus[s.item].key,
-                      s.id.value(), s.origin.value());
-      }
-      continue;
-    }
-    ++report.lookups_failed;
-    if (s.must_at_issue && model.classify(s.origin, s.id).must) {
-      ++report.must_failed;
-      add_violation(report, cfg, sim.now(), "scenario_must_failed",
-                    "scenario lookup failed; oracle says MUST at issue and "
-                    "after recovery",
-                    s.id.value(), s.origin.value());
-    }
-  }
+  const chaos::Tally tally = judge.judge_tracked(
+      lookups, "scenario", "scenario_must_failed", [&](std::size_t i) {
+        const chaos::TrackedLookup& t = lookups[i];
+        latency_sum_ms += t.result.latency.as_millis();
+        const WorkItem& item = corpus[t.item];
+        if (cfg.verify_values && t.result.value != item.value) {
+          ++report.value_mismatches;
+          judge.add("value_mismatch",
+                    "lookup returned wrong content for " + item.key,
+                    t.id.value(), t.origin.value());
+        }
+      });
+  report.lookups_issued = tally.issued;
+  report.lookups_succeeded = tally.succeeded;
+  report.lookups_failed = tally.failed;
+  report.must_failed = tally.must_failed;
   report.availability =
       report.lookups_issued == 0
           ? 1.0
@@ -430,52 +301,11 @@ ScenarioReport run_scenario(const ScenarioConfig& cfg) {
           : latency_sum_ms / static_cast<double>(report.lookups_succeeded);
 
   // --- Quiescent MUST/MAY wave over every stored item. ---------------------
-  if (cfg.final_wave) {
-    struct WaveLookup {
-      chaos::Expectation exp;
-      DataId id{};
-      PeerIndex origin = kNoPeer;
-      bool done = false;
-      bool success = false;
-    };
-    auto wave = std::make_shared<std::vector<WaveLookup>>();
-    wave->reserve(model.stores().size());
-    for (const auto& [id, origin] : model.stores()) {
-      const std::size_t slot = wave->size();
-      wave->push_back(
-          WaveLookup{model.classify(origin, DataId{id}), DataId{id}, origin});
-      system.lookup_id(origin, DataId{id},
-                       [wave, slot](proto::LookupResult r) {
-                         (*wave)[slot].done = true;
-                         (*wave)[slot].success = r.success;
-                       });
-    }
-    sim.run_until(sim.now() + cfg.params.lookup_timeout +
-                  sim::SimTime::seconds(5));
-    for (const WaveLookup& w : *wave) {
-      if (w.exp.must) {
-        ++report.wave_must_issued;
-      } else {
-        ++report.wave_may_issued;
-      }
-      if (!w.done) {
-        add_violation(report, cfg, sim.now(), "lookup_wedged",
-                      "oracle-wave lookup never completed", w.id.value(),
-                      w.origin.value());
-        continue;
-      }
-      if (w.success || !w.exp.must) continue;
-      ++report.wave_must_failed;
-      add_violation(report, cfg, sim.now(), "must_lookup_failed",
-                    std::string("MUST lookup failed (") + w.exp.reason + ")",
-                    w.id.value(), w.origin.value());
-    }
-    if (system.pending_lookups() != 0) {
-      add_violation(report, cfg, sim.now(), "lookup_wedged",
-                    "pending_lookups() != 0 after the wave deadline",
-                    system.pending_lookups());
-    }
-  }
+  const chaos::Tally wave = judge.oracle_wave(sim::SimTime::seconds(5),
+                                              /*skip_dead_origins=*/false);
+  report.wave_must_issued = wave.must_issued;
+  report.wave_may_issued = wave.may_issued;
+  report.wave_must_failed = wave.must_failed;
 
   // --- Load metrics. --------------------------------------------------------
   report.max_peer_load = system.max_answers_served();
@@ -499,7 +329,7 @@ ScenarioReport run_scenario(const ScenarioConfig& cfg) {
             : static_cast<double>(report.max_peer_load) /
                   report.mean_peer_load;
   }
-
+  report.violations = std::move(judge.violations);
   return report;
 }
 

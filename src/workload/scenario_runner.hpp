@@ -54,8 +54,6 @@ struct ScenarioConfig {
   /// overlay is actively healing, without weakening the quiescent verdicts.
   std::uint32_t lookup_retries = 2;
   sim::Duration retry_backoff = sim::SimTime::seconds(2);
-  /// Quiescent MUST/MAY wave over every stored item after settle.
-  bool final_wave = true;
   /// Kernel tie-break policy ("" = FIFO, or "shuffle:<seed>"); falls back
   /// to the HP2P_TIEBREAK environment variable like the chaos runner.
   std::string tie_break;

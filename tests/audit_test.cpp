@@ -30,7 +30,7 @@ using testing::SimWorld;
 struct AuditFixture {
   explicit AuditFixture(std::uint64_t seed = 42, HybridParams params = {})
       : world{seed, 64},
-        system{*world.network, params, HostIndex{0}, world.rng} {
+        system{world.network, params, HostIndex{0}, world.rng} {
     for (int i = 0; i < 8; ++i) {
       peers.push_back(
           system.add_peer_with_role(world.next_host(), Role::kTPeer, {}));
@@ -80,7 +80,7 @@ AuditOptions strict() {
 
 TEST(OverlayAuditor, QuiescentSystemPassesStrictAudit) {
   AuditFixture fx;
-  OverlayAuditor auditor{fx.system, *fx.world.network, fx.world.sim, strict()};
+  OverlayAuditor auditor{fx.system, fx.world.network, fx.world.sim, strict()};
   const AuditReport report = auditor.run();
   EXPECT_TRUE(report.clean())
       << report.to_json().dump(2) << "\nstrict audit found violations";
@@ -91,7 +91,7 @@ TEST(OverlayAuditor, QuiescentSystemPassesStrictAudit) {
 
 TEST(OverlayAuditor, ReportJsonCarriesViolationStructure) {
   AuditFixture fx;
-  OverlayAuditor auditor{fx.system, *fx.world.network, fx.world.sim, strict()};
+  OverlayAuditor auditor{fx.system, fx.world.network, fx.world.sim, strict()};
   const auto ts = fx.tpeers();
   FaultInjector::corrupt_successor(fx.system, ts[0], ts[0]);
   const AuditReport report = auditor.run();
@@ -106,7 +106,7 @@ TEST(OverlayAuditor, ReportJsonCarriesViolationStructure) {
 
 TEST(FaultInjection, CorruptSuccessorTripsRingSymmetryOnly) {
   AuditFixture fx;
-  OverlayAuditor auditor{fx.system, *fx.world.network, fx.world.sim, strict()};
+  OverlayAuditor auditor{fx.system, fx.world.network, fx.world.sim, strict()};
   ASSERT_TRUE(auditor.run().clean());
 
   const auto ts = fx.tpeers();
@@ -128,7 +128,7 @@ TEST(FaultInjection, CorruptSuccessorTripsRingSymmetryOnly) {
 
 TEST(FaultInjection, CorruptSuccessorIdTripsIdCacheOnly) {
   AuditFixture fx;
-  OverlayAuditor auditor{fx.system, *fx.world.network, fx.world.sim, strict()};
+  OverlayAuditor auditor{fx.system, fx.world.network, fx.world.sim, strict()};
   ASSERT_TRUE(auditor.run().clean());
 
   FaultInjector::corrupt_successor_id(fx.system, fx.tpeers()[1]);
@@ -142,7 +142,7 @@ TEST(FaultInjection, OvercapDegreeTripsDegreeCapOnly) {
   HybridParams params;
   params.delta = 2;  // low cap so a small s-network can exceed it
   AuditFixture fx{43, params};
-  OverlayAuditor auditor{fx.system, *fx.world.network, fx.world.sim, strict()};
+  OverlayAuditor auditor{fx.system, fx.world.network, fx.world.sim, strict()};
   ASSERT_TRUE(auditor.run().clean());
 
   bool injected = false;
@@ -161,7 +161,7 @@ TEST(FaultInjection, OvercapDegreeTripsDegreeCapOnly) {
 
 TEST(FaultInjection, MisplacedItemTripsPlacementOnly) {
   AuditFixture fx;
-  OverlayAuditor auditor{fx.system, *fx.world.network, fx.world.sim, strict()};
+  OverlayAuditor auditor{fx.system, fx.world.network, fx.world.sim, strict()};
   ASSERT_TRUE(auditor.run().clean());
 
   // A holder with data, and a t-peer root of a *different* s-network.
@@ -188,7 +188,7 @@ TEST(FaultInjection, MisplacedItemTripsPlacementOnly) {
 
 TEST(FaultInjection, OrphanedStoredItemTripsDataOrphanedOnly) {
   AuditFixture fx;
-  OverlayAuditor auditor{fx.system, *fx.world.network, fx.world.sim, strict()};
+  OverlayAuditor auditor{fx.system, fx.world.network, fx.world.sim, strict()};
   ASSERT_TRUE(auditor.run().clean());
 
   const PeerIndex victim = fx.find_speer([&](PeerIndex p) {
@@ -204,7 +204,7 @@ TEST(FaultInjection, OrphanedStoredItemTripsDataOrphanedOnly) {
 
 TEST(FaultInjection, DroppedTreeEdgeTripsParentChildSymmetryOnly) {
   AuditFixture fx;
-  OverlayAuditor auditor{fx.system, *fx.world.network, fx.world.sim, strict()};
+  OverlayAuditor auditor{fx.system, fx.world.network, fx.world.sim, strict()};
   ASSERT_TRUE(auditor.run().clean());
 
   const PeerIndex child = fx.find_speer(
@@ -220,7 +220,7 @@ TEST(FaultInjection, DroppedTreeEdgeTripsParentChildSymmetryOnly) {
 
 TEST(FaultInjection, OversizedFloodTtlTripsFloodBoundOnly) {
   AuditFixture fx;
-  OverlayAuditor auditor{fx.system, *fx.world.network, fx.world.sim, strict()};
+  OverlayAuditor auditor{fx.system, fx.world.network, fx.world.sim, strict()};
   ASSERT_TRUE(auditor.run().clean());
 
   FaultInjector::flood_with_ttl(fx.system, fx.peers[0], 99);
@@ -232,7 +232,7 @@ TEST(FaultInjection, OversizedFloodTtlTripsFloodBoundOnly) {
 
 TEST(FaultInjection, InBoundFloodTtlStaysClean) {
   AuditFixture fx;
-  OverlayAuditor auditor{fx.system, *fx.world.network, fx.world.sim, strict()};
+  OverlayAuditor auditor{fx.system, fx.world.network, fx.world.sim, strict()};
   FaultInjector::flood_with_ttl(fx.system, fx.peers[0],
                                 fx.system.params().ttl);
   EXPECT_TRUE(auditor.run().clean());
@@ -246,8 +246,8 @@ TEST(OverlayAuditor, PeriodicLenientAuditStaysCleanAcrossChurn) {
   params.ps = 0.6;
   params.hello_interval = sim::SimTime::millis(500);
   params.hello_timeout = sim::SimTime::millis(1500);
-  HybridSystem system{*world.network, params, HostIndex{0}, world.rng};
-  OverlayAuditor auditor{system, *world.network, world.sim};
+  HybridSystem system{world.network, params, HostIndex{0}, world.rng};
+  OverlayAuditor auditor{system, world.network, world.sim};
   auditor.set_period(sim::SimTime::millis(500));
 
   std::vector<PeerIndex> peers;

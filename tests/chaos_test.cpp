@@ -9,6 +9,7 @@
 #include "chaos/chaos_runner.hpp"
 #include "chaos/fault_schedule.hpp"
 #include "chaos/shrinker.hpp"
+#include "common/hashing.hpp"
 
 namespace hp2p::chaos {
 namespace {
@@ -182,6 +183,26 @@ TEST(ChaosStorm, DisablingRingRetryIsCaught) {
   EXPECT_TRUE(storm_must_failed)
       << "ring-retry disabled but no storm_must_failed violation; report: "
       << report.to_json().dump(2);
+}
+
+// --- Pinned runner output -----------------------------------------------------
+
+TEST(ChaosPinned, CrashStormReportDigestsArePinned) {
+  // The full report of one crash storm with mid-storm lookups, at three
+  // seeds: any change to how run_chaos builds, drives or judges its world
+  // shows up here, even when the run stays clean.
+  const std::uint64_t kPinned[] = {0x0b6aa121d1463f9dull, 0x2cc8d75a796a5ac1ull,
+                                   0x29a76975dd042505ull};
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    auto phase = make_phase(FaultKind::kSPeerCrashStorm, 15, 8);
+    phase.count = 4;
+    auto cfg = directed_config(201 + i, single_phase(201 + i, phase));
+    cfg.storm_lookups = 30;
+    const std::string json = run_chaos(cfg).to_json().dump(0);
+    EXPECT_EQ(fnv1a64(json), kPinned[i])
+        << "seed " << cfg.seed << " digest 0x" << std::hex << fnv1a64(json)
+        << std::dec << "\n" << json;
+  }
 }
 
 // --- Shrinker -----------------------------------------------------------------

@@ -33,7 +33,7 @@ std::vector<PeerIndex> build_ring(SimWorld& world, ChordNetwork& chord,
 
 TEST(Chord, SingleNodeRingOwnsAll) {
   SimWorld world{1};
-  ChordNetwork chord{*world.network, {}};
+  ChordNetwork chord{world.network, {}};
   const PeerIndex a = chord.create_ring(world.next_host(), PeerId{100});
   EXPECT_TRUE(chord.verify_ring(a, 1));
   bool found = false;
@@ -45,14 +45,14 @@ TEST(Chord, SingleNodeRingOwnsAll) {
 
 TEST(Chord, SequentialJoinsFormValidRing) {
   SimWorld world{2};
-  ChordNetwork chord{*world.network, {}};
+  ChordNetwork chord{world.network, {}};
   const auto nodes = build_ring(world, chord, 32);
   EXPECT_TRUE(chord.verify_ring(nodes.front(), 32));
 }
 
 TEST(Chord, JoinLatencyPositiveAndHopsCounted) {
   SimWorld world{3};
-  ChordNetwork chord{*world.network, {}};
+  ChordNetwork chord{world.network, {}};
   const auto first =
       chord.create_ring(world.next_host(), PeerId{1});
   const PeerIndex n = chord.register_node(world.next_host(), PeerId{1u << 20});
@@ -65,7 +65,7 @@ TEST(Chord, JoinLatencyPositiveAndHopsCounted) {
 
 TEST(Chord, IdConflictResolvedByMidpoint) {
   SimWorld world{4};
-  ChordNetwork chord{*world.network, {}};
+  ChordNetwork chord{world.network, {}};
   const PeerIndex a = chord.create_ring(world.next_host(), PeerId{1000});
   const PeerIndex b = chord.register_node(world.next_host(), PeerId{1000});
   chord.join(b, a, {});
@@ -76,7 +76,7 @@ TEST(Chord, IdConflictResolvedByMidpoint) {
 
 TEST(Chord, StoreRoutesToOwner) {
   SimWorld world{5};
-  ChordNetwork chord{*world.network, {}};
+  ChordNetwork chord{world.network, {}};
   const auto nodes = build_ring(world, chord, 16);
   for (int i = 0; i < 64; ++i) {
     chord.store(nodes[static_cast<std::size_t>(i) % nodes.size()],
@@ -89,7 +89,7 @@ TEST(Chord, StoreRoutesToOwner) {
 
 TEST(Chord, LookupFindsStoredData) {
   SimWorld world{6};
-  ChordNetwork chord{*world.network, {}};
+  ChordNetwork chord{world.network, {}};
   const auto nodes = build_ring(world, chord, 16);
   for (int i = 0; i < 32; ++i) {
     chord.store(nodes.front(), "key-" + std::to_string(i),
@@ -111,7 +111,7 @@ TEST(Chord, LookupFindsStoredData) {
 
 TEST(Chord, LookupMissingKeyFails) {
   SimWorld world{7};
-  ChordNetwork chord{*world.network, {}};
+  ChordNetwork chord{world.network, {}};
   const auto nodes = build_ring(world, chord, 8);
   bool called = false;
   chord.lookup(nodes.front(), "no-such-key", [&](proto::LookupResult r) {
@@ -125,7 +125,7 @@ TEST(Chord, LookupMissingKeyFails) {
 TEST(Chord, StructuredLookupNeverFailsWithoutChurn) {
   // The paper's claim: structured overlays have zero lookup failure ratio.
   SimWorld world{8};
-  ChordNetwork chord{*world.network, {}};
+  ChordNetwork chord{world.network, {}};
   const auto nodes = build_ring(world, chord, 24);
   for (int i = 0; i < 100; ++i) {
     chord.store(nodes[static_cast<std::size_t>(i) % nodes.size()],
@@ -144,7 +144,7 @@ TEST(Chord, StructuredLookupNeverFailsWithoutChurn) {
 
 TEST(Chord, GracefulLeavePreservesData) {
   SimWorld world{9};
-  ChordNetwork chord{*world.network, {}};
+  ChordNetwork chord{world.network, {}};
   const auto nodes = build_ring(world, chord, 12);
   for (int i = 0; i < 60; ++i) {
     chord.store(nodes.front(), "k" + std::to_string(i), 1);
@@ -159,7 +159,7 @@ TEST(Chord, GracefulLeavePreservesData) {
 
 TEST(Chord, LeaveRepairsNeighborPointers) {
   SimWorld world{10};
-  ChordNetwork chord{*world.network, {}};
+  ChordNetwork chord{world.network, {}};
   const auto nodes = build_ring(world, chord, 6);
   const auto leaving = nodes[3];
   const auto pred = chord.view(leaving).predecessor;
@@ -172,7 +172,7 @@ TEST(Chord, LeaveRepairsNeighborPointers) {
 
 TEST(Chord, CrashLosesDataButLookupStillCompletes) {
   SimWorld world{11};
-  ChordNetwork chord{*world.network, {}};
+  ChordNetwork chord{world.network, {}};
   const auto nodes = build_ring(world, chord, 10);
   chord.store(nodes.front(), "victim-key", 1);
   world.sim.run();
@@ -199,7 +199,7 @@ TEST(Chord, StabilizationRepairsRingAfterCrash) {
   ChordParams params;
   params.stabilize_interval = sim::SimTime::millis(200);
   params.probe_timeout = sim::SimTime::millis(400);
-  ChordNetwork chord{*world.network, params};
+  ChordNetwork chord{world.network, params};
   const auto nodes = build_ring(world, chord, 10);
   chord.start_maintenance(world.rng);
   world.sim.run_until(world.sim.now() + sim::SimTime::seconds(2));
@@ -229,7 +229,7 @@ TEST(Chord, FingerRoutingBeatsRingRouting) {
   finger_params.fix_fingers_interval = sim::SimTime::millis(100);
 
   auto measure = [](SimWorld& w, ChordParams p, bool maintain) {
-    ChordNetwork chord{*w.network, p};
+    ChordNetwork chord{w.network, p};
     std::vector<PeerIndex> nodes;
     nodes.push_back(chord.create_ring(
         w.next_host(), PeerId{w.rng.uniform(0, kRingSize - 1)}));
@@ -273,7 +273,7 @@ TEST(Chord, FingerRoutingBeatsRingRouting) {
 
 TEST(Chord, ViewExposesConsistentPointers) {
   SimWorld world{15};
-  ChordNetwork chord{*world.network, {}};
+  ChordNetwork chord{world.network, {}};
   const auto nodes = build_ring(world, chord, 8);
   std::set<std::uint64_t> ids;
   for (const auto n : nodes) {
@@ -290,7 +290,7 @@ TEST(Chord, ViewExposesConsistentPointers) {
 
 TEST(Chord, LoadTransferMovesOnlyOwnedArc) {
   SimWorld world{16};
-  ChordNetwork chord{*world.network, {}};
+  ChordNetwork chord{world.network, {}};
   // Two-node ring, all data at one node, then a third joins in between.
   const PeerIndex a = chord.create_ring(world.next_host(), PeerId{0});
   const PeerIndex b =

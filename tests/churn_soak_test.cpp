@@ -38,18 +38,18 @@ TEST_P(ChurnSoak, SystemSurvivesSustainedChurn) {
   params.hello_interval = sim::SimTime::millis(500);
   params.hello_timeout = sim::SimTime::millis(1500);
   params.lookup_timeout = sim::SimTime::seconds(10);
-  HybridSystem system{*world.network, params, HostIndex{0}, world.rng};
+  HybridSystem system{world.network, params, HostIndex{0}, world.rng};
 
   // Always-on flight recorder over the kernel + transport trace hooks: on
   // an availability failure below, its tail shows the run's final moments.
   stats::FlightRecorder flight{512};
-  exp::attach_flight_recorder(flight, world.sim, *world.network);
+  exp::attach_flight_recorder(flight, world.sim, world.network);
 
   // HP2P_AUDIT=1: lenient invariant audits every simulated second across
   // the whole soak -- any violation under churn is real corruption.
   std::optional<audit::OverlayAuditor> auditor;
   if (env_or("HP2P_AUDIT", std::int64_t{0}) != 0) {
-    auditor.emplace(system, *world.network, world.sim);
+    auditor.emplace(system, world.network, world.sim);
     auditor->set_period(sim::SimTime::seconds(1));
     auditor->set_flight_recorder(&flight);
   }

@@ -1,14 +1,16 @@
 // Unit tests for the common module: ids, ring arithmetic, hashing, RNG,
-// the recycling RefPool.
+// the recycling RefPool, the allocation counters.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <new>
 #include <set>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "common/alloc_stats.hpp"
 #include "common/hashing.hpp"
 #include "common/ids.hpp"
 #include "common/ref_pool.hpp"
@@ -291,6 +293,19 @@ TEST(RefPool, HandlesMayOutliveThePool) {
   auto copy = survivor;
   survivor = RefPool<Record>::Ref{};
   EXPECT_EQ(copy->hops[63], 2);  // the last handle frees it on scope exit
+}
+
+TEST(AllocStats, NothrowNewIsCountedAndFreed) {
+  // std::stable_sort's buffer comes from nothrow new: it must be counted by
+  // the same shim whose delete frees it.
+  const std::uint64_t allocs = alloc_stats::allocation_count();
+  const std::uint64_t live = alloc_stats::live_bytes();
+  int* volatile block = new (std::nothrow) int[64];
+  ASSERT_NE(block, nullptr);
+  EXPECT_EQ(alloc_stats::allocation_count(), allocs + 1);
+  EXPECT_GT(alloc_stats::live_bytes(), live);
+  delete[] block;
+  EXPECT_EQ(alloc_stats::live_bytes(), live);
 }
 
 }  // namespace

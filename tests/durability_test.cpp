@@ -23,7 +23,7 @@ namespace {
 /// Minimal staged-join fixture (mirrors hybrid_test's HybridFixture).
 struct Fixture {
   explicit Fixture(std::uint64_t seed, hybrid::HybridParams params)
-      : world(seed, 200), system(*world.network, params, HostIndex{0},
+      : world(seed, 200), system(world.network, params, HostIndex{0},
                                  world.rng) {}
 
   void build(std::size_t n) {

@@ -7,6 +7,7 @@
 
 #include <string>
 
+#include "common/hashing.hpp"
 #include "verify/explorer.hpp"
 #include "verify/scenario.hpp"
 
@@ -27,6 +28,16 @@ ScenarioConfig exhaustive_config() {
   cfg.lookup_at = sim::SimTime::millis(2750);
   cfg.horizon = sim::SimTime::millis(3000);
   return cfg;
+}
+
+TEST(Exhaustive, FifoOutcomeDigestIsPinned) {
+  // The exhaustive fixture's kernel-FIFO outcome (state hash, event count,
+  // violations): any change to how run_scenario builds, drives or judges
+  // its world shows up here.
+  const std::string dump = run_scenario(exhaustive_config(), nullptr).dump();
+  EXPECT_EQ(fnv1a64(dump), 0xaa8acb0c1dd0d6c5ull)
+      << "digest 0x" << std::hex << fnv1a64(dump) << std::dec << "\n"
+      << dump;
 }
 
 TEST(Exhaustive, FourPeerJoinCrashLookupIsOrderInsensitive) {

@@ -22,7 +22,7 @@ std::vector<PeerIndex> build_mesh(SimWorld& world, GnutellaNetwork& g,
 
 TEST(Gnutella, JoinWiresRandomNeighbors) {
   SimWorld world{21};
-  GnutellaNetwork g{*world.network, {}};
+  GnutellaNetwork g{world.network, {}};
   const auto peers = build_mesh(world, g, 20);
   EXPECT_EQ(g.num_peers(), 20u);
   // First peer has no one to link to at join time but gains links later.
@@ -35,7 +35,7 @@ TEST(Gnutella, JoinWiresRandomNeighbors) {
 
 TEST(Gnutella, NeighborLinksAreSymmetric) {
   SimWorld world{22};
-  GnutellaNetwork g{*world.network, {}};
+  GnutellaNetwork g{world.network, {}};
   const auto peers = build_mesh(world, g, 15);
   for (const auto p : peers) {
     for (const auto n : g.neighbors(p)) {
@@ -47,7 +47,7 @@ TEST(Gnutella, NeighborLinksAreSymmetric) {
 
 TEST(Gnutella, DataStaysAtGeneratingPeer) {
   SimWorld world{23};
-  GnutellaNetwork g{*world.network, {}};
+  GnutellaNetwork g{world.network, {}};
   const auto peers = build_mesh(world, g, 5);
   g.store(peers[2], "file.txt", 42);
   EXPECT_EQ(g.store_of(peers[2]).size(), 1u);
@@ -60,7 +60,7 @@ TEST(Gnutella, DataStaysAtGeneratingPeer) {
 
 TEST(Gnutella, FloodFindsNearbyData) {
   SimWorld world{24};
-  GnutellaNetwork g{*world.network, {}};
+  GnutellaNetwork g{world.network, {}};
   const auto peers = build_mesh(world, g, 30);
   g.store(peers[7], "needle", 1);
   bool called = false;
@@ -76,7 +76,7 @@ TEST(Gnutella, FloodFindsNearbyData) {
 
 TEST(Gnutella, OriginLocalHitIsInstant) {
   SimWorld world{25};
-  GnutellaNetwork g{*world.network, {}};
+  GnutellaNetwork g{world.network, {}};
   const auto peers = build_mesh(world, g, 5);
   g.store(peers[0], "mine", 1);
   proto::LookupResult result;
@@ -91,7 +91,7 @@ TEST(Gnutella, TtlZeroReachesNothing) {
   SimWorld world{26};
   GnutellaParams params;
   params.ttl = 0;
-  GnutellaNetwork g{*world.network, params};
+  GnutellaNetwork g{world.network, params};
   const auto peers = build_mesh(world, g, 10);
   g.store(peers[5], "far", 1);
   bool success = true;
@@ -108,7 +108,7 @@ TEST(Gnutella, LargerTtlLowersFailureRatio) {
     GnutellaParams params;
     params.ttl = ttl;
     params.neighbors_per_join = 2;
-    GnutellaNetwork g{*world.network, params};
+    GnutellaNetwork g{world.network, params};
     std::vector<PeerIndex> peers;
     for (int i = 0; i < 60; ++i) peers.push_back(g.join(world.next_host(), world.rng));
     for (int i = 0; i < 40; ++i) {
@@ -134,7 +134,7 @@ TEST(Gnutella, DuplicateSuppressionBoundsContacts) {
   SimWorld world{28};
   GnutellaParams params;
   params.ttl = 10;  // flood everywhere
-  GnutellaNetwork g{*world.network, params};
+  GnutellaNetwork g{world.network, params};
   const auto peers = build_mesh(world, g, 25);
   bool called = false;
   g.lookup(peers[0], "absent", [&](proto::LookupResult r) {
@@ -152,7 +152,7 @@ TEST(Gnutella, RandomWalkFindsData) {
   params.search = SearchMode::kRandomWalk;
   params.ttl = 30;
   params.walkers = 8;
-  GnutellaNetwork g{*world.network, params};
+  GnutellaNetwork g{world.network, params};
   const auto peers = build_mesh(world, g, 20);
   g.store(peers[10], "walked", 1);
   int successes = 0;
@@ -166,7 +166,7 @@ TEST(Gnutella, RandomWalkFindsData) {
 
 TEST(Gnutella, GracefulLeaveRemovesLinks) {
   SimWorld world{30};
-  GnutellaNetwork g{*world.network, {}};
+  GnutellaNetwork g{world.network, {}};
   const auto peers = build_mesh(world, g, 12);
   const auto victim = peers[4];
   const auto nbrs = g.neighbors(victim);
@@ -181,7 +181,7 @@ TEST(Gnutella, GracefulLeaveRemovesLinks) {
 
 TEST(Gnutella, CrashedPeerDataUnreachable) {
   SimWorld world{31};
-  GnutellaNetwork g{*world.network, {}};
+  GnutellaNetwork g{world.network, {}};
   const auto peers = build_mesh(world, g, 15);
   g.store(peers[3], "lost", 1);
   g.crash(peers[3]);
@@ -196,7 +196,7 @@ TEST(Gnutella, FloodAroundCrashStillFindsOtherCopies) {
   SimWorld world{32};
   GnutellaParams params;
   params.ttl = 8;
-  GnutellaNetwork g{*world.network, params};
+  GnutellaNetwork g{world.network, params};
   const auto peers = build_mesh(world, g, 20);
   g.store(peers[5], "copy", 1);
   g.store(peers[15], "copy", 1);
@@ -212,7 +212,7 @@ TEST(Gnutella, BfsRadiusSmallInWellConnectedMesh) {
   SimWorld world{33};
   GnutellaParams params;
   params.neighbors_per_join = 4;
-  GnutellaNetwork g{*world.network, params};
+  GnutellaNetwork g{world.network, params};
   const auto peers = build_mesh(world, g, 50);
   EXPECT_LE(g.bfs_radius(peers[0]), 8u);
 }

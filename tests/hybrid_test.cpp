@@ -30,7 +30,7 @@ struct HybridFixture {
                          std::uint32_t hosts = 200,
                          proto::OverlayNetworkOptions net_opts = {})
       : world(seed, hosts, net_opts),
-        system(*world.network, params, HostIndex{0}, world.rng) {}
+        system(world.network, params, HostIndex{0}, world.rng) {}
 
   void build(std::size_t n, bool tpeers_first = false) {
     const double ps = system.params().ps;
@@ -453,7 +453,7 @@ TEST(Hybrid, RefloodRecoversLocalLookupFromQueryLossWindow) {
       return false;
     }
     const sim::SimTime window_end = f.world.sim.now() + kDropWindow;
-    f.world.network->set_fault([&f, window_end](PeerIndex, PeerIndex,
+    f.world.network.set_fault([&f, window_end](PeerIndex, PeerIndex,
                                                 proto::TrafficClass cls,
                                                 std::uint32_t) {
       proto::FaultAction a;
@@ -546,7 +546,7 @@ TEST(Hybrid, RefloodRecoversRemoteLookupFromOwnerFloodLoss) {
     // Eat only the owner's outgoing query traffic: the ring forward still
     // reaches the owner, whose s-network flood is what the window kills.
     const sim::SimTime window_end = f.world.sim.now() + kDropWindow;
-    f.world.network->set_fault(
+    f.world.network.set_fault(
         [&f, owner_root, window_end](PeerIndex from, PeerIndex,
                                      proto::TrafficClass cls, std::uint32_t) {
           proto::FaultAction a;
@@ -993,8 +993,8 @@ TEST(Hybrid, TopologyAwareGroupsNearbyPeers) {
         for (std::size_t j = i + 1; j < members.size(); ++j) {
           total += static_cast<double>(
               f.world.underlay
-                  ->latency(f.world.network->host_of(members[i]),
-                            f.world.network->host_of(members[j]))
+                  .latency(f.world.network.host_of(members[i]),
+                           f.world.network.host_of(members[j]))
                   .as_micros());
           ++count;
         }
@@ -1151,9 +1151,9 @@ TEST(Hybrid, CapacityAwareRolesPreferFastTPeers) {
   for (const auto p : f.peers) {
     if (f.system.role_of(p) == Role::kTPeer && f.system.is_joined(p)) {
       ++t_total;
-      const auto host = f.world.network->host_of(p);
+      const auto host = f.world.network.host_of(p);
       t_high +=
-          (f.world.underlay->capacity(host) == net::CapacityClass::kHigh);
+          (f.world.underlay.capacity(host) == net::CapacityClass::kHigh);
     }
   }
   ASSERT_GT(t_total, 0u);
@@ -1195,9 +1195,9 @@ TEST(Hybrid, LinkUsageConnectLetsFastPeersTakeMoreChildren) {
     if (f.system.role_of(p) == Role::kSPeer) ++degree;
     max_degree = std::max(max_degree, degree);
     // And nobody exceeds the scaled cap.
-    const auto host = f.world.network->host_of(p);
+    const auto host = f.world.network.host_of(p);
     unsigned limit = params.delta;
-    switch (f.world.underlay->capacity(host)) {
+    switch (f.world.underlay.capacity(host)) {
       case net::CapacityClass::kLow:
         break;
       case net::CapacityClass::kMedium:
@@ -1282,7 +1282,7 @@ TEST(Hybrid, LossyTransportDegradesButDoesNotWedge) {
   }
   f.world.sim.run();
   EXPECT_EQ(done, 40) << "every lookup must resolve (success or timeout)";
-  EXPECT_GT(f.world.network->stats().messages_lost, 0u);
+  EXPECT_GT(f.world.network.stats().messages_lost, 0u);
 }
 
 TEST(Hybrid, QueryTrafficSubstitutesForHellos) {
@@ -1310,7 +1310,7 @@ TEST(Hybrid, QueryTrafficSubstitutesForHellos) {
       }
     }
     f.world.sim.run_until(f.world.sim.now() + sim::SimTime::seconds(10));
-    return f.world.network->stats().class_messages(
+    return f.world.network.stats().class_messages(
         proto::TrafficClass::kHeartbeat);
   };
   const auto idle_hellos = run(false);
@@ -1393,7 +1393,7 @@ TEST(Hybrid, SingleWalkerUsesFewerMessagesThanFloodOnBigTrees) {
                       [](proto::LookupResult) {});
     }
     f.world.sim.run();
-    return f.world.network->stats().class_messages(
+    return f.world.network.stats().class_messages(
         proto::TrafficClass::kQuery);
   };
   EXPECT_LT(run(SSearch::kRandomWalk), run(SSearch::kFlood));
@@ -1771,7 +1771,7 @@ TEST(Hybrid, DelayedRingHopAndItsResendShareOneRoute) {
   // watchdog resends, so two copies of the request walk the ring on one
   // route record, each hop tracked by its own delivery flag.
   bool held = false;
-  f.world.network->set_fault([&](PeerIndex, PeerIndex, proto::TrafficClass cls,
+  f.world.network.set_fault([&](PeerIndex, PeerIndex, proto::TrafficClass cls,
                                  std::uint32_t) {
     proto::FaultAction action;
     if (cls == proto::TrafficClass::kQuery && !held) {

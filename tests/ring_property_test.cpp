@@ -125,7 +125,7 @@ TEST(RingProperty, HybridOwnershipAgreesWithSortedReference) {
   hybrid::HybridParams params;
   params.ps = 0.0;  // pure t-network: every peer owns a segment
   testing::SimWorld world(kSeed + 4, 120);
-  hybrid::HybridSystem system(*world.network, params, HostIndex{0},
+  hybrid::HybridSystem system(world.network, params, HostIndex{0},
                               world.rng);
   std::vector<PeerIndex> peers;
   for (int i = 0; i < 24; ++i) {

@@ -76,6 +76,22 @@ TEST(ScenarioDormancy, PaperScaleDigestUnchangedWithScenarioLayerLinked) {
       << std::hex << fnv1a(dump) << std::dec << ")";
 }
 
+TEST(ScenarioPinned, PresetReportDigestsArePinned) {
+  // Full reports of the four shipped presets at seed 1: any change to how
+  // run_scenario builds, drives or judges its world shows up here.
+  const ScenarioConfig presets[] = {
+      diurnal_scenario(1), hot_key_storm_scenario(1, true),
+      flash_crowd_scenario(1), swarm_scenario(1)};
+  const std::uint64_t kPinned[] = {0xe87c26cb10a7b245ull, 0x3fc6c478583484b4ull,
+                                   0xa9bb09c59bbbfbafull, 0xb2398b2413edc1c2ull};
+  for (std::size_t i = 0; i < 4; ++i) {
+    const std::string json = run_scenario(presets[i]).to_json().dump(0);
+    EXPECT_EQ(fnv1a(json), kPinned[i])
+        << "preset " << i << " digest 0x" << std::hex << fnv1a(json)
+        << std::dec << "\n" << json;
+  }
+}
+
 TEST(ScenarioSwarm, CompletesThroughTrackerCrashWithZeroMustFailures) {
   const auto report = run_scenario(swarm_scenario(3));
   EXPECT_TRUE(report.clean()) << report.to_json().dump(2);

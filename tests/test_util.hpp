@@ -2,39 +2,32 @@
 // per test, deterministic per seed.
 #pragma once
 
-#include <optional>
-
 #include "common/rng.hpp"
-#include "net/transit_stub.hpp"
-#include "net/underlay.hpp"
 #include "proto/overlay_network.hpp"
-#include "sim/simulator.hpp"
 
 namespace hp2p::testing {
 
-/// Bundles the simulation substrate every overlay test needs.
-class SimWorld {
+/// The fixture's RNG, a base so it is seeded before the substrate draws
+/// from it.
+struct SeededRng {
+  Rng rng;
+};
+
+/// Bundles the simulation substrate every overlay test needs, built by the
+/// same constructor as the experiment and chaos worlds.
+class SimWorld : public SeededRng, public proto::Substrate {
  public:
   explicit SimWorld(std::uint64_t seed, std::uint32_t hosts = 200,
                     proto::OverlayNetworkOptions opts = {})
-      : rng(seed) {
-    auto params = net::TransitStubParams::for_total_nodes(hosts);
-    underlay.emplace(net::generate_transit_stub(params, rng), rng);
-    network.emplace(sim, *underlay, opts);
-  }
+      : SeededRng{Rng(seed)}, Substrate(rng, hosts, opts) {}
 
   /// Round-robin host assignment for peers, skipping host 0 (the server's
   /// in hybrid tests).
   HostIndex next_host() {
-    const auto h = HostIndex{1 + host_cursor_ % (underlay->num_hosts() - 1)};
+    const auto h = HostIndex{1 + host_cursor_ % (underlay.num_hosts() - 1)};
     ++host_cursor_;
     return h;
   }
-
-  Rng rng;
-  sim::Simulator sim;
-  std::optional<net::Underlay> underlay;
-  std::optional<proto::OverlayNetwork> network;
 
  private:
   std::uint32_t host_cursor_ = 0;

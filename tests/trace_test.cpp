@@ -37,8 +37,8 @@ struct TracedFixture {
   explicit TracedFixture(std::uint64_t seed,
                          hybrid::HybridParams params = traced_params())
       : world(seed, 120),
-        system(*world.network, params, HostIndex{0}, world.rng) {
-    world.network->set_span_recorder(&recorder);
+        system(world.network, params, HostIndex{0}, world.rng) {
+    world.network.set_span_recorder(&recorder);
     system.set_tracer(&recorder);
   }
 
@@ -111,7 +111,7 @@ std::int64_t arg_of(const stats::Span& s, std::string_view key,
 TEST(Trace, UntracedRunRecordsNothing) {
   TracedFixture f{7};
   f.system.set_tracer(nullptr);
-  f.world.network->set_span_recorder(nullptr);
+  f.world.network.set_span_recorder(nullptr);
   f.build(30);
   f.populate(10);
   std::size_t done = 0;
@@ -292,7 +292,7 @@ TEST(Trace, SpanTreesStayWellFormedUnderChurn) {
   std::size_t failed = 0;
   for (std::size_t i = 0; i < keys.size(); ++i) {
     const PeerIndex origin = f.peers[(3 + i) % f.peers.size()];
-    if (!f.world.network->alive(origin)) continue;
+    if (!f.world.network.alive(origin)) continue;
     f.system.lookup(origin, keys[i], [&](proto::LookupResult r) {
       ++done;
       if (!r.success) ++failed;
@@ -313,7 +313,7 @@ TEST(Trace, SpanTreesStayWellFormedUnderChurn) {
     }
   }
   // Crash-induced dead ends surface as enumerated drops, not silence.
-  const auto& net = f.world.network->stats();
+  const auto& net = f.world.network.stats();
   EXPECT_GT(net.reason_drops(proto::DropReason::kDeadReceiver) +
                 net.reason_drops(proto::DropReason::kNoRoute) +
                 net.reason_drops(proto::DropReason::kTtlExhausted),
