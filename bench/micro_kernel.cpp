@@ -120,6 +120,10 @@ void BM_TransportSteadyStateZeroAlloc(benchmark::State& state) {
   const auto params = net::TransitStubParams::for_total_nodes(200);
   const net::Underlay underlay{net::generate_transit_stub(params, rng), rng};
   sim::Simulator sim;
+  // Arg 1: a profiler observes the kernel, so every delivery also takes the
+  // per-class message note -- which must stay allocation-free too.
+  stats::Profiler profiler;
+  if (state.range(0) != 0) sim.add_observer(&profiler);
   proto::OverlayNetwork net{sim, underlay};
   const PeerIndex a = net.add_peer(HostIndex{17});
   const PeerIndex b = net.add_peer(HostIndex{171});
@@ -144,7 +148,10 @@ void BM_TransportSteadyStateZeroAlloc(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_TransportSteadyStateZeroAlloc);
+BENCHMARK(BM_TransportSteadyStateZeroAlloc)
+    ->ArgName("profiled")
+    ->Arg(0)
+    ->Arg(1);
 
 void BM_EventQueueProfiled(benchmark::State& state) {
   // Same workload as BM_EventQueueScheduleRun but with the dispatch
@@ -155,7 +162,7 @@ void BM_EventQueueProfiled(benchmark::State& state) {
   stats::Profiler profiler;
   for (auto _ : state) {
     sim::Simulator sim;
-    sim.set_dispatch_probe(&profiler);
+    sim.add_observer(&profiler);
     std::uint64_t sink = 0;
     for (std::int64_t i = 0; i < n; ++i) {
       sim.schedule_at(sim::SimTime::micros((i * 7919) % 100000),
@@ -176,7 +183,7 @@ void BM_EventQueueProfiledSteadyStateZeroAlloc(benchmark::State& state) {
   // attribution it reports.
   sim::Simulator sim;
   stats::Profiler profiler;
-  sim.set_dispatch_probe(&profiler);
+  sim.add_observer(&profiler);
   std::uint64_t sink = 0;
   constexpr std::int64_t kDepth = 1024;
   std::int64_t t = 0;
@@ -208,15 +215,20 @@ void BM_EventQueueProfiledSteadyStateZeroAlloc(benchmark::State& state) {
 BENCHMARK(BM_EventQueueProfiledSteadyStateZeroAlloc);
 
 void BM_EventQueueTraced(benchmark::State& state) {
-  // Same workload as BM_EventQueueScheduleRun but with a trace hook set:
-  // the delta against the untraced run is the cost a subscriber pays.
+  // Same workload as BM_EventQueueScheduleRun but with a kernel observer
+  // counting fires: the delta against the unobserved run is the cost a
+  // subscriber pays.
+  struct FireCounter final : sim::Observer {
+    std::uint64_t fires = 0;
+    void on_event(const sim::TraceEvent& ev) override {
+      if (ev.kind == sim::TraceEvent::Kind::kFire) ++fires;
+    }
+  };
   const auto n = static_cast<std::int64_t>(state.range(0));
   for (auto _ : state) {
     sim::Simulator sim;
-    std::uint64_t fires = 0;
-    sim.set_trace([&fires](const sim::TraceEvent& ev) {
-      if (ev.kind == sim::TraceEvent::Kind::kFire) ++fires;
-    });
+    FireCounter counter;
+    sim.add_observer(&counter);
     std::uint64_t sink = 0;
     for (std::int64_t i = 0; i < n; ++i) {
       sim.schedule_at(sim::SimTime::micros((i * 7919) % 100000),
@@ -224,23 +236,31 @@ void BM_EventQueueTraced(benchmark::State& state) {
     }
     sim.run();
     benchmark::DoNotOptimize(sink);
-    benchmark::DoNotOptimize(fires);
+    benchmark::DoNotOptimize(counter.fires);
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_EventQueueTraced)->Arg(10000);
 
 void BM_EventQueueFlightRecorder(benchmark::State& state) {
-  // Same workload again with the flight recorder on the trace hook: the
-  // always-on observability configuration of the soak tests.
+  // Same workload again with a flight recorder tailing the kernel's
+  // observer list: the always-on observability configuration of the soak
+  // tests.
+  struct Tail final : sim::Observer {
+    Tail(stats::FlightRecorder& f, sim::Simulator& s) : flight(f), sim(s) {}
+    void on_event(const sim::TraceEvent& ev) override {
+      flight.record(sim.now(), "sim:event",
+                    static_cast<std::uint64_t>(ev.kind), ev.seq);
+    }
+    stats::FlightRecorder& flight;
+    sim::Simulator& sim;
+  };
   const auto n = static_cast<std::int64_t>(state.range(0));
   stats::FlightRecorder flight{512};
   for (auto _ : state) {
     sim::Simulator sim;
-    sim.set_trace([&flight, &sim](const sim::TraceEvent& ev) {
-      flight.record(sim.now(), "sim:event", static_cast<std::uint64_t>(ev.kind),
-                    ev.seq);
-    });
+    Tail tail{flight, sim};
+    sim.add_observer(&tail);
     std::uint64_t sink = 0;
     for (std::int64_t i = 0; i < n; ++i) {
       sim.schedule_at(sim::SimTime::micros((i * 7919) % 100000),

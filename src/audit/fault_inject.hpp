@@ -88,10 +88,10 @@ struct FaultInjector {
   }
 
   /// Reports a flood wave with an out-of-bound TTL straight to the
-  /// installed flood observer (as a rogue peer would), tripping only
+  /// flood observers (as a rogue peer would), tripping only
   /// flood_ttl_bound.
   static void flood_with_ttl(HybridSystem& sys, PeerIndex at, unsigned ttl) {
-    if (sys.flood_observer_) sys.flood_observer_(at, ttl);
+    sys.notify_flood_wave(at, ttl);
   }
 };
 

@@ -67,13 +67,13 @@ OverlayAuditor::OverlayAuditor(hybrid::HybridSystem& system,
                                proto::OverlayNetwork& network,
                                sim::Simulator& sim, AuditOptions options)
     : sys_(system), net_(network), sim_(sim), options_(options) {
-  sys_.set_flood_observer(
-      [this](PeerIndex at, unsigned ttl) { observe_flood(at, ttl); });
+  sys_.add_flood_observer(this);
 }
 
 OverlayAuditor::~OverlayAuditor() {
-  // The observer and the tick lambda capture `this`; leave neither behind.
-  sys_.set_flood_observer({});
+  // The flood registration and the tick lambda point at `this`; leave
+  // neither behind.
+  sys_.remove_flood_observer(this);
   if (armed_) {
     sim_.cancel(tick_id_);
     sim_.note_daemon_disarmed();
@@ -99,7 +99,7 @@ void OverlayAuditor::tick() {
   if (sim_.pending_work() > 0) ensure_running();
 }
 
-void OverlayAuditor::observe_flood(PeerIndex at, unsigned ttl) {
+void OverlayAuditor::on_flood_wave(PeerIndex at, unsigned ttl) {
   ++flood_waves_seen_;
   // Every flood wave starts from params.ttl (doubled for the one optional
   // re-flood) and only counts down; a larger in-flight TTL means unbounded

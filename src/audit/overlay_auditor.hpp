@@ -79,13 +79,14 @@ struct AuditOptions {
 ///
 /// Can run on demand (run()), or as a periodic sim event (set_period +
 /// ensure_running; the event re-arms itself only while other work remains,
-/// so it never keeps Simulator::run from draining).  Installs itself as the
-/// system's flood observer to bound in-flight flood TTLs.
-class OverlayAuditor {
+/// so it never keeps Simulator::run from draining).  Registers itself as one
+/// of the system's flood observers, to bound in-flight flood TTLs, for its
+/// lifetime; auditors may nest.
+class OverlayAuditor : private hybrid::FloodObserver {
  public:
   OverlayAuditor(hybrid::HybridSystem& system, proto::OverlayNetwork& network,
                  sim::Simulator& sim, AuditOptions options = {});
-  ~OverlayAuditor();
+  ~OverlayAuditor() override;
 
   OverlayAuditor(const OverlayAuditor&) = delete;
   OverlayAuditor& operator=(const OverlayAuditor&) = delete;
@@ -119,7 +120,7 @@ class OverlayAuditor {
 
  private:
   void tick();
-  void observe_flood(PeerIndex at, unsigned ttl);
+  void on_flood_wave(PeerIndex at, unsigned ttl) override;
 
   // One check family each; all append to `report`.
   void check_ring(AuditReport& report);

@@ -80,7 +80,6 @@ ChaosReport run_chaos(const ChaosConfig& cfg) {
   }
   sim.run();
 
-  // The auditor's ctor takes the system's single flood-observer slot.
   audit::OverlayAuditor auditor(system, world.network, sim, {.strict = true});
   judge.add_audit("audit_pre", auditor.run());
 

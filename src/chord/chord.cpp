@@ -66,8 +66,8 @@ void ChordNetwork::route_to_owner(PeerIndex at, Route route,
   ++route.contacted;
   net_.send(at, next, cls, bytes, route.trace,
             [this, next, route, cls, bytes, at_owner] {
-              if (tracer_ != nullptr && route.trace.valid()) {
-                tracer_->instant(route.trace, "ring_hop", next.value(),
+              if (spans() != nullptr && route.trace.valid()) {
+                spans()->instant(route.trace, "ring_hop", next.value(),
                                  sim_.now(), "hop", route.hops);
               }
               route_to_owner(next, route, cls, bytes, at_owner);
@@ -217,12 +217,12 @@ void ChordNetwork::store(PeerIndex from, const std::string& key,
   Route route;
   route.origin = from;
   route.target = id.value();
-  if (tracer_ != nullptr) {
-    route.trace = tracer_->start_trace("store", "store", from.value(),
+  if (spans() != nullptr) {
+    route.trace = spans()->start_trace("store", "store", from.value(),
                                        sim_.now());
     const stats::TraceContext st = route.trace;
     done = [this, st, done = std::move(done)] {
-      if (tracer_ != nullptr) tracer_->end_span(st, sim_.now());
+      if (spans() != nullptr) spans()->end_span(st, sim_.now());
       if (done) done();
     };
   }
@@ -241,9 +241,9 @@ void ChordNetwork::lookup(PeerIndex from, const std::string& key,
   const sim::SimTime started = sim_.now();
 
   stats::TraceContext trace;
-  if (tracer_ != nullptr) {
-    trace = tracer_->start_trace("lookup", "lookup", from.value(), sim_.now());
-    tracer_->add_arg(trace, "target", static_cast<std::int64_t>(id.value()));
+  if (spans() != nullptr) {
+    trace = spans()->start_trace("lookup", "lookup", from.value(), sim_.now());
+    spans()->add_arg(trace, "target", static_cast<std::int64_t>(id.value()));
   }
 
   // Shared completion state: first of {data reply, negative reply, timeout}
@@ -257,9 +257,9 @@ void ChordNetwork::lookup(PeerIndex from, const std::string& key,
     if (pending->finished) return;
     pending->finished = true;
     sim_.cancel(pending->timer);
-    if (tracer_ != nullptr && trace.valid()) {
-      tracer_->add_arg(trace, "success", r.success ? 1 : 0);
-      tracer_->end_span(trace, sim_.now());
+    if (spans() != nullptr && trace.valid()) {
+      spans()->add_arg(trace, "success", r.success ? 1 : 0);
+      spans()->end_span(trace, sim_.now());
     }
     done(r);
   };
@@ -277,8 +277,8 @@ void ChordNetwork::lookup(PeerIndex from, const std::string& key,
         const proto::DataItem* item = node(owner).store.find(id);
         const bool hit = item != nullptr;
         stats::TraceContext reply;
-        if (tracer_ != nullptr && r.trace.valid()) {
-          reply = tracer_->begin_span(r.trace, "reply", "reply",
+        if (spans() != nullptr && r.trace.valid()) {
+          reply = spans()->begin_span(r.trace, "reply", "reply",
                                       owner.value(), sim_.now());
         }
         // Reply travels directly back to the requester: data on hit,
@@ -288,8 +288,8 @@ void ChordNetwork::lookup(PeerIndex from, const std::string& key,
                   hit ? proto::kDataBytes : proto::kControlBytes,
                   reply.valid() ? reply : r.trace,
                   [this, owner, r, started, hit, reply, finish] {
-                    if (tracer_ != nullptr && reply.valid()) {
-                      tracer_->end_span(reply, sim_.now());
+                    if (spans() != nullptr && reply.valid()) {
+                      spans()->end_span(reply, sim_.now());
                     }
                     proto::LookupResult result;
                     result.success = hit;

@@ -112,12 +112,6 @@ class ChordNetwork {
   /// True when every key in the given node's store is owned by that node.
   [[nodiscard]] bool placement_consistent() const;
 
-  /// Installs (or, with nullptr, removes) the span recorder: lookups and
-  /// stores then record root spans with per-hop ring_hop instants.  Not
-  /// owned.
-  void set_tracer(stats::SpanRecorder* tracer) { tracer_ = tracer; }
-  [[nodiscard]] stats::SpanRecorder* tracer() const { return tracer_; }
-
  private:
   struct Node {
     PeerId id{};
@@ -149,6 +143,9 @@ class ChordNetwork {
   [[nodiscard]] const Node& node(PeerIndex i) const {
     return nodes_[i.value()];
   }
+  /// The transport's span recorder (nullptr when untraced): lookups and
+  /// stores then record root spans with per-hop ring_hop instants.
+  stats::SpanRecorder* spans() const { return net_.span_recorder(); }
   [[nodiscard]] bool owns(const Node& n, std::uint64_t id) const;
   [[nodiscard]] PeerIndex next_hop(const Node& n, std::uint64_t target) const;
 
@@ -171,7 +168,6 @@ class ChordNetwork {
   std::vector<Node> nodes_;
   bool maintenance_started_ = false;
   Rng* maintenance_rng_ = nullptr;
-  stats::SpanRecorder* tracer_ = nullptr;
 };
 
 }  // namespace hp2p::chord

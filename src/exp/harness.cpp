@@ -76,17 +76,12 @@ RunResult run_hybrid_experiment(const RunConfig& raw_config) {
   result.hosts = underlay.num_hosts();
 
   // ---- Observability wiring -------------------------------------------------
-  if (config.tracer != nullptr) {
-    network.set_span_recorder(config.tracer);
-    system.set_tracer(config.tracer);
-  }
+  network.set_span_recorder(config.tracer);
+  std::optional<FlightRecorderTap> flight_tap;
   if (config.flight != nullptr) {
-    attach_flight_recorder(*config.flight, sim, network);
+    flight_tap.emplace(*config.flight, sim, network);
   }
-  if (config.profiler != nullptr) {
-    sim.set_dispatch_probe(config.profiler);
-    network.set_profiler(config.profiler);
-  }
+  if (config.profiler != nullptr) sim.add_observer(config.profiler);
   std::optional<stats::TimeSeriesSampler> sampler;
   if (config.sample_period > sim::Duration{}) {
     sampler.emplace(sim, config.sample_period);
@@ -457,37 +452,20 @@ RunResult run_hybrid_experiment(const RunConfig& raw_config) {
   return result;
 }
 
-void attach_flight_recorder(stats::FlightRecorder& flight, sim::Simulator& sim,
-                            proto::OverlayNetwork& network) {
-  sim.set_trace([&flight, &sim](const sim::TraceEvent& e) {
-    const char* kind = "sim:schedule";
-    switch (e.kind) {
-      case sim::TraceEvent::Kind::kSchedule: kind = "sim:schedule"; break;
-      case sim::TraceEvent::Kind::kFire: kind = "sim:fire"; break;
-      case sim::TraceEvent::Kind::kCancel: kind = "sim:cancel"; break;
-    }
-    flight.record(sim.now(), kind, e.seq,
-                  static_cast<std::uint64_t>(e.when.as_micros()));
-  });
-  network.set_trace([&flight, &sim](const proto::NetTraceEvent& e) {
-    const char* kind = "net:send";
-    switch (e.kind) {
-      case proto::NetTraceEvent::Kind::kSend: kind = "net:send"; break;
-      case proto::NetTraceEvent::Kind::kDeliver: kind = "net:deliver"; break;
-      case proto::NetTraceEvent::Kind::kDropDeadSender:
-        kind = "net:drop_dead_sender";
-        break;
-      case proto::NetTraceEvent::Kind::kDropDeadReceiver:
-        kind = "net:drop_dead_receiver";
-        break;
-      case proto::NetTraceEvent::Kind::kLoss: kind = "net:loss"; break;
-      case proto::NetTraceEvent::Kind::kDropTtl: kind = "net:drop_ttl"; break;
-      case proto::NetTraceEvent::Kind::kDropNoRoute:
-        kind = "net:drop_no_route";
-        break;
-    }
-    flight.record(sim.now(), kind, e.from.value(), e.to.value(), e.bytes);
-  });
+void FlightRecorderTap::on_event(const sim::TraceEvent& e) {
+  static constexpr const char* kKind[] = {  // indexed by Kind
+      "sim:schedule", "sim:fire", "sim:cancel"};
+  flight_.record(sim_.now(), kKind[static_cast<std::size_t>(e.kind)], e.seq,
+                 static_cast<std::uint64_t>(e.when.as_micros()));
+}
+
+void FlightRecorderTap::on_message(const proto::NetTraceEvent& e) {
+  static constexpr const char* kKind[] = {  // indexed by Kind
+      "net:send", "net:deliver", "net:drop_dead_sender",
+      "net:drop_dead_receiver", "net:loss", "net:drop_ttl",
+      "net:drop_no_route"};
+  flight_.record(sim_.now(), kKind[static_cast<std::size_t>(e.kind)],
+                 e.from.value(), e.to.value(), e.bytes);
 }
 
 double mean_of(const std::vector<double>& xs) {

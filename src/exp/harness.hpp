@@ -99,9 +99,9 @@ struct RunConfig {
   /// `sample_period` of simulated time into RunResult::timeseries.
   sim::Duration sample_period{};
 
-  /// Flight recorder attached to the sim/net trace hooks (replacing any
-  /// callbacks installed there); the harness dumps its tail to stderr on
-  /// the first failed lookup of the run.
+  /// Flight recorder tailing the kernel and the transport (a
+  /// FlightRecorderTap); the harness dumps its tail to stderr on the first
+  /// failed lookup of the run.
   stats::FlightRecorder* flight = nullptr;
 
   /// When > 0, run a lenient OverlayAuditor pass every `audit_period` of
@@ -198,12 +198,35 @@ struct RunResult {
 /// Runs one full replica; deterministic in `config` (including seed).
 [[nodiscard]] RunResult run_hybrid_experiment(const RunConfig& config);
 
-/// Hooks `flight` onto the kernel and transport trace callbacks: every
+/// Tails the kernel and the transport into `flight`: every
 /// schedule/fire/cancel and every send/deliver/drop becomes one O(1) ring
-/// write.  Replaces any trace callbacks already installed on `sim` or
-/// `network`; both must outlive `flight`'s use.
-void attach_flight_recorder(stats::FlightRecorder& flight, sim::Simulator& sim,
-                            proto::OverlayNetwork& network);
+/// write.  Registers as an observer of `sim` and of `network` for its
+/// lifetime, alongside any other observers; `flight`, `sim` and `network`
+/// must outlive it.
+class FlightRecorderTap final : public sim::Observer,
+                                public proto::NetObserver {
+ public:
+  FlightRecorderTap(stats::FlightRecorder& flight, sim::Simulator& sim,
+                    proto::OverlayNetwork& network)
+      : flight_(flight), sim_(sim), network_(network) {
+    sim_.add_observer(this);
+    network_.add_observer(this);
+  }
+  ~FlightRecorderTap() override {
+    sim_.remove_observer(this);
+    network_.remove_observer(this);
+  }
+  FlightRecorderTap(const FlightRecorderTap&) = delete;
+  FlightRecorderTap& operator=(const FlightRecorderTap&) = delete;
+
+  void on_event(const sim::TraceEvent& e) override;
+  void on_message(const proto::NetTraceEvent& e) override;
+
+ private:
+  stats::FlightRecorder& flight_;
+  sim::Simulator& sim_;
+  proto::OverlayNetwork& network_;
+};
 
 /// Maps `fn` over `configs` on a thread pool (replicas are independent).
 /// Results are constructed in place (no default-constructibility needed).

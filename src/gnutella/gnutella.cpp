@@ -67,10 +67,10 @@ void GnutellaNetwork::lookup(PeerIndex from, const std::string& key,
   q.timer = sim_.schedule_after(params_.lookup_timeout, [this, qid] {
     finish(qid, proto::LookupResult{});
   });
-  if (tracer_ != nullptr) {
-    q.trace = tracer_->start_trace("lookup", "lookup", from.value(), sim_.now());
-    tracer_->add_arg(q.trace, "qid", static_cast<std::int64_t>(qid));
-    tracer_->add_arg(q.trace, "target",
+  if (spans() != nullptr) {
+    q.trace = spans()->start_trace("lookup", "lookup", from.value(), sim_.now());
+    spans()->add_arg(q.trace, "qid", static_cast<std::int64_t>(qid));
+    spans()->add_arg(q.trace, "target",
                      static_cast<std::int64_t>(q.target.value()));
   }
   queries_.emplace(qid, std::move(q));
@@ -107,14 +107,14 @@ bool GnutellaNetwork::try_answer(PeerIndex at, std::uint64_t qid,
   // Hit: data travels straight back to the requester.
   const PeerIndex origin = q.origin;
   stats::TraceContext reply;
-  if (tracer_ != nullptr && q.trace.valid()) {
-    reply = tracer_->begin_span(q.trace, "reply", "reply", at.value(),
+  if (spans() != nullptr && q.trace.valid()) {
+    reply = spans()->begin_span(q.trace, "reply", "reply", at.value(),
                                 sim_.now());
   }
   net_.send(at, origin, TrafficClass::kData, proto::kDataBytes,
             reply.valid() ? reply : q.trace, [this, qid, at, hops, reply] {
-              if (tracer_ != nullptr && reply.valid()) {
-                tracer_->end_span(reply, sim_.now());
+              if (spans() != nullptr && reply.valid()) {
+                spans()->end_span(reply, sim_.now());
               }
               auto qit = queries_.find(qid);
               if (qit == queries_.end() || qit->second.finished) return;
@@ -148,8 +148,8 @@ void GnutellaNetwork::flood_step(PeerIndex at, PeerIndex from_neighbor,
                 // Duplicate suppression: a peer processes each query once.
                 if (!receiver.seen_queries.insert(qid).second) return;
                 ++it->second.contacted;
-                if (tracer_ != nullptr) {
-                  tracer_->instant(it->second.trace, "flood_hop", n.value(),
+                if (spans() != nullptr) {
+                  spans()->instant(it->second.trace, "flood_hop", n.value(),
                                    sim_.now(), "depth",
                                    static_cast<std::int64_t>(hops + 1));
                 }
@@ -182,8 +182,8 @@ void GnutellaNetwork::walk_step(PeerIndex at, std::uint64_t qid, unsigned ttl,
               if (peer(next).seen_queries.insert(qid).second) {
                 ++it->second.contacted;
               }
-              if (tracer_ != nullptr) {
-                tracer_->instant(it->second.trace, "walk_hop", next.value(),
+              if (spans() != nullptr) {
+                spans()->instant(it->second.trace, "walk_hop", next.value(),
                                  sim_.now(), "depth",
                                  static_cast<std::int64_t>(hops + 1));
               }
@@ -199,11 +199,11 @@ void GnutellaNetwork::finish(std::uint64_t qid, proto::LookupResult result) {
   q.finished = true;
   sim_.cancel(q.timer);
   if (!result.success) result.peers_contacted = q.contacted;
-  if (tracer_ != nullptr && q.trace.valid()) {
-    tracer_->add_arg(q.trace, "success", result.success ? 1 : 0);
-    tracer_->add_arg(q.trace, "contacted",
+  if (spans() != nullptr && q.trace.valid()) {
+    spans()->add_arg(q.trace, "success", result.success ? 1 : 0);
+    spans()->add_arg(q.trace, "contacted",
                      static_cast<std::int64_t>(result.peers_contacted));
-    tracer_->end_span(q.trace, sim_.now());
+    spans()->end_span(q.trace, sim_.now());
   }
   auto done = std::move(q.done);
   queries_.erase(it);

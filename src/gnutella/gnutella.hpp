@@ -75,12 +75,6 @@ class GnutellaNetwork {
   /// Overlay-hop eccentricity bound: longest BFS distance from `from`.
   [[nodiscard]] unsigned bfs_radius(PeerIndex from) const;
 
-  /// Installs (or, with nullptr, removes) the span recorder: lookups then
-  /// record a root span with per-fan-out flood_hop/walk_hop instants (TTL
-  /// depth annotated).  Not owned.
-  void set_tracer(stats::SpanRecorder* tracer) { tracer_ = tracer; }
-  [[nodiscard]] stats::SpanRecorder* tracer() const { return tracer_; }
-
  private:
   struct Peer {
     PeerIndex self = kNoPeer;
@@ -103,9 +97,12 @@ class GnutellaNetwork {
   };
 
   Peer& peer(PeerIndex i) { return peers_[i.value()]; }
+  /// The transport's span recorder (nullptr when untraced): lookups then
+  /// record a root span with per-fan-out flood_hop/walk_hop instants.
+  stats::SpanRecorder* spans() const { return net_.span_recorder(); }
   /// The query's root trace context; invalid when untraced or finished.
   [[nodiscard]] stats::TraceContext query_trace(std::uint64_t qid) const {
-    if (tracer_ == nullptr) return {};
+    if (spans() == nullptr) return {};
     const auto it = queries_.find(qid);
     return it == queries_.end() ? stats::TraceContext{} : it->second.trace;
   }
@@ -125,7 +122,6 @@ class GnutellaNetwork {
   std::unordered_map<std::uint64_t, Query> queries_;
   std::uint64_t next_query_id_ = 1;
   Rng walk_rng_{0xabcdef};
-  stats::SpanRecorder* tracer_ = nullptr;
 };
 
 }  // namespace hp2p::gnutella

@@ -36,11 +36,11 @@ void HybridSystem::store_id(PeerIndex from, DataId id, const std::string& key,
   // When traced, the whole store becomes one span tree: the root closes
   // when the placement completes (done fires) or the upward path dies.
   stats::TraceContext st;
-  if (tracer_ != nullptr) {
-    st = tracer_->start_trace("store", "store", from.value(), sim_.now());
-    tracer_->add_arg(st, "target", static_cast<std::int64_t>(id.value()));
+  if (spans() != nullptr) {
+    st = spans()->start_trace("store", "store", from.value(), sim_.now());
+    spans()->add_arg(st, "target", static_cast<std::int64_t>(id.value()));
     done = [this, st, done = std::move(done)] {
-      if (tracer_ != nullptr) tracer_->end_span(st, sim_.now());
+      if (spans() != nullptr) spans()->end_span(st, sim_.now());
       if (done) done();
     };
   }
@@ -124,8 +124,8 @@ void HybridSystem::climb(const RouteRef& r, PeerIndex at, std::uint32_t hops) {
     return;
   }
   auto deliver = [this, r, next, hops] {
-    if (tracer_ != nullptr && r->ctx.valid()) {
-      tracer_->instant(r->ctx, "climb_hop", next.value(), sim_.now(), "hop",
+    if (spans() != nullptr && r->ctx.valid()) {
+      spans()->instant(r->ctx, "climb_hop", next.value(), sim_.now(), "hop",
                        hops + 1);
     }
     climb(r, next, hops + 1);
@@ -171,9 +171,9 @@ void HybridSystem::route_dead_end(Route& r) {
     case RouteKind::kStore:
       // The store can never be placed.  Close the root so the trace
       // doesn't dangle open.
-      if (tracer_ != nullptr && r.ctx.valid()) {
-        tracer_->add_arg(r.ctx, "no_route", 1);
-        tracer_->end_span(r.ctx, sim_.now());
+      if (spans() != nullptr && r.ctx.valid()) {
+        spans()->add_arg(r.ctx, "no_route", 1);
+        spans()->end_span(r.ctx, sim_.now());
       }
       return;
     case RouteKind::kRehome:
@@ -229,8 +229,8 @@ void HybridSystem::ring_forward(const RouteRef& r, PeerIndex at,
   if (watched) r->delivered.push_back(0);
   auto deliver = [this, r, next, hops, contacted, send, watched] {
     if (watched) r->delivered[send] = 1;
-    if (tracer_ != nullptr && r->ctx.valid()) {
-      tracer_->instant(r->ctx, "ring_hop", next.value(), sim_.now(), "hop",
+    if (spans() != nullptr && r->ctx.valid()) {
+      spans()->instant(r->ctx, "ring_hop", next.value(), sim_.now(), "hop",
                        hops + 1);
     }
     route_ring(r, next, hops + 1, contacted + 1);
@@ -522,12 +522,12 @@ void HybridSystem::lookup_id(PeerIndex from, DataId id, LookupCallback done) {
   queries_.emplace(qid, std::move(q));
   Query& query = queries_[qid];
   query.visited.insert(from.value());
-  if (tracer_ != nullptr) {
-    query.trace = tracer_->start_trace("lookup", "lookup", from.value(),
+  if (spans() != nullptr) {
+    query.trace = spans()->start_trace("lookup", "lookup", from.value(),
                                        sim_.now());
-    tracer_->add_arg(query.trace, "qid",
+    spans()->add_arg(query.trace, "qid",
                      static_cast<std::int64_t>(qid));
-    tracer_->add_arg(query.trace, "target",
+    spans()->add_arg(query.trace, "target",
                      static_cast<std::int64_t>(id.value()));
   }
 
@@ -727,7 +727,7 @@ void HybridSystem::search_snetwork(PeerIndex at, PeerIndex from,
 void HybridSystem::walk(PeerIndex at, std::uint64_t qid, unsigned ttl,
                         std::uint32_t hops) {
   sim::ComponentScope prof{sim_, sim::Component::kFlood};
-  if (flood_observer_) flood_observer_(at, ttl);
+  notify_flood_wave(at, ttl);
   if (ttl == 0) {
     net_.note_drop(at, proto::DropReason::kTtlExhausted, TrafficClass::kQuery,
                    query_trace(qid));
@@ -744,8 +744,8 @@ void HybridSystem::walk(PeerIndex at, std::uint64_t qid, unsigned ttl,
               if (it->second.visited.insert(next.value()).second) {
                 ++it->second.contacted;
               }
-              if (tracer_ != nullptr) {
-                tracer_->instant(query_trace(qid), "walk_hop", next.value(),
+              if (spans() != nullptr) {
+                spans()->instant(query_trace(qid), "walk_hop", next.value(),
                                  sim_.now(), "depth", hops + 1);
               }
               if (try_answer(next, qid, hops + 1)) return;
@@ -756,7 +756,7 @@ void HybridSystem::walk(PeerIndex at, std::uint64_t qid, unsigned ttl,
 void HybridSystem::flood(PeerIndex at, PeerIndex from, std::uint64_t qid,
                          unsigned ttl, std::uint32_t hops) {
   sim::ComponentScope prof{sim_, sim::Component::kFlood};
-  if (flood_observer_) flood_observer_(at, ttl);
+  notify_flood_wave(at, ttl);
   if (ttl == 0) {
     net_.note_drop(at, proto::DropReason::kTtlExhausted, TrafficClass::kQuery,
                    query_trace(qid));
@@ -774,8 +774,8 @@ void HybridSystem::flood(PeerIndex at, PeerIndex from, std::uint64_t qid,
                 if (!it->second.visited.insert(n.value()).second) return;
                 ++it->second.contacted;
                 maybe_ack(n, at);
-                if (tracer_ != nullptr) {
-                  tracer_->instant(query_trace(qid), "flood_hop", n.value(),
+                if (spans() != nullptr) {
+                  spans()->instant(query_trace(qid), "flood_hop", n.value(),
                                    sim_.now(), "depth", hops + 1);
                 }
                 if (try_answer(n, qid, hops + 1)) return;
@@ -836,11 +836,11 @@ bool HybridSystem::try_answer(PeerIndex at, std::uint64_t qid,
   // never received) its copy; restore it while the item is in hand.
   if (!from_cache) maybe_read_repair(at, *item);
   const PeerIndex origin = q.origin;
-  if (tracer_ != nullptr && q.trace.valid()) {
+  if (spans() != nullptr && q.trace.valid()) {
     // The answer travelling home is its own stage: whatever stage found the
     // item (flood/ring) closes and "reply" runs until delivery.
-    if (q.stage.valid()) tracer_->end_span(q.stage, sim_.now());
-    q.stage = tracer_->begin_span(q.trace, "reply", "reply", at.value(),
+    if (q.stage.valid()) spans()->end_span(q.stage, sim_.now());
+    q.stage = spans()->begin_span(q.trace, "reply", "reply", at.value(),
                                   sim_.now());
   }
   net_.send(at, origin, TrafficClass::kData, proto::kDataBytes,
@@ -960,7 +960,7 @@ void HybridSystem::keyword_ring_walk(PeerIndex at, PeerIndex stop_at,
 void HybridSystem::keyword_flood(PeerIndex at, PeerIndex from,
                                  std::uint64_t qid, unsigned ttl) {
   sim::ComponentScope prof{sim_, sim::Component::kFlood};
-  if (flood_observer_) flood_observer_(at, ttl);
+  notify_flood_wave(at, ttl);
   if (ttl == 0) return;
   for (PeerIndex n : snetwork_neighbors(peer(at))) {
     if (n == from) continue;
@@ -1045,17 +1045,17 @@ void HybridSystem::arm_reroute(std::uint64_t qid, PeerIndex origin,
 
 void HybridSystem::trace_stage(std::uint64_t qid, const char* name,
                                const char* category, PeerIndex at) {
-  if (tracer_ == nullptr) return;
+  if (spans() == nullptr) return;
   auto it = queries_.find(qid);
   if (it == queries_.end() || !it->second.trace.valid()) return;
   Query& q = it->second;
-  if (q.stage.valid()) tracer_->end_span(q.stage, sim_.now());
-  q.stage = tracer_->begin_span(q.trace, name, category, at.value(),
+  if (q.stage.valid()) spans()->end_span(q.stage, sim_.now());
+  q.stage = spans()->begin_span(q.trace, name, category, at.value(),
                                 sim_.now());
 }
 
 stats::TraceContext HybridSystem::query_trace(std::uint64_t qid) const {
-  if (tracer_ == nullptr) return {};
+  if (spans() == nullptr) return {};
   const auto it = queries_.find(qid);
   if (it == queries_.end()) return {};
   return it->second.stage.valid() ? it->second.stage : it->second.trace;
@@ -1069,12 +1069,12 @@ void HybridSystem::finish_query(std::uint64_t qid,
   q.finished = true;
   sim_.cancel(q.timer);
   if (!result.success) result.peers_contacted = q.contacted;
-  if (tracer_ != nullptr && q.trace.valid()) {
-    if (q.stage.valid()) tracer_->end_span(q.stage, sim_.now());
-    tracer_->add_arg(q.trace, "success", result.success ? 1 : 0);
-    if (result.fast_fail) tracer_->add_arg(q.trace, "fast_fail", 1);
-    tracer_->add_arg(q.trace, "contacted", result.peers_contacted);
-    tracer_->end_span(q.trace, sim_.now());
+  if (spans() != nullptr && q.trace.valid()) {
+    if (q.stage.valid()) spans()->end_span(q.stage, sim_.now());
+    spans()->add_arg(q.trace, "success", result.success ? 1 : 0);
+    if (result.fast_fail) spans()->add_arg(q.trace, "fast_fail", 1);
+    spans()->add_arg(q.trace, "contacted", result.peers_contacted);
+    spans()->end_span(q.trace, sim_.now());
   }
   auto done = std::move(q.done);
   queries_.erase(it);

@@ -39,6 +39,14 @@
 
 namespace hp2p::hybrid {
 
+/// Told (peer, ttl) each time a flood/walk wave starts at `peer` with `ttl`
+/// hops left.  The auditor uses it to bound in-flight TTLs.
+class FloodObserver {
+ public:
+  virtual ~FloodObserver() = default;
+  virtual void on_flood_wave(PeerIndex at, unsigned ttl) = 0;
+};
+
 /// The full hybrid system inside one simulation replica, including the
 /// well-known bootstrap server (modeled as a host so that contacting it
 /// costs real latency).
@@ -266,13 +274,6 @@ class HybridSystem {
 
   [[nodiscard]] const HybridParams& params() const { return params_; }
 
-  /// Installs (or, with nullptr, removes) the span recorder.  Every store
-  /// and lookup then records a span tree: a root span, one child per
-  /// protocol stage (cp-chain climb, ring routing, s-network flood, reply),
-  /// and instant events per hop.  Not owned.
-  void set_tracer(stats::SpanRecorder* tracer) { tracer_ = tracer; }
-  [[nodiscard]] stats::SpanRecorder* tracer() const { return tracer_; }
-
   /// Lookups currently in flight (issued, neither answered nor timed out).
   [[nodiscard]] std::size_t pending_lookups() const { return queries_.size(); }
 
@@ -281,10 +282,11 @@ class HybridSystem {
   /// the event queue has drained; a nonzero count then is a leaked record.
   [[nodiscard]] std::size_t routes_in_flight() const { return routes_.live(); }
 
-  /// Called with (peer, ttl) each time a flood/walk wave starts at `peer`
-  /// with `ttl` hops left.  The auditor uses it to bound in-flight TTLs.
-  using FloodObserver = std::function<void(PeerIndex, unsigned)>;
-  void set_flood_observer(FloodObserver fn) { flood_observer_ = std::move(fn); }
+  /// Registers `o` (not owned; must outlive its registration).
+  void add_flood_observer(FloodObserver* o) { flood_observers_.push_back(o); }
+  void remove_flood_observer(FloodObserver* o) {
+    std::erase(flood_observers_, o);
+  }
 
  private:
   /// Test-only white-box corruption hooks (src/audit/fault_inject.hpp).
@@ -606,6 +608,14 @@ class HybridSystem {
   [[nodiscard]] const proto::DataItem* answer_source(Peer& p, DataId id,
                                                      bool& from_cache);
   void cache_put(PeerIndex at, const proto::DataItem& item);
+  /// The transport's span recorder (nullptr when untraced).  Stores and
+  /// lookups record a root span, one child per protocol stage (climb, ring,
+  /// flood, reply) and an instant per hop.
+  stats::SpanRecorder* spans() const { return net_.span_recorder(); }
+  /// Reports a flood/walk wave starting at `at` to every flood observer.
+  void notify_flood_wave(PeerIndex at, unsigned ttl) {
+    for (FloodObserver* o : flood_observers_) o->on_flood_wave(at, ttl);
+  }
   /// Ends the query's current stage span (if any) and opens a new one named
   /// `name` under its root.  No-op when untraced.
   void trace_stage(std::uint64_t qid, const char* name, const char* category,
@@ -717,8 +727,7 @@ class HybridSystem {
   std::uint64_t re_replication_pushes_ = 0;
   std::uint64_t anti_entropy_repairs_ = 0;
   std::uint64_t read_repairs_ = 0;
-  stats::SpanRecorder* tracer_ = nullptr;
-  FloodObserver flood_observer_;
+  std::vector<FloodObserver*> flood_observers_;  // not owned
 
   /// In-flight keyword searches.
   struct KeywordQuery {

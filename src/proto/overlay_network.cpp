@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "net/transit_stub.hpp"
-#include "stats/profiler.hpp"
 
 namespace hp2p::proto {
 
@@ -67,7 +66,7 @@ void OverlayNetwork::send(PeerIndex from, PeerIndex to, TrafficClass cls,
   if (!alive(from)) {
     ++stats_.messages_dropped;
     ++stats_.drops_by_reason[static_cast<std::size_t>(DropReason::kDeadSender)];
-    if (trace_) trace_({Kind::kDropDeadSender, from, to, cls, bytes});
+    notify({Kind::kDropDeadSender, from, to, cls, bytes});
     if (spans_ != nullptr && ctx.valid()) {
       spans_->instant(ctx, "drop:dead_sender", from.value(), simulator_.now());
     }
@@ -84,7 +83,7 @@ void OverlayNetwork::send(PeerIndex from, PeerIndex to, TrafficClass cls,
       (options_.loss_rate > 0.0 && loss_rng_.chance(options_.loss_rate))) {
     ++stats_.messages_lost;  // lost in transit; sender pays nothing extra
     ++stats_.drops_by_reason[static_cast<std::size_t>(DropReason::kLoss)];
-    if (trace_) trace_({Kind::kLoss, from, to, cls, bytes});
+    notify({Kind::kLoss, from, to, cls, bytes});
     if (spans_ != nullptr && ctx.valid()) {
       spans_->instant(ctx, "drop:loss", from.value(), simulator_.now(), "to",
                       to.value());
@@ -97,7 +96,7 @@ void OverlayNetwork::send(PeerIndex from, PeerIndex to, TrafficClass cls,
   stats_.bytes_sent += bytes;
   ++stats_.per_class_messages[static_cast<std::size_t>(cls)];
   stats_.per_class_bytes[static_cast<std::size_t>(cls)] += bytes;
-  if (trace_) trace_({Kind::kSend, from, to, cls, bytes});
+  notify({Kind::kSend, from, to, cls, bytes});
 
   if (link_stress_) {
     underlay_.for_each_path_edge(host_of(from), host_of(to),
@@ -131,7 +130,7 @@ void OverlayNetwork::send(PeerIndex from, PeerIndex to, TrafficClass cls,
           ++stats_.messages_dropped;
           ++stats_.drops_by_reason[static_cast<std::size_t>(
               DropReason::kDeadReceiver)];
-          if (trace_) trace_({Kind::kDropDeadReceiver, from, to, cls, bytes});
+          notify({Kind::kDropDeadReceiver, from, to, cls, bytes});
           if (spans_ != nullptr && msg_span.valid()) {
             spans_->add_arg(msg_span, "dropped_dead_receiver", 1);
             spans_->end_span(msg_span, simulator_.now());
@@ -140,11 +139,9 @@ void OverlayNetwork::send(PeerIndex from, PeerIndex to, TrafficClass cls,
         }
         ++stats_.messages_delivered;
         ++received_by_[to.value()];
-        if (profiler_ != nullptr) {
-          profiler_->message_delivered(static_cast<std::size_t>(cls),
-                                       traffic_class_name(cls), bytes);
-        }
-        if (trace_) trace_({Kind::kDeliver, from, to, cls, bytes});
+        simulator_.note_message(static_cast<std::size_t>(cls),
+                                traffic_class_name(cls), bytes);
+        notify({Kind::kDeliver, from, to, cls, bytes});
         if (spans_ != nullptr && msg_span.valid()) {
           spans_->end_span(msg_span, simulator_.now());
         }
@@ -155,12 +152,10 @@ void OverlayNetwork::send(PeerIndex from, PeerIndex to, TrafficClass cls,
 void OverlayNetwork::note_drop(PeerIndex at, DropReason reason,
                                TrafficClass cls, stats::TraceContext ctx) {
   ++stats_.drops_by_reason[static_cast<std::size_t>(reason)];
-  if (trace_) {
-    const auto kind = reason == DropReason::kTtlExhausted
-                          ? NetTraceEvent::Kind::kDropTtl
-                          : NetTraceEvent::Kind::kDropNoRoute;
-    trace_({kind, at, at, cls, 0});
-  }
+  const auto kind = reason == DropReason::kTtlExhausted
+                        ? NetTraceEvent::Kind::kDropTtl
+                        : NetTraceEvent::Kind::kDropNoRoute;
+  notify({kind, at, at, cls, 0});
   if (spans_ != nullptr && ctx.valid()) {
     spans_->instant(ctx,
                     reason == DropReason::kTtlExhausted ? "drop:ttl_exhausted"

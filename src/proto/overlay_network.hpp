@@ -22,10 +22,6 @@
 #include "sim/simulator.hpp"
 #include "stats/trace.hpp"
 
-namespace hp2p::stats {
-class Profiler;
-}  // namespace hp2p::stats
-
 namespace hp2p::proto {
 
 /// Traffic classes, for per-category accounting in the benches.
@@ -95,10 +91,10 @@ struct NetworkStats {
   }
 };
 
-/// One transport-level trace record, delivered to the optional trace
-/// callback.  kSend fires at send time; the other kinds fire when the
-/// message's fate is decided (delivery, receiver-dead drop, in-transit
-/// loss, sender-dead drop at send time).
+/// One transport-level trace record, delivered to every NetObserver.  kSend
+/// fires at send time; the other kinds fire when the message's fate is
+/// decided (delivery, receiver-dead drop, in-transit loss, sender-dead drop
+/// at send time).
 struct NetTraceEvent {
   /// kDropTtl / kDropNoRoute come from note_drop() (protocol-level); the
   /// rest from the transport itself.
@@ -116,6 +112,13 @@ struct NetTraceEvent {
   PeerIndex to;
   TrafficClass cls;
   std::uint32_t bytes;
+};
+
+/// Observer of the transport: sees every send/deliver/drop/loss.
+class NetObserver {
+ public:
+  virtual ~NetObserver() = default;
+  virtual void on_message(const NetTraceEvent& ev) = 0;
 };
 
 /// Verdict of the optional fault hook for one message: drop it outright
@@ -225,22 +228,17 @@ class OverlayNetwork {
     return link_stress_ ? &*link_stress_ : nullptr;
   }
 
-  using TraceFn = std::function<void(const NetTraceEvent&)>;
-  /// Installs (or, with an empty function, removes) a trace callback invoked
-  /// on every send/deliver/drop/loss.  One predicted branch per message when
-  /// unset.
-  void set_trace(TraceFn fn) { trace_ = std::move(fn); }
+  /// Registers `o` (not owned; must outlive its registration).  One
+  /// predicted branch per message when none is.  Deliveries also reach the
+  /// kernel's observers (Simulator::note_message), e.g. the profiler.
+  void add_observer(NetObserver* o) { observers_.push_back(o); }
+  void remove_observer(NetObserver* o) { std::erase(observers_, o); }
 
   /// Installs (or, with nullptr, removes) the span recorder that traced
-  /// sends and note_drop() report into.  Not owned.
+  /// sends and note_drop() report into, and that every overlay on this
+  /// transport records its store/lookup span trees into.  Not owned.
   void set_span_recorder(stats::SpanRecorder* recorder) { spans_ = recorder; }
   [[nodiscard]] stats::SpanRecorder* span_recorder() const { return spans_; }
-
-  /// Installs (or, with nullptr, removes) the dispatch profiler that
-  /// per-message-type delivery time and bytes are attributed to.  Not
-  /// owned.  One predicted branch per delivery when unset.
-  void set_profiler(stats::Profiler* profiler) { profiler_ = profiler; }
-  [[nodiscard]] stats::Profiler* profiler() const { return profiler_; }
 
   using FaultFn = std::function<FaultAction(PeerIndex from, PeerIndex to,
                                             TrafficClass cls,
@@ -253,6 +251,10 @@ class OverlayNetwork {
   void set_fault(FaultFn fn) { fault_ = std::move(fn); }
 
  private:
+  void notify(const NetTraceEvent& ev) {
+    for (NetObserver* o : observers_) o->on_message(ev);
+  }
+
   sim::Simulator& simulator_;
   const net::Underlay& underlay_;
   OverlayNetworkOptions options_;
@@ -264,10 +266,9 @@ class OverlayNetwork {
   NetworkStats stats_;
   std::optional<net::LinkStress> link_stress_;
   Rng loss_rng_;
-  TraceFn trace_;
+  std::vector<NetObserver*> observers_;  // not owned
   FaultFn fault_;
   stats::SpanRecorder* spans_ = nullptr;
-  stats::Profiler* profiler_ = nullptr;
 };
 
 /// The simulation substrate an overlay runs on: the kernel, a transit-stub

@@ -44,7 +44,7 @@ TimerId Simulator::schedule_at(SimTime when, Action action) {
   heap_.push(HeapItem{when, seq, slot});
   ++live_events_;
   ++stats_.events_scheduled;
-  if (trace_) trace_(TraceEvent{TraceEvent::Kind::kSchedule, seq, when});
+  notify(TraceEvent{TraceEvent::Kind::kSchedule, seq, when});
   return TimerId{seq, slot};
 }
 
@@ -64,7 +64,7 @@ bool Simulator::cancel(TimerId id) {
   const SimTime when = slots_[id.slot_].when;
   free_slot(id.slot_);
   ++stats_.events_cancelled;
-  if (trace_) trace_(TraceEvent{TraceEvent::Kind::kCancel, id.seq_, when});
+  notify(TraceEvent{TraceEvent::Kind::kCancel, id.seq_, when});
   return true;
 }
 
@@ -101,17 +101,17 @@ void Simulator::fire(const HeapItem& item, Action& action, Component comp) {
   // always was.
   if (item.when > now_) now_ = item.when;
   ++stats_.events_executed;
-  if (trace_) trace_(TraceEvent{TraceEvent::Kind::kFire, item.seq, item.when});
+  notify(TraceEvent{TraceEvent::Kind::kFire, item.seq, item.when});
   // The dispatched action inherits the event's tag, so anything it schedules
-  // is attributed to the component that set it in motion.  The probe frame
-  // brackets exactly the action's execution.
+  // is attributed to the component that set it in motion.  The observer
+  // frame brackets exactly the action's execution.
   current_component_ = comp;
-  if (probe_ != nullptr) {
-    probe_->enter(comp);
+  if (observers_.empty()) {
     action();
-    probe_->leave();
   } else {
+    for (Observer* o : observers_) o->enter(comp);
     action();
+    for (Observer* o : observers_) o->leave();
   }
   current_component_ = Component::kKernel;
 }
@@ -170,13 +170,13 @@ SimTime Simulator::next_event_time() {
 }
 
 void Simulator::run() {
-  if (probe_ != nullptr) probe_->resync();
+  for (Observer* o : observers_) o->resync();
   while (step()) {
   }
 }
 
 void Simulator::run_until(SimTime deadline) {
-  if (probe_ != nullptr) probe_->resync();
+  for (Observer* o : observers_) o->resync();
   for (const HeapItem* next = peek_live();
        next != nullptr && next->when <= deadline; next = peek_live()) {
     step();

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <initializer_list>
 #include <queue>
 #include <vector>
@@ -48,8 +47,8 @@ class TimerId {
 /// scheduled event carries the tag that was current when it was scheduled,
 /// so work a subsystem sets in motion (timers, message deliveries) is
 /// attributed to that subsystem without per-call-site bookkeeping.
-/// ComponentScope switches the current tag; the installed DispatchProbe
-/// (stats::Profiler) observes the enter/leave transitions.
+/// ComponentScope switches the current tag; the kernel's observers (e.g.
+/// stats::Profiler) see the enter/leave transitions.
 enum class Component : std::uint8_t {
   kKernel = 0,   // dispatch loop itself / untagged work
   kTransport,    // overlay message physics (delivery closures)
@@ -72,22 +71,6 @@ inline constexpr std::size_t kNumComponents =
 
 /// Stable snake_case name for metric keys and collapsed-stack frames.
 [[nodiscard]] const char* component_name(Component c);
-
-/// Observer of dispatch transitions.  The kernel stays free of timing and
-/// accumulation logic -- it only reports "a frame tagged `c` began / the
-/// innermost frame ended" -- so the stats layer can implement profiling
-/// without a sim -> stats dependency.
-class DispatchProbe {
- public:
-  virtual ~DispatchProbe() = default;
-  virtual void enter(Component c) = 0;
-  virtual void leave() = 0;
-  /// The host is about to (re)enter a dispatch run after doing unrelated
-  /// work (called on probe installation and at run()/run_until() entry).
-  /// Lets a timing probe re-mark its clock baseline so host work between
-  /// dispatch runs is never charged to the next event.
-  virtual void resync() {}
-};
 
 /// Per-event footprint: which peers the event's handler may touch.  Stamped
 /// at schedule time (like the Component tag) and consumed by the verify/
@@ -154,12 +137,34 @@ struct SimulatorStats {
   std::uint64_t corpses_skipped = 0;
 };
 
-/// One kernel-level trace record, delivered to the optional trace callback.
+/// One kernel-level trace record, delivered to every observer.
 struct TraceEvent {
   enum class Kind { kSchedule, kFire, kCancel };
   Kind kind;
   std::uint64_t seq;  // event sequence number (matches TimerId)
   SimTime when;       // scheduled fire time
+};
+
+/// Observer of the kernel, which only reports what happened, so the stats
+/// layer can trace and profile without a sim -> stats dependency.  Every
+/// method defaults to doing nothing.
+class Observer {
+ public:
+  virtual ~Observer() = default;
+  /// Every schedule, fire and cancel.
+  virtual void on_event(const TraceEvent& /*ev*/) {}
+  /// A dispatch frame tagged `c` began / the innermost frame ended.
+  virtual void enter(Component /*c*/) {}
+  virtual void leave() {}
+  /// The host is about to (re)enter a dispatch run after doing unrelated
+  /// work (called on add_observer() and at run()/run_until() entry).  Lets
+  /// a timing observer re-mark its clock baseline so host work between
+  /// dispatch runs is never charged to the next event.
+  virtual void resync() {}
+  /// A message of class `cls` (stable `name`) with `bytes` on the wire is
+  /// being delivered inside the current frame (see note_message()).
+  virtual void message(std::size_t /*cls*/, const char* /*name*/,
+                       std::uint64_t /*bytes*/) {}
 };
 
 /// The event loop.  Not thread-safe by design: replicas parallelize at the
@@ -173,7 +178,6 @@ class Simulator {
   /// always did.  micro_kernel's zero-alloc benches pin this.
   static constexpr std::size_t kActionCapacity = 160;
   using Action = InlineFunction<void(), kActionCapacity>;
-  using TraceFn = std::function<void(const TraceEvent&)>;
 
   Simulator() = default;
   Simulator(const Simulator&) = delete;
@@ -226,45 +230,36 @@ class Simulator {
 
   [[nodiscard]] const SimulatorStats& stats() const { return stats_; }
 
-  /// Installs (or, with an empty function, removes) a trace callback invoked
-  /// on every schedule/fire/cancel.  When unset the hook costs one predicted
-  /// branch per operation; see BM_EventQueueScheduleRun in micro_kernel.
-  void set_trace(TraceFn fn) { trace_ = std::move(fn); }
-
-  /// Installs (or, with nullptr, removes) the dispatch probe.  Not owned.
-  /// When unset the dispatch path costs one predicted branch per event
-  /// (asserted by micro_kernel's zero-alloc benches staying flat).
-  void set_dispatch_probe(DispatchProbe* probe) {
-    probe_ = probe;
-    if (probe_ != nullptr) probe_->resync();
+  /// Registers `o` (not owned; must outlive its registration) and resyncs
+  /// it.  With no observers every schedule, cancel and dispatch costs one
+  /// predicted branch; see BM_EventQueueScheduleRun in micro_kernel.
+  void add_observer(Observer* o) {
+    observers_.push_back(o);
+    o->resync();
   }
-  [[nodiscard]] DispatchProbe* dispatch_probe() const { return probe_; }
+  void remove_observer(Observer* o) { std::erase(observers_, o); }
 
-  /// Tag stamped on events scheduled right now: the dispatching event's tag
-  /// during dispatch, or the innermost ComponentScope's.
-  [[nodiscard]] Component current_component() const {
-    return current_component_;
+  /// Called by the transport on every delivery; see Observer::message.
+  void note_message(std::size_t cls, const char* name, std::uint64_t bytes) {
+    for (Observer* o : observers_) o->message(cls, name, bytes);
   }
 
-  /// Switches the current tag and opens a probe frame; returns the previous
-  /// tag for end_component().  Use ComponentScope instead of calling these
-  /// directly.
+  /// Switches the current tag and opens an observer frame; returns the
+  /// previous tag for end_component().  Use ComponentScope instead of
+  /// calling these directly.
   Component begin_component(Component c) {
     const Component prev = current_component_;
     current_component_ = c;
-    if (probe_ != nullptr) probe_->enter(c);
+    for (Observer* o : observers_) o->enter(c);
     return prev;
   }
   void end_component(Component prev) {
     current_component_ = prev;
-    if (probe_ != nullptr) probe_->leave();
+    for (Observer* o : observers_) o->leave();
   }
 
-  /// Footprint stamped on events scheduled right now (mirrors the component
-  /// tag).  Defaults to wildcard; FootprintScope narrows it.
-  [[nodiscard]] const Footprint& current_footprint() const {
-    return current_footprint_;
-  }
+  /// Switches the footprint stamped on events scheduled right now (mirrors
+  /// the component tag); use FootprintScope.
   Footprint begin_footprint(const Footprint& f) {
     const Footprint prev = current_footprint_;
     current_footprint_ = f;
@@ -284,13 +279,11 @@ class Simulator {
     policy_ = policy;
     window_ = window;
   }
-  [[nodiscard]] TieBreakPolicy* tie_break_policy() const { return policy_; }
 
   /// Fire time of the next live event (prunes lazy-cancel corpses), or
   /// never() when the queue is empty.  Lets explorer drivers run a bounded
   /// horizon with an abort check between events.
   [[nodiscard]] SimTime next_event_time();
-  [[nodiscard]] bool has_live_events() { return peek_live() != nullptr; }
 
   /// Arena occupancy, for the profiler's gauges: total slots ever grown to
   /// (the high-water mark of concurrently live events), currently live
@@ -327,6 +320,9 @@ class Simulator {
     return slots_[item.slot].seq == item.seq;
   }
   void free_slot(std::uint32_t slot);
+  void notify(const TraceEvent& ev) {
+    for (Observer* o : observers_) o->on_event(ev);
+  }
 
   /// Discards cancelled corpses from the heap top (counting them in
   /// stats_.corpses_skipped) and returns the next live item, or nullptr when
@@ -343,7 +339,7 @@ class Simulator {
   bool step_choice();
 
   /// Fires one popped event: advances now() monotonically, runs the action
-  /// under its component tag, and brackets it with the dispatch probe.
+  /// under its component tag, and brackets it with an observer frame.
   void fire(const HeapItem& item, Action& action, Component comp);
 
   SimTime now_{};
@@ -354,10 +350,11 @@ class Simulator {
   std::vector<Slot> slots_;               // arena of live events
   std::vector<std::uint32_t> free_slots_; // recycled slot indices
   SimulatorStats stats_;
-  TraceFn trace_;
+  std::vector<Observer*> observers_;  // not owned
+  /// Stamped on events scheduled right now: the dispatching event's tag
+  /// during dispatch, or the innermost ComponentScope's / FootprintScope's.
   Component current_component_ = Component::kKernel;
   Footprint current_footprint_{};  // wildcard by default
-  DispatchProbe* probe_ = nullptr;
   TieBreakPolicy* policy_ = nullptr;  // not owned; nullptr = FIFO dispatch
   Duration window_{};                 // co-enabled commutation window
   std::vector<HeapItem> staged_;      // step_choice scratch (reused)
@@ -366,7 +363,7 @@ class Simulator {
 
 /// RAII component-tag switch: statements inside the scope -- and every event
 /// they schedule -- are attributed to `c`.  Nesting restores the previous
-/// tag on exit; the probe sees a matching enter/leave pair.
+/// tag on exit; observers see a matching enter/leave pair.
 class ComponentScope {
  public:
   ComponentScope(Simulator& sim, Component c)

@@ -225,8 +225,8 @@ void Profiler::resync() {
   charge_ticks(now_ticks());
 }
 
-void Profiler::message_delivered(std::size_t cls, const char* name,
-                                 std::uint64_t bytes) {
+void Profiler::message(std::size_t cls, const char* name,
+                       std::uint64_t bytes) {
   if (cls >= kMaxMessageClasses) return;
   ClassStat& stat = classes_[cls];
   stat.name = name;

@@ -1,16 +1,17 @@
 // Continuous dispatch profiler.
 //
-// Implements sim::DispatchProbe: the kernel reports "a frame tagged with
+// Implements sim::Observer: the kernel reports "a frame tagged with
 // component C began / the innermost frame ended" around every event dispatch
 // and every nested ComponentScope, and the profiler turns those transitions
 // into a call-stack-shaped attribution of real CPU time, event counts, heap
 // allocations, and allocated bytes per component path -- plus per-message-
-// class time and bytes when the transport reports deliveries.
+// class time and bytes when the transport reports deliveries through the
+// kernel (Simulator::note_message).
 //
 // Cost model: event counts, allocation counts, and message bytes are EXACT
 // (allocation-counter snapshots are inline relaxed loads, taken at every
 // nested transition and every frame close).  CPU time is measured exactly
-// for the first kExactTransitions probe transitions -- which covers unit
+// for the first kExactTransitions observer transitions -- which covers unit
 // tests and warm-up outright -- and stride-sampled after that: a cheap
 // deterministic LCG picks every ~12th charge point to read the cycle
 // counter (rdtsc / cntvct_el0), and the whole span since the previous read
@@ -45,7 +46,7 @@
 
 namespace hp2p::stats {
 
-class Profiler final : public sim::DispatchProbe {
+class Profiler final : public sim::Observer {
  public:
   /// Frames deeper than this fold into their ancestor (counted in
   /// truncated_frames()).  4 bits of path per level -> 16 levels in the
@@ -56,22 +57,19 @@ class Profiler final : public sim::DispatchProbe {
   static constexpr std::size_t kMaxPaths = 1024;
   /// Message classes tracked (proto has 4; leave headroom).
   static constexpr std::size_t kMaxMessageClasses = 8;
-  /// Probe transitions timed exactly before stride sampling kicks in.
+  /// Observer transitions timed exactly before stride sampling kicks in.
   static constexpr std::uint64_t kExactTransitions = 4096;
 
   Profiler();
 
-  // -- DispatchProbe ---------------------------------------------------------
+  // -- sim::Observer ---------------------------------------------------------
   void enter(sim::Component c) override;
   void leave() override;
   void resync() override;
-
-  /// Transport callback: one message of class `cls` (stable `name`) with
-  /// `bytes` on the wire is being delivered inside the current frame.
   /// Counts and bytes are exact; the class's cpu_ns is the sampled self
   /// time observed while a frame that delivered it is on top.
-  void message_delivered(std::size_t cls, const char* name,
-                         std::uint64_t bytes);
+  void message(std::size_t cls, const char* name,
+               std::uint64_t bytes) override;
 
   // -- Aggregated results ----------------------------------------------------
   /// Per-component rollup (summed over every path whose innermost frame is

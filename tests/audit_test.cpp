@@ -230,6 +230,26 @@ TEST(FaultInjection, OversizedFloodTtlTripsFloodBoundOnly) {
       << report.to_json().dump(2);
 }
 
+TEST(FaultInjection, NestedAuditorLeavesOuterFloodObserverInstalled) {
+  AuditFixture fx;
+  OverlayAuditor outer{fx.system, fx.world.network, fx.world.sim, strict()};
+  const AuditReport baseline = outer.run();
+  ASSERT_TRUE(baseline.clean());
+  {
+    OverlayAuditor inner{fx.system, fx.world.network, fx.world.sim, strict()};
+    ASSERT_TRUE(inner.run().clean());
+  }
+
+  FaultInjector::flood_with_ttl(fx.system, fx.peers[0], 99);
+  FaultInjector::flood_with_ttl(fx.system, fx.peers[0],
+                                fx.system.params().ttl);
+
+  const AuditReport report = outer.run();
+  EXPECT_EQ(report.invariants(), std::vector<std::string>{"flood_ttl_bound"})
+      << report.to_json().dump(2);
+  EXPECT_EQ(report.checks_run, baseline.checks_run + 2);
+}
+
 TEST(FaultInjection, InBoundFloodTtlStaysClean) {
   AuditFixture fx;
   OverlayAuditor auditor{fx.system, fx.world.network, fx.world.sim, strict()};

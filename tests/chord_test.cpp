@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string_view>
 #include <vector>
 
 #include "chord/chord.hpp"
@@ -140,6 +141,44 @@ TEST(Chord, StructuredLookupNeverFailsWithoutChurn) {
   }
   world.sim.run();
   EXPECT_EQ(failures, 0);
+}
+
+TEST(Chord, TransportSpanRecorderTracesLookupHops) {
+  // The recorder goes on the transport and nowhere else: the overlay
+  // records its span trees through it.
+  SimWorld world{9};
+  ChordParams params;
+  params.routing = RoutingMode::kRing;
+  ChordNetwork chord{world.network, params};
+  const auto nodes = build_ring(world, chord, 16);
+  chord.store(nodes[3], "traced", 1);
+  world.sim.run();
+
+  stats::SpanRecorder recorder;
+  world.network.set_span_recorder(&recorder);
+  proto::LookupResult result;
+  chord.lookup(nodes[11], "traced",
+               [&](proto::LookupResult r) { result = r; });
+  world.sim.run();
+  ASSERT_TRUE(result.success);
+  ASSERT_GT(result.request_hops, 0u);
+
+  const stats::Span* root = nullptr;
+  std::size_t hops = 0;
+  for (const stats::Span& s : recorder.spans()) {
+    if (s.parent == 0 && !s.instant) {
+      ASSERT_EQ(root, nullptr) << "one lookup, one root span";
+      root = &s;
+    }
+    if (s.instant && std::string_view{s.name} == "ring_hop") ++hops;
+  }
+  ASSERT_NE(root, nullptr);
+  EXPECT_EQ(std::string_view{root->name}, "lookup");
+  EXPECT_FALSE(root->open);
+  EXPECT_EQ(hops, result.request_hops);
+  for (const stats::Span& s : recorder.spans()) {
+    EXPECT_EQ(s.trace_id, root->trace_id);
+  }
 }
 
 TEST(Chord, GracefulLeavePreservesData) {

@@ -40,10 +40,10 @@ TEST_P(ChurnSoak, SystemSurvivesSustainedChurn) {
   params.lookup_timeout = sim::SimTime::seconds(10);
   HybridSystem system{world.network, params, HostIndex{0}, world.rng};
 
-  // Always-on flight recorder over the kernel + transport trace hooks: on
-  // an availability failure below, its tail shows the run's final moments.
+  // Always-on flight recorder over the kernel + transport observers: on an
+  // availability failure below, its tail shows the run's final moments.
   stats::FlightRecorder flight{512};
-  exp::attach_flight_recorder(flight, world.sim, world.network);
+  const exp::FlightRecorderTap flight_tap{flight, world.sim, world.network};
 
   // HP2P_AUDIT=1: lenient invariant audits every simulated second across
   // the whole soak -- any violation under churn is real corruption.

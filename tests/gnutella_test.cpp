@@ -1,6 +1,7 @@
 // Tests for the Gnutella-style unstructured baseline.
 #include <gtest/gtest.h>
 
+#include <string_view>
 #include <vector>
 
 #include "gnutella/gnutella.hpp"
@@ -72,6 +73,39 @@ TEST(Gnutella, FloodFindsNearbyData) {
   });
   world.sim.run();
   EXPECT_TRUE(called);
+}
+
+TEST(Gnutella, TransportSpanRecorderTracesFloodHops) {
+  // The recorder goes on the transport and nowhere else: the overlay
+  // records its span trees through it.
+  SimWorld world{24};
+  GnutellaNetwork g{world.network, {}};
+  const auto peers = build_mesh(world, g, 30);
+  g.store(peers[7], "needle", 1);
+  stats::SpanRecorder recorder;
+  world.network.set_span_recorder(&recorder);
+  bool success = false;
+  g.lookup(peers[8], "needle",
+           [&](proto::LookupResult r) { success = r.success; });
+  world.sim.run();
+  ASSERT_TRUE(success);
+
+  const stats::Span* root = nullptr;
+  std::size_t hops = 0;
+  for (const stats::Span& s : recorder.spans()) {
+    if (s.parent == 0 && !s.instant) {
+      ASSERT_EQ(root, nullptr) << "one lookup, one root span";
+      root = &s;
+    }
+    if (s.instant && std::string_view{s.name} == "flood_hop") ++hops;
+  }
+  ASSERT_NE(root, nullptr);
+  EXPECT_EQ(std::string_view{root->name}, "lookup");
+  EXPECT_FALSE(root->open);
+  EXPECT_GT(hops, 0u);
+  for (const stats::Span& s : recorder.spans()) {
+    EXPECT_EQ(s.trace_id, root->trace_id);
+  }
 }
 
 TEST(Gnutella, OriginLocalHitIsInstant) {

@@ -173,6 +173,53 @@ TEST(MetricsCollect, TracedRunExportsCriticalPathAndTimeseries) {
   }
 }
 
+/// The exact, timing-free part of a profile: per-class message counts and
+/// bytes, and per-component frame enters.
+std::string exact_profile(const stats::Profiler& prof) {
+  const JsonValue json = prof.to_json();
+  std::ostringstream out;
+  for (const auto& [name, entry] : json.find("message_types")->members()) {
+    out << name << ' ' << entry.find("messages")->as_int() << ' '
+        << entry.find("bytes")->as_int() << '\n';
+  }
+  for (const auto& [name, entry] : json.find("components")->members()) {
+    out << name << ' ' << entry.find("events")->as_int() << '\n';
+  }
+  return out.str();
+}
+
+TEST(MetricsCollect, FlightRecorderBesideProfilerLeavesProfileCountsUnchanged) {
+  exp::RunConfig cfg;
+  cfg.seed = 11;
+  cfg.num_peers = 40;
+  cfg.num_items = 60;
+  cfg.num_lookups = 60;
+  cfg.hybrid.ps = 0.5;
+  stats::Profiler alone;
+  cfg.profiler = &alone;
+  const auto r_alone = exp::run_hybrid_experiment(cfg);
+
+  stats::Profiler beside;
+  stats::FlightRecorder flight{256};
+  cfg.profiler = &beside;
+  cfg.flight = &flight;
+  const auto r_beside = exp::run_hybrid_experiment(cfg);
+
+  // The recorder saw every kernel and transport event, next to the profiler.
+  const sim::SimulatorStats& k = r_beside.sim_stats;
+  const proto::NetworkStats& n = r_beside.network;
+  EXPECT_EQ(flight.total_recorded(),
+            k.events_scheduled + k.events_executed + k.events_cancelled +
+                n.messages_sent + n.messages_delivered + n.messages_dropped +
+                n.messages_lost +
+                n.reason_drops(proto::DropReason::kTtlExhausted) +
+                n.reason_drops(proto::DropReason::kNoRoute));
+  EXPECT_EQ(k.events_executed, r_alone.sim_stats.events_executed);
+  const std::string counts = exact_profile(alone);
+  EXPECT_NE(counts.find("query "), std::string::npos) << counts;
+  EXPECT_EQ(exact_profile(beside), counts);
+}
+
 TEST(DropReasons, NamesAreStableAndDistinct) {
   std::set<std::string> names;
   for (std::size_t i = 0; i < proto::kNumDropReasons; ++i) {

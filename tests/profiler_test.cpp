@@ -28,7 +28,7 @@ using sim::SimTime;
 TEST(Profiler, AttributesEventCountsToSchedulingComponent) {
   sim::Simulator sim;
   Profiler prof;
-  sim.set_dispatch_probe(&prof);
+  sim.add_observer(&prof);
 
   // Events inherit the component active at schedule time, so each of these
   // blocks pins a known number of dispatches on one component.
@@ -63,7 +63,7 @@ TEST(Profiler, AttributesEventCountsToSchedulingComponent) {
 TEST(Profiler, TagInheritanceIsTransitive) {
   sim::Simulator sim;
   Profiler prof;
-  sim.set_dispatch_probe(&prof);
+  sim.add_observer(&prof);
 
   // An event scheduled *by* a ring-tagged event runs as ring too, without
   // any scope at the rescheduling site -- the kernel stamps the scheduler's
@@ -81,7 +81,7 @@ TEST(Profiler, TagInheritanceIsTransitive) {
 TEST(Profiler, NestedScopesSplitSelfTimeByInnermostComponent) {
   sim::Simulator sim;
   Profiler prof;
-  sim.set_dispatch_probe(&prof);
+  sim.add_observer(&prof);
 
   {
     ComponentScope outer{sim, Component::kData};
@@ -101,17 +101,17 @@ TEST(Profiler, NestedScopesSplitSelfTimeByInnermostComponent) {
 TEST(Profiler, MessageClassesAccrueCountsAndBytes) {
   sim::Simulator sim;
   Profiler prof;
-  sim.set_dispatch_probe(&prof);
+  sim.add_observer(&prof);
 
   {
     ComponentScope scope{sim, Component::kTransport};
     for (int i = 0; i < 3; ++i) {
       sim.schedule_at(SimTime::millis(i + 1), [&prof] {
-        prof.message_delivered(2, "data", 512);
+        prof.message(2, "data", 512);
       });
     }
     sim.schedule_at(SimTime::millis(10), [&prof] {
-      prof.message_delivered(0, "control", 64);
+      prof.message(0, "control", 64);
     });
   }
   sim.run();
@@ -130,7 +130,7 @@ TEST(Profiler, MessageClassesAccrueCountsAndBytes) {
 TEST(Profiler, DepthOverflowFoldsIntoAncestorWithoutCorruption) {
   sim::Simulator sim;
   Profiler prof;
-  sim.set_dispatch_probe(&prof);
+  sim.add_observer(&prof);
 
   sim.schedule_at(SimTime::millis(1), [&sim] {
     // 1 dispatch frame + 20 nested scopes blows past kMaxDepth = 16; the
@@ -157,7 +157,7 @@ TEST(Profiler, DepthOverflowFoldsIntoAncestorWithoutCorruption) {
 TEST(Profiler, ExportsWellFormedJsonAndCollapsedStacks) {
   sim::Simulator sim;
   Profiler prof;
-  sim.set_dispatch_probe(&prof);
+  sim.add_observer(&prof);
   {
     ComponentScope scope{sim, Component::kRing};
     for (int i = 0; i < 50; ++i) {
@@ -203,7 +203,7 @@ TEST(Profiler, CountsAreDeterministicAcrossRuns) {
   const auto run_once = [] {
     sim::Simulator sim;
     Profiler prof;
-    sim.set_dispatch_probe(&prof);
+    sim.add_observer(&prof);
     {
       ComponentScope scope{sim, Component::kReplication};
       for (int i = 0; i < 64; ++i) {
@@ -225,11 +225,11 @@ TEST(Profiler, CountsAreDeterministicAcrossRuns) {
 }
 
 /// Steady-state scheduling through a warm arena must not allocate -- first
-/// with the probe disabled (the zero-cost-off guarantee), then with the
+/// with no observer (the zero-cost-off guarantee), then with the
 /// profiler attached (its accumulators are preallocated).
 void expect_zero_alloc_steady_state(Profiler* prof) {
   sim::Simulator sim;
-  if (prof != nullptr) sim.set_dispatch_probe(prof);
+  if (prof != nullptr) sim.add_observer(prof);
 
   // Warm-up: grow the arena, the heap, and (when profiling) insert every
   // path into the accumulator table.

@@ -186,11 +186,31 @@ TEST_F(OverlayNetworkTest, ResurrectionAllowsDeliveryAgain) {
 }
 
 TEST_F(OverlayNetworkTest, TraceHookSeesSendDeliverAndDrops) {
+  struct Recorder : NetObserver {
+    std::vector<NetTraceEvent> events;
+    void on_message(const NetTraceEvent& ev) override { events.push_back(ev); }
+  };
   auto net = make_network();
   const PeerIndex a = net.add_peer(HostIndex{0});
   const PeerIndex b = net.add_peer(HostIndex{10});
-  std::vector<NetTraceEvent> events;
-  net.set_trace([&](const NetTraceEvent& ev) { events.push_back(ev); });
+  Recorder first;
+  Recorder second;
+  net.add_observer(&first);
+  net.add_observer(&second);
+  std::vector<NetTraceEvent>& events = first.events;
+  std::size_t seen = 0;  // second's events checked so far
+  const auto expect_second_matches = [&] {
+    ASSERT_EQ(second.events.size(), seen + events.size());
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      const NetTraceEvent& ev = second.events[seen + i];
+      EXPECT_EQ(ev.kind, events[i].kind);
+      EXPECT_EQ(ev.from, events[i].from);
+      EXPECT_EQ(ev.to, events[i].to);
+      EXPECT_EQ(ev.cls, events[i].cls);
+      EXPECT_EQ(ev.bytes, events[i].bytes);
+    }
+    seen = second.events.size();
+  };
 
   net.send(a, b, TrafficClass::kQuery, kQueryBytes, [] {});
   sim_.run();
@@ -201,6 +221,7 @@ TEST_F(OverlayNetworkTest, TraceHookSeesSendDeliverAndDrops) {
   EXPECT_EQ(events[0].cls, TrafficClass::kQuery);
   EXPECT_EQ(events[0].bytes, kQueryBytes);
   EXPECT_EQ(events[1].kind, NetTraceEvent::Kind::kDeliver);
+  expect_second_matches();
 
   events.clear();
   net.set_alive(b, false);
@@ -209,12 +230,14 @@ TEST_F(OverlayNetworkTest, TraceHookSeesSendDeliverAndDrops) {
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].kind, NetTraceEvent::Kind::kSend);
   EXPECT_EQ(events[1].kind, NetTraceEvent::Kind::kDropDeadReceiver);
+  expect_second_matches();
 
   events.clear();
   net.send(b, a, TrafficClass::kControl, kControlBytes, [] {});
   sim_.run();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].kind, NetTraceEvent::Kind::kDropDeadSender);
+  expect_second_matches();
 }
 
 }  // namespace

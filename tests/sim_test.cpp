@@ -181,13 +181,20 @@ TEST(SimTime, ExpiredBoundaryIsInclusive) {
 }
 
 TEST(Simulator, TraceHookSeesScheduleFireCancel) {
+  struct Recorder : Observer {
+    std::vector<TraceEvent> events;
+    void on_event(const TraceEvent& ev) override { events.push_back(ev); }
+  };
   Simulator s;
-  std::vector<TraceEvent> events;
-  s.set_trace([&](const TraceEvent& ev) { events.push_back(ev); });
+  Recorder first;
+  Recorder second;
+  s.add_observer(&first);
+  s.add_observer(&second);
   s.schedule_at(SimTime::millis(1), [] {});
   const TimerId gone = s.schedule_at(SimTime::millis(2), [] {});
   ASSERT_TRUE(s.cancel(gone));
   s.run();
+  const std::vector<TraceEvent>& events = first.events;
   ASSERT_EQ(events.size(), 4u);  // two schedules, one cancel, one fire
   EXPECT_EQ(events[0].kind, TraceEvent::Kind::kSchedule);
   EXPECT_EQ(events[1].kind, TraceEvent::Kind::kSchedule);
@@ -197,6 +204,13 @@ TEST(Simulator, TraceHookSeesScheduleFireCancel) {
   EXPECT_EQ(events[3].kind, TraceEvent::Kind::kFire);
   EXPECT_EQ(events[3].seq, events[0].seq);
   EXPECT_EQ(events[3].when, SimTime::millis(1));
+  // A second observer sees the identical sequence.
+  ASSERT_EQ(second.events.size(), events.size());
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(second.events[i].kind, events[i].kind);
+    EXPECT_EQ(second.events[i].seq, events[i].seq);
+    EXPECT_EQ(second.events[i].when, events[i].when);
+  }
 }
 
 TEST(Simulator, CorpseSkipAccountingIsConsistent) {

@@ -31,15 +31,14 @@ hybrid::HybridParams traced_params() {
   return p;
 }
 
-/// Hybrid deployment with the span recorder wired into both the transport
-/// and the protocol layer, mirroring what the experiment harness does.
+/// Hybrid deployment with the span recorder on the transport, mirroring
+/// what the experiment harness does; the protocol layer records through it.
 struct TracedFixture {
   explicit TracedFixture(std::uint64_t seed,
                          hybrid::HybridParams params = traced_params())
       : world(seed, 120),
         system(world.network, params, HostIndex{0}, world.rng) {
     world.network.set_span_recorder(&recorder);
-    system.set_tracer(&recorder);
   }
 
   void build(std::size_t n) {
@@ -110,7 +109,6 @@ std::int64_t arg_of(const stats::Span& s, std::string_view key,
 
 TEST(Trace, UntracedRunRecordsNothing) {
   TracedFixture f{7};
-  f.system.set_tracer(nullptr);
   f.world.network.set_span_recorder(nullptr);
   f.build(30);
   f.populate(10);
@@ -539,12 +537,19 @@ TEST(FlightRecorder, ToJsonMirrorsRingContents) {
 }
 
 TEST(FlightRecorder, TailsTheKernelTraceHook) {
+  struct Tail : sim::Observer {
+    Tail(stats::FlightRecorder& f, sim::Simulator& s) : flight(f), sim(s) {}
+    void on_event(const sim::TraceEvent& ev) override {
+      flight.record(sim.now(), "sim:event",
+                    static_cast<std::uint64_t>(ev.kind), ev.seq);
+    }
+    stats::FlightRecorder& flight;
+    sim::Simulator& sim;
+  };
   sim::Simulator sim;
   stats::FlightRecorder flight{32};
-  sim.set_trace([&flight, &sim](const sim::TraceEvent& ev) {
-    flight.record(sim.now(), "sim:event",
-                  static_cast<std::uint64_t>(ev.kind), ev.seq);
-  });
+  Tail tail{flight, sim};
+  sim.add_observer(&tail);
   for (std::int64_t i = 0; i < 200; ++i) {
     sim.schedule_at(sim::SimTime::micros(i), [] {});
   }
