@@ -1,12 +1,15 @@
-// White-box fault injection for OverlayAuditor tests.
+// White-box fault injection for OverlayAuditor and protocol tests.
 //
 // Each injector corrupts exactly one structural invariant, bypassing the
 // protocol (it pokes HybridSystem internals directly via friendship), so
 // tests can assert that the auditor catches the corruption and names it
-// correctly -- and names *only* it.  Test-only: never linked into benches.
+// correctly -- and names *only* it.  A few probes expose private helpers
+// for differential tests.  Test-only: never linked into benches.
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
 
 #include "hybrid/hybrid_system.hpp"
 
@@ -85,6 +88,31 @@ struct FaultInjector {
     if (c.cp == kNoPeer) return false;
     std::erase(sys.peer(c.cp).children, child);
     return true;
+  }
+
+  /// Appends `upper` to the child list of `lower`, a peer below it, closing
+  /// the cycle upper -> ... -> lower -> upper that mid-churn races can leave
+  /// in child lists.  cp pointers stay as they are.
+  static void close_child_cycle(HybridSystem& sys, PeerIndex upper,
+                                PeerIndex lower) {
+    sys.peer(lower).children.push_back(upper);
+  }
+
+  /// Sets the tree-walk epoch, so a test can reach its wrap-around without
+  /// 2^32 walks.  Walks stamp peers with the epoch they ran under; a value
+  /// below some stamp still in place would skip those peers.
+  static void set_walk_epoch(HybridSystem& sys, std::uint32_t epoch) {
+    sys.visit_marks_.epoch = epoch;
+  }
+
+  /// The anti-entropy sweep's allocation-free test of whether `member` is
+  /// in replica_set(id), over the candidates of id's current owner.
+  static bool sweep_in_replica_set(const HybridSystem& sys, PeerIndex member,
+                                   DataId id) {
+    const PeerIndex owner = sys.registry_owner(id.value());
+    std::vector<PeerIndex> candidates;
+    if (owner != kNoPeer) sys.replica_candidates(owner, candidates);
+    return sys.in_replica_set(member, id, owner, candidates);
   }
 
   /// Reports a flood wave with an out-of-bound TTL straight to the

@@ -808,10 +808,14 @@ void HybridSystem::cache_put(PeerIndex at, const proto::DataItem& item) {
     return;
   }
   if (p.cache_fifo.size() >= params_.cache_capacity) {
-    p.cache.erase(p.cache_fifo.front());
-    p.cache_fifo.pop_front();
+    // Full: the newest id takes the oldest one's slot.
+    DataId& oldest = p.cache_fifo[p.cache_oldest];
+    p.cache.erase(oldest);
+    oldest = item.id;
+    p.cache_oldest = (p.cache_oldest + 1) % p.cache_fifo.size();
+  } else {
+    p.cache_fifo.push_back(item.id);
   }
-  p.cache_fifo.push_back(item.id);
   p.cache.emplace(item.id,
                   Peer::CacheEntry{item, sim_.now() + params_.cache_ttl});
 }

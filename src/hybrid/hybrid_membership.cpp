@@ -18,6 +18,8 @@ HybridSystem::HybridSystem(proto::OverlayNetwork& network,
   // The server occupies a transport endpoint so contacting it costs real
   // latency; it is not a peer of either overlay.
   server_ = net_.add_peer(server_host);
+  // Callers run one peer per underlay host; growth past that still works.
+  peers_.reserve(net_.underlay().num_hosts());
   Peer s;
   s.self = server_;
   s.host = server_host;
@@ -442,7 +444,7 @@ void HybridSystem::process_pending_joins(PeerIndex pre) {
   // belong to a different arc (another peer was inserted meanwhile), and a
   // request that re-routes away must not strand the ones behind it.  A
   // request that still belongs here starts a triangle and the rest re-queue.
-  std::deque<PendingJoin> drained = std::move(p.pending_joins);
+  std::vector<PendingJoin> drained = std::move(p.pending_joins);
   p.pending_joins.clear();
   for (auto& next : drained) {
     route_tjoin(pre, next.joiner, next.hops, next.started,
@@ -576,27 +578,16 @@ void HybridSystem::descend_sjoin(PeerIndex at, PeerIndex joiner,
               // an empty index and these announces rebuild it.
               tracker_reannounce_store(joiner);
               // A rejoining orphan brings its subtree along; everyone below
-              // must learn the (possibly new) root.  Revisit-guarded:
-              // child lists can hold transient cycles mid-churn.
-              std::vector<char> seen(peers_.size(), 0);
-              seen[joiner.value()] = 1;
-              std::vector<PeerIndex> frontier = n.children;
-              while (!frontier.empty()) {
-                std::vector<PeerIndex> next_level;
-                for (PeerIndex m : frontier) {
-                  if (seen[m.value()] != 0) continue;
-                  seen[m.value()] = 1;
-                  net_.send(joiner, m, TrafficClass::kControl,
-                            proto::kControlBytes, [this, m, root] {
-                              Peer& mm = peer(m);
-                              mm.tpeer = root;
-                              mm.pid = peer(root).pid;
-                              rehome_foreign_items(m);
-                              tracker_reannounce_store(m);
-                            });
-                  for (PeerIndex c : peer(m).children) next_level.push_back(c);
-                }
-                frontier = std::move(next_level);
+              // must learn the (possibly new) root.
+              for (PeerIndex m : subtree_below(joiner)) {
+                net_.send(joiner, m, TrafficClass::kControl,
+                          proto::kControlBytes, [this, m, root] {
+                            Peer& mm = peer(m);
+                            mm.tpeer = root;
+                            mm.pid = peer(root).pid;
+                            rehome_foreign_items(m);
+                            tracker_reannounce_store(m);
+                          });
               }
               note_heard(joiner, at);
               note_heard(at, joiner);
@@ -930,24 +921,12 @@ void HybridSystem::promote_speer(PeerIndex heir, PeerIndex old_t,
   broadcast_substitution(old_t, heir);
 
   // Everyone below the heir learns the new root (tpeer pointer refresh).
-  // Guarded against revisits: mid-storm races (a rejoin crossing a
-  // note_heard child re-add) can leave transient cycles in child lists.
-  std::vector<char> seen(peers_.size(), 0);
-  seen[heir.value()] = 1;
-  std::vector<PeerIndex> frontier = h.children;
-  while (!frontier.empty()) {
-    std::vector<PeerIndex> next;
-    for (PeerIndex m : frontier) {
-      if (seen[m.value()] != 0) continue;
-      seen[m.value()] = 1;
-      net_.send(heir, m, TrafficClass::kControl, proto::kControlBytes,
-                [this, m, heir] {
-                  peer(m).tpeer = heir;
-                  tracker_reannounce_store(m);
-                });
-      for (PeerIndex c : peer(m).children) next.push_back(c);
-    }
-    frontier = std::move(next);
+  for (PeerIndex m : subtree_below(heir)) {
+    net_.send(heir, m, TrafficClass::kControl, proto::kControlBytes,
+              [this, m, heir] {
+                peer(m).tpeer = heir;
+                tracker_reannounce_store(m);
+              });
   }
 
   if (with_data) {
@@ -1494,18 +1473,50 @@ std::pair<PeerId, PeerId> HybridSystem::segment_of(PeerIndex t) const {
 
 std::vector<PeerIndex> HybridSystem::snetwork_members(PeerIndex t) const {
   std::vector<PeerIndex> out;
-  std::vector<char> seen(peers_.size(), 0);
-  seen[t.value()] = 1;
-  std::vector<PeerIndex> frontier{t};
+  collect_snetwork(t, out);
+  return out;
+}
+
+HybridSystem::Walk::Walk(VisitMarks& marks, std::size_t num_peers)
+    : marks_(marks) {
+  assert(!marks_.open && "tree walks never nest");
+  marks_.open = true;
+  if (marks_.stamp.size() < num_peers) marks_.stamp.resize(num_peers, 0);
+  if (++marks_.epoch == 0) {
+    // Wrapped: stale stamps could now equal the fresh epoch.
+    std::fill(marks_.stamp.begin(), marks_.stamp.end(), 0);
+    marks_.epoch = 1;
+  }
+}
+
+void HybridSystem::collect_snetwork(PeerIndex t,
+                                    std::vector<PeerIndex>& out) const {
+  Walk walk = begin_walk();
+  walk.first_visit(t);
+  std::vector<PeerIndex>& frontier = visit_marks_.frontier;
+  frontier.assign(1, t);
   while (!frontier.empty()) {
     const PeerIndex m = frontier.back();
     frontier.pop_back();
     out.push_back(m);
     for (PeerIndex c : peer(m).children) {
-      if (net_.alive(c) && seen[c.value()] == 0) {
-        seen[c.value()] = 1;
-        frontier.push_back(c);
-      }
+      if (net_.alive(c) && walk.first_visit(c)) frontier.push_back(c);
+    }
+  }
+}
+
+std::vector<PeerIndex> HybridSystem::subtree_below(PeerIndex top) const {
+  // Marking at enqueue visits peers in the order a level-by-level sweep
+  // that skips revisits would.
+  std::vector<PeerIndex> out;
+  Walk walk = begin_walk();
+  walk.first_visit(top);
+  for (PeerIndex c : peer(top).children) {
+    if (walk.first_visit(c)) out.push_back(c);
+  }
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    for (PeerIndex c : peer(out[i]).children) {
+      if (walk.first_visit(c)) out.push_back(c);
     }
   }
   return out;

@@ -13,12 +13,25 @@
 // rng draw, or timer differs from the unreplicated system.
 #include <algorithm>
 #include <memory>
+#include <utility>
 
 #include "hybrid/hybrid_system.hpp"
 
 namespace hp2p::hybrid {
 
 using proto::TrafficClass;
+
+namespace {
+
+/// Rank of candidate `m` for item `id`, lowest first: a per-id hash, so each
+/// item picks its own holders (spreading replica load) while the choice stays
+/// a pure function of the overlay state.  mix64 is a bijection, so distinct
+/// candidates never tie on the hash; the peer index only completes the key.
+std::pair<std::uint64_t, PeerIndex> replica_key(DataId id, PeerIndex m) {
+  return {mix64(id.value() ^ mix64(m.value())), m};
+}
+
+}  // namespace
 
 std::vector<PeerIndex> HybridSystem::replica_set(DataId id) const {
   std::vector<PeerIndex> out;
@@ -27,29 +40,62 @@ std::vector<PeerIndex> HybridSystem::replica_set(DataId id) const {
   out.push_back(owner);
   const unsigned r = params_.replication_factor;
   if (r <= 1) return out;
-  // Rank the owner's live members by a per-id hash so each item picks its
-  // own holders (spreading replica load) while the choice stays a pure
-  // function of the overlay state.  Ties break on the peer index.
-  std::vector<std::pair<std::uint64_t, PeerIndex>> ranked;
-  for (const PeerIndex m : snetwork_members(owner)) {
-    if (m == owner || !net_.alive(m) || !peer(m).joined) continue;
-    ranked.emplace_back(mix64(id.value() ^ mix64(m.value())), m);
-  }
-  std::sort(ranked.begin(), ranked.end());
-  for (const auto& [hash, m] : ranked) {
+  std::vector<PeerIndex> ranked;
+  replica_candidates(owner, ranked);
+  std::sort(ranked.begin(), ranked.end(), [id](PeerIndex a, PeerIndex b) {
+    return replica_key(id, a) < replica_key(id, b);
+  });
+  for (const PeerIndex m : ranked) {
     if (out.size() >= r) break;
     out.push_back(m);
   }
   if (out.size() < r) {
     // S-network too small: the successor t-peer stands in as a fallback
     // holder so a lone t-peer's segment still survives its crash.
-    const PeerIndex suc = peer(owner).successor;
-    if (suc != kNoPeer && suc != owner && net_.alive(suc) &&
-        peer(suc).joined) {
-      out.push_back(suc);
-    }
+    const PeerIndex suc = fallback_successor(owner);
+    if (suc != kNoPeer) out.push_back(suc);
   }
   return out;
+}
+
+bool HybridSystem::in_replica_set(
+    PeerIndex member, DataId id, PeerIndex owner,
+    const std::vector<PeerIndex>& candidates) const {
+  if (owner == kNoPeer) return false;
+  if (member == owner) return true;
+  if (params_.replication_factor <= 1) return false;
+  // replica_set(id) seats the r - 1 best-ranked candidates after the owner.
+  const std::size_t seats = params_.replication_factor - 1;
+  const auto key = replica_key(id, member);
+  bool candidate = false;
+  std::size_t ahead = 0;
+  for (const PeerIndex m : candidates) {
+    if (m == member) {
+      candidate = true;
+    } else if (replica_key(id, m) < key) {
+      ++ahead;
+    }
+  }
+  if (candidate) return ahead < seats;
+  return candidates.size() < seats && member == fallback_successor(owner);
+}
+
+PeerIndex HybridSystem::fallback_successor(PeerIndex owner) const {
+  const PeerIndex suc = peer(owner).successor;
+  if (suc == kNoPeer || suc == owner || !net_.alive(suc) ||
+      !peer(suc).joined) {
+    return kNoPeer;
+  }
+  return suc;
+}
+
+void HybridSystem::replica_candidates(PeerIndex owner,
+                                      std::vector<PeerIndex>& out) const {
+  out.clear();
+  collect_snetwork(owner, out);
+  std::erase_if(out, [this, owner](PeerIndex m) {
+    return m == owner || !net_.alive(m) || !peer(m).joined;
+  });
 }
 
 bool HybridSystem::is_fallback_holder(PeerIndex at, DataId id) const {
@@ -123,16 +169,10 @@ void HybridSystem::replication_sweep(PeerIndex root) {
   auto digest = std::make_shared<const std::vector<DataId>>(
       t.store.ids_in_arc(t.predecessor_id, t.pid));
   std::vector<PeerIndex> targets;
-  for (const PeerIndex m : snetwork_members(root)) {
-    if (m == root || !net_.alive(m) || !peer(m).joined) continue;
-    targets.push_back(m);
-  }
+  replica_candidates(root, targets);
   if (targets.size() + 1 < params_.replication_factor) {
-    const PeerIndex suc = t.successor;
-    if (suc != kNoPeer && suc != root && net_.alive(suc) &&
-        peer(suc).joined) {
-      targets.push_back(suc);
-    }
+    const PeerIndex suc = fallback_successor(root);
+    if (suc != kNoPeer) targets.push_back(suc);
   }
   const auto digest_bytes = static_cast<std::uint32_t>(
       proto::kControlBytes + 8 * digest->size());
@@ -189,14 +229,20 @@ void HybridSystem::sweep_at_member(
   }
 
   // Direction 2: digest ids this member should hold (it is in the replica
-  // set, or it is the successor fallback) but doesn't travel down.
+  // set, or it is the successor fallback) but doesn't travel down.  The
+  // digest is sorted by id, so ids of one owner come in runs (two at most,
+  // when the segment wraps past zero): rank each run's candidates once.
   std::vector<DataId> want;
+  std::vector<PeerIndex> candidates;
+  PeerIndex ranked_owner = kNoPeer;
   for (const DataId id : *digest) {
     if (m.store.contains(id)) continue;
-    const auto rs = replica_set(id);
-    if (std::find(rs.begin(), rs.end(), member) != rs.end()) {
-      want.push_back(id);
+    const PeerIndex owner = registry_owner(id.value());
+    if (owner != ranked_owner && owner != kNoPeer) {
+      replica_candidates(owner, candidates);
+      ranked_owner = owner;
     }
+    if (in_replica_set(member, id, owner, candidates)) want.push_back(id);
   }
   if (want.empty()) return;
   const auto want_bytes = static_cast<std::uint32_t>(

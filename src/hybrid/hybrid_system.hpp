@@ -14,13 +14,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <unordered_map>
 #include <unordered_set>
@@ -326,7 +326,7 @@ class HybridSystem {
     // Concurrency control of Section 3.3.
     bool joining_mutex = false;
     bool leaving_mutex = false;
-    std::deque<PendingJoin> pending_joins;
+    std::vector<PendingJoin> pending_joins;  // pushed, then drained whole
     bool is_server = false;
 
     // S-network membership (t-peers are tree roots; cp == kNoPeer).
@@ -344,14 +344,16 @@ class HybridSystem {
     // and pruning paths iterate it, and iteration feeds message emission.
     std::map<DataId, std::vector<PeerIndex>> tracker_index;
     // Section 7 caching scheme: recently fetched items.  The map gives O(1)
-    // hits on the lookup fast path; the deque preserves FIFO eviction order
+    // hits on the lookup fast path; cache_fifo is a ring buffer of the cached
+    // ids in insertion order, its oldest at cache_oldest once it is full
     // (each cached id appears in it exactly once).
     struct CacheEntry {
       proto::DataItem item;
       sim::SimTime expires{};
     };
     std::unordered_map<DataId, CacheEntry> cache;
-    std::deque<DataId> cache_fifo;  // oldest first
+    std::vector<DataId> cache_fifo;
+    std::size_t cache_oldest = 0;
     std::uint64_t answers_served = 0;
 
     // Failure-detection bookkeeping.
@@ -364,6 +366,9 @@ class HybridSystem {
     /// Last anti-entropy sweep started by this t-peer (replication only).
     sim::SimTime last_sweep{};
   };
+  // peers_ grows one join at a time; a throwing move would make every
+  // reallocation deep-copy each peer's maps and vectors instead.
+  static_assert(std::is_nothrow_move_constructible_v<Peer>);
 
   struct Query {
     PeerIndex origin = kNoPeer;
@@ -384,6 +389,47 @@ class HybridSystem {
   [[nodiscard]] const Peer& peer(PeerIndex i) const {
     return peers_[i.value()];
   }
+
+  // --- Tree walks ----------------------------------------------------------------
+
+  /// Visit marks for walks over child lists, which can hold transient
+  /// cycles mid-churn (a rejoin crossing a note_heard child re-add).  A
+  /// walk stamps each peer it reaches with its own epoch, so starting one
+  /// costs O(1) instead of a zero-filled O(N) scratch vector.  Per
+  /// instance, never static: parallel_map runs systems concurrently.
+  struct VisitMarks {
+    std::vector<std::uint32_t> stamp;  // by peer index: epoch of last visit
+    std::uint32_t epoch = 0;
+    bool open = false;                 // a walk is in progress
+    std::vector<PeerIndex> frontier;   // collect_snetwork's scratch stack
+  };
+  /// One walk over visit_marks_, open while the object lives.  Walks never
+  /// nest (asserted).
+  class Walk {
+   public:
+    Walk(VisitMarks& marks, std::size_t num_peers);
+    ~Walk() { marks_.open = false; }
+    Walk(const Walk&) = delete;
+    Walk& operator=(const Walk&) = delete;
+    /// True the first time `p` is reached in this walk, which marks it.
+    bool first_visit(PeerIndex p) {
+      std::uint32_t& s = marks_.stamp[p.value()];
+      if (s == marks_.epoch) return false;
+      s = marks_.epoch;
+      return true;
+    }
+
+   private:
+    VisitMarks& marks_;
+  };
+  [[nodiscard]] Walk begin_walk() const {
+    return Walk{visit_marks_, peers_.size()};
+  }
+  /// Appends snetwork_members(t) to `out`.
+  void collect_snetwork(PeerIndex t, std::vector<PeerIndex>& out) const;
+  /// Every peer below `top` in its child lists, dead ones included, level
+  /// by level in child-list order, each once (`top` itself never).
+  [[nodiscard]] std::vector<PeerIndex> subtree_below(PeerIndex top) const;
 
   // --- Server logic (runs at server_) -----------------------------------------
 
@@ -591,6 +637,18 @@ class HybridSystem {
   /// True when `at` is the designated successor-fallback holder for `id`
   /// (the owner's successor t-peer, standing in for a too-small s-network).
   [[nodiscard]] bool is_fallback_holder(PeerIndex at, DataId id) const;
+  /// Owner's successor t-peer when it can stand in for a too-small
+  /// s-network (live, joined, not the owner itself), else kNoPeer.
+  [[nodiscard]] PeerIndex fallback_successor(PeerIndex owner) const;
+  /// Sets `out` to the peers replica_set() ranks for ids owned by `owner`:
+  /// the live joined members of its s-network other than itself.
+  void replica_candidates(PeerIndex owner, std::vector<PeerIndex>& out) const;
+  /// Whether `member` is in replica_set(id), given the replica_candidates()
+  /// of id's owner `owner`.  Counts the candidates ranked ahead of `member`
+  /// instead of sorting them, so it allocates nothing.
+  [[nodiscard]] bool in_replica_set(
+      PeerIndex member, DataId id, PeerIndex owner,
+      const std::vector<PeerIndex>& candidates) const;
   /// Restores the primary copy at the owner after `item` answered a lookup
   /// from a non-primary replica at `at`.
   void maybe_read_repair(PeerIndex at, const proto::DataItem& item);
@@ -684,6 +742,7 @@ class HybridSystem {
 
   PeerIndex server_ = kNoPeer;  // the well-known server's transport endpoint
   std::vector<Peer> peers_;
+  mutable VisitMarks visit_marks_;
   /// live_peers() cache; rebuilt lazily after membership_changed() or a
   /// transport liveness-epoch bump.
   mutable std::vector<PeerIndex> live_peers_cache_;

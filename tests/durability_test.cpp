@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "audit/fault_inject.hpp"
 #include "chaos/chaos_runner.hpp"
 #include "common/hashing.hpp"
 #include "hybrid/hybrid_system.hpp"
@@ -22,9 +23,10 @@ namespace {
 
 /// Minimal staged-join fixture (mirrors hybrid_test's HybridFixture).
 struct Fixture {
-  explicit Fixture(std::uint64_t seed, hybrid::HybridParams params)
-      : world(seed, 200), system(world.network, params, HostIndex{0},
-                                 world.rng) {}
+  explicit Fixture(std::uint64_t seed, hybrid::HybridParams params,
+                   std::uint32_t hosts = 200)
+      : world(seed, hosts), system(world.network, params, HostIndex{0},
+                                   world.rng) {}
 
   void build(std::size_t n) {
     const double ps = system.params().ps;
@@ -85,6 +87,81 @@ TEST(Durability, ReplicaSetSelectionIsDeterministic) {
         EXPECT_NE(ra[i], ra[j]) << "duplicate holder for id " << id.value();
       }
     }
+  }
+}
+
+/// Diffs the anti-entropy sweep's allocation-free replica test against
+/// membership in replica_set(id), for every live joined peer and every id in
+/// a live t-peer's digest.  Returns how many of the pairs in a replica set
+/// were seated by the successor fallback.
+std::size_t expect_sweep_matches_replica_set(const hybrid::HybridSystem& sys) {
+  std::vector<PeerIndex> live;
+  std::vector<DataId> digest_ids;
+  for (std::uint32_t i = 0; i < sys.num_peers(); ++i) {
+    const PeerIndex p{i};
+    if (sys.is_server_peer(p) || !sys.is_alive(p) || !sys.is_joined(p)) {
+      continue;
+    }
+    live.push_back(p);
+    if (sys.role_of(p) != hybrid::Role::kTPeer) continue;
+    const auto [lo, hi] = sys.segment_of(p);
+    for (const DataId id : sys.store_of(p).ids_in_arc(lo, hi)) {
+      digest_ids.push_back(id);
+    }
+  }
+  EXPECT_FALSE(digest_ids.empty());
+  std::size_t fallbacks = 0;
+  std::size_t mismatches = 0;
+  for (const DataId id : digest_ids) {
+    const auto rs = sys.replica_set(id);
+    for (const PeerIndex p : live) {
+      const bool in_set = std::find(rs.begin(), rs.end(), p) != rs.end();
+      if (hybrid::FaultInjector::sweep_in_replica_set(sys, p, id) != in_set &&
+          ++mismatches == 1) {
+        ADD_FAILURE() << "peer " << p << ", id " << id.value()
+                      << ": replica_set says " << in_set;
+      }
+      if (in_set && p != rs.front() && p == sys.successor_of(rs.front())) {
+        ++fallbacks;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  return fallbacks;
+}
+
+TEST(Durability, SweepReplicaTestMatchesReplicaSetThroughCrashStorm) {
+  // 300 peers at p_s 0.6 leave many segments with fewer than r - 1 members,
+  // so the successor fallback is exercised as well as the ranking.  The
+  // states are diffed mid-repair after each crash and once settled.
+  for (const unsigned r : {2u, 3u}) {
+    SCOPED_TRACE("replication_factor " + std::to_string(r));
+    Fixture fx{97, replicated_params(r), 320};
+    fx.build(300);
+    for (std::size_t i = 0; i < 300; ++i) {
+      fx.system.store(fx.peers[(i * 7) % fx.peers.size()],
+                      "item-" + std::to_string(i), i);
+    }
+    fx.world.sim.run();
+    fx.system.start_failure_detection();
+    std::vector<PeerIndex> victims;
+    for (const PeerIndex p : fx.peers) {
+      if (fx.system.role_of(p) == hybrid::Role::kTPeer && victims.size() < 10) {
+        victims.push_back(p);
+      }
+    }
+    std::size_t fallbacks = 0;
+    for (std::size_t k = 0; k < victims.size(); ++k) {
+      const auto at = sim::SimTime::seconds(2.0 * static_cast<double>(k));
+      fx.world.sim.schedule_after(
+          at, [&fx, v = victims[k]] { fx.system.crash(v); });
+      fx.world.sim.schedule_after(at + sim::SimTime::seconds(1), [&] {
+        fallbacks += expect_sweep_matches_replica_set(fx.system);
+      });
+    }
+    fx.world.sim.run_until(fx.world.sim.now() + sim::SimTime::seconds(80));
+    fallbacks += expect_sweep_matches_replica_set(fx.system);
+    EXPECT_GT(fallbacks, 0u) << "the successor fallback never fired";
   }
 }
 

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <numeric>
@@ -11,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "audit/fault_inject.hpp"
 #include "common/alloc_stats.hpp"
 #include "common/hashing.hpp"
 #include "common/ring_math.hpp"
@@ -622,6 +625,86 @@ TEST(Hybrid, TPeerLeaveTransfersData) {
   f.system.leave(victim);
   f.world.sim.run();
   EXPECT_EQ(f.system.total_items(), before);
+}
+
+TEST(Hybrid, TreeWalksVisitEachMemberOnceUnderChildListCycle) {
+  // Two identical worlds; one gets a child-list cycle among the s-peers of
+  // a leaving t-peer.  Walks must see each member once, and the promotion
+  // must send the cyclic world no more tpeer refreshes than the acyclic one.
+  auto params = defaults();
+  params.ps = 0.9;
+  params.delta = 2;
+  HybridFixture plain{63, params};
+  HybridFixture looped{63, params};
+  plain.build(60);
+  looped.build(60);
+  PeerIndex root = kNoPeer;
+  std::size_t largest = 0;
+  for (const auto p : looped.peers) {
+    const std::size_t size = looped.system.snetwork_members(p).size();
+    if (looped.system.role_of(p) == Role::kTPeer && size > largest) {
+      root = p;
+      largest = size;
+    }
+  }
+  ASSERT_NE(root, kNoPeer);
+  const auto members = looped.system.snetwork_members(root);
+
+  // The acyclic twin leaves first, which names the heir both worlds pick.
+  const auto& plain_stats = plain.world.network.stats();
+  const std::uint64_t plain_before = plain_stats.messages_sent;
+  plain.system.leave(root);
+  const std::uint64_t plain_sent = plain_stats.messages_sent - plain_before;
+  PeerIndex heir = kNoPeer;
+  for (const auto m : members) {
+    if (m != root && plain.system.role_of(m) == Role::kTPeer) heir = m;
+  }
+  ASSERT_NE(heir, kNoPeer);
+
+  // An s-peer with a child, neither of them the heir, closes the cycle.
+  PeerIndex upper = kNoPeer;
+  PeerIndex lower = kNoPeer;
+  for (const auto m : members) {
+    if (m == root || m == heir || upper != kNoPeer) continue;
+    for (const auto c : looped.system.children_of(m)) {
+      if (c != heir) {
+        upper = m;
+        lower = c;
+        break;
+      }
+    }
+  }
+  ASSERT_NE(upper, kNoPeer) << "no two-level subtree beside the heir";
+  FaultInjector::close_child_cycle(looped.system, upper, lower);
+
+  const auto walked = looped.system.snetwork_members(root);
+  EXPECT_EQ(walked, members);
+  auto sorted = walked;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end());
+  // Back-to-back walks reuse the marks under a fresh epoch.
+  EXPECT_EQ(looped.system.snetwork_members(root), members);
+  // Across the epoch wrap: the last epoch, the wrap to a cleared epoch 1,
+  // and a second wrap over marks stamped 1 that the clear must drop.
+  constexpr auto kMaxEpoch = std::numeric_limits<std::uint32_t>::max();
+  FaultInjector::set_walk_epoch(looped.system, kMaxEpoch - 1);
+  EXPECT_EQ(looped.system.snetwork_members(root), members);
+  EXPECT_EQ(looped.system.snetwork_members(root), members);
+  FaultInjector::set_walk_epoch(looped.system, kMaxEpoch);
+  EXPECT_EQ(looped.system.snetwork_members(root), members);
+
+  const auto& looped_stats = looped.world.network.stats();
+  const std::uint64_t looped_before = looped_stats.messages_sent;
+  looped.system.leave(root);
+  EXPECT_EQ(looped.system.role_of(heir), Role::kTPeer);
+  EXPECT_EQ(looped_stats.messages_sent - looped_before, plain_sent)
+      << "the cycle changed the promotion's message count";
+  looped.world.sim.run();
+  for (const auto m : members) {
+    if (m != root) {
+      EXPECT_EQ(looped.system.tpeer_of(m), heir) << m;
+    }
+  }
 }
 
 TEST(Hybrid, LonerTPeerLeaveShrinksRing) {

@@ -14,8 +14,12 @@
 // 3. The continuous profiler earns its keep at N=20,000 (bench_scale's top
 //    default rung): >= 90% of measured dispatch time must be attributed to
 //    named components, and attaching the profiler must cost <= 5% in
-//    events/sec (min-of-2 wall times on both arms to damp scheduler noise).
+//    process CPU time (median ratio over back-to-back pairs).
+// 4. Membership allocates O(1) per join: its allocated bytes per completed
+//    join stay small and flat from 5k to 20k peers.
 #include <gtest/gtest.h>
+
+#include <time.h>
 
 #include <algorithm>
 #include <cstdint>
@@ -118,10 +122,20 @@ RunConfig profiled_rung_config() {
   return cfg;
 }
 
-double total_wall_ms(const RunResult& r) {
-  double wall = 0;
-  for (const auto& phase : r.phases) wall += phase.wall_ms;
-  return wall;
+/// CPU time this process has used, in seconds.
+double process_cpu_s() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+/// Runs `cfg`; sets `cpu_s` to the process CPU time the call used.
+RunResult run_timed(const RunConfig& cfg, double& cpu_s) {
+  const double start = process_cpu_s();
+  RunResult r = run_hybrid_experiment(cfg);
+  cpu_s = process_cpu_s() - start;
+  return r;
 }
 
 TEST(Scale, ProfilerAttributesDispatchTimeAtTwentyThousandPeers) {
@@ -153,35 +167,64 @@ TEST(Scale, ProfilerAttributesDispatchTimeAtTwentyThousandPeers) {
 TEST(Scale, ProfilerOverheadStaysUnderFivePercent) {
   const auto cfg = profiled_rung_config();
   // events_executed is identical on both arms (the profiler schedules
-  // nothing), so events/sec overhead reduces to the wall-time ratio.
-  // Shared-host wall-time noise here dwarfs the real overhead, so each
-  // back-to-back (plain, profiled) pair yields one ratio -- adjacent runs
-  // see the same machine conditions, cancelling drift -- and the median
-  // over the pairs rejects the occasional run a noise spike lands on.
+  // nothing), so events/sec overhead reduces to the ratio of the CPU time
+  // each whole call used.  CPU time leaves out the waits a shared host adds
+  // to wall time; each back-to-back (plain, profiled) pair still yields one
+  // ratio, so adjacent runs see the same cache and frequency conditions,
+  // and the median over the pairs rejects the occasional outlier.
   std::vector<double> ratios;
   std::uint64_t events = 0;
   std::uint64_t profiled_events = 0;
   for (int i = 0; i < 5; ++i) {
-    const RunResult plain = run_hybrid_experiment(cfg);
+    double plain_s = 0;
+    const RunResult plain = run_timed(cfg, plain_s);
     events = plain.sim_stats.events_executed;
 
     auto pcfg = cfg;
     stats::Profiler prof;
     pcfg.profiler = &prof;
-    const RunResult profiled = run_hybrid_experiment(pcfg);
+    double profiled_s = 0;
+    const RunResult profiled = run_timed(pcfg, profiled_s);
     profiled_events = profiled.sim_stats.events_executed;
 
-    ASSERT_GT(total_wall_ms(plain), 0.0);
-    ratios.push_back(total_wall_ms(profiled) / total_wall_ms(plain));
+    ASSERT_GT(plain_s, 0.0);
+    ratios.push_back(profiled_s / plain_s);
   }
   EXPECT_EQ(events, profiled_events)
       << "profiling must not change the event stream";
   std::sort(ratios.begin(), ratios.end());
   const double overhead = ratios[ratios.size() / 2] - 1.0;
   EXPECT_LE(overhead, 0.05)
-      << "median profiled/plain wall ratio " << ratios[ratios.size() / 2]
+      << "median profiled/plain CPU-time ratio " << ratios[ratios.size() / 2]
       << " (" << overhead * 100 << "% overhead; ratios " << ratios.front()
       << " .. " << ratios.back() << ")";
+}
+
+TEST(Scale, MembershipAllocatesConstantBytesPerJoin) {
+  // An s-peer join is one server contact plus a short walk down a
+  // delta-capped tree, so what membership allocates per join must not grow
+  // with N.  O(N) scratch per join (a zero-filled visited vector, or a
+  // deep copy of every peer on each peers_ reallocation) fails both bounds.
+  double per_join[2] = {};
+  const std::uint32_t sizes[2] = {5'000, 20'000};
+  for (int i = 0; i < 2; ++i) {
+    auto cfg = profiled_rung_config();
+    cfg.num_peers = sizes[i];
+    stats::Profiler prof;
+    cfg.profiler = &prof;
+    const RunResult r = run_hybrid_experiment(cfg);
+    ASSERT_EQ(r.joins_completed, sizes[i]);
+    per_join[i] = static_cast<double>(
+                      prof.component_total(sim::Component::kMembership)
+                          .alloc_bytes) /
+                  static_cast<double>(r.joins_completed);
+    EXPECT_LE(per_join[i], 1024.0)
+        << sizes[i] << " peers: membership allocated " << per_join[i]
+        << " B per completed join";
+  }
+  EXPECT_LE(per_join[1], 1.25 * per_join[0])
+      << "membership bytes per join grew from " << per_join[0] << " B at 5k to "
+      << per_join[1] << " B at 20k peers";
 }
 
 TEST(Scale, PaperScaleDigestIsPinned) {
