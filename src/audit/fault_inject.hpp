@@ -20,16 +20,14 @@ struct FaultInjector {
   /// so only ring_successor_symmetry trips (not ring_id_cache).
   static void corrupt_successor(HybridSystem& sys, PeerIndex t,
                                 PeerIndex wrong) {
-    auto& p = sys.peer(t);
-    p.successor = wrong;
-    p.successor_id = sys.peer(wrong).pid;
+    sys.ring(sys.peer(t)).successor = sys.link_to(wrong);
   }
 
   /// Flips the low bit of the cached successor id; the pointer itself stays
   /// correct, so only ring_id_cache trips.
   static void corrupt_successor_id(HybridSystem& sys, PeerIndex t) {
-    auto& p = sys.peer(t);
-    p.successor_id = PeerId{p.successor_id.value() ^ 1};
+    PeerId& id = sys.ring(sys.peer(t)).successor.id;
+    id = PeerId{id.value() ^ 1};
   }
 
   /// Re-parents leaf s-peers of `parent`'s own s-network under `parent`
@@ -96,6 +94,11 @@ struct FaultInjector {
   static void close_child_cycle(HybridSystem& sys, PeerIndex upper,
                                 PeerIndex lower) {
     sys.peer(lower).children.push_back(upper);
+  }
+
+  /// Whether `p` holds a ring position (RingState) at all.
+  static bool holds_ring(const HybridSystem& sys, PeerIndex p) {
+    return sys.peer(p).ring != nullptr;
   }
 
   /// Sets the tree-walk epoch, so a test can reach its wrap-around without

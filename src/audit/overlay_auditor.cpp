@@ -278,11 +278,11 @@ void OverlayAuditor::check_fingers(AuditReport& report) {
             "finger[" + std::to_string(k) + "]");
       }
       ++report.checks_run;
-      const PeerIndex owner = sys_.owner_tpeer(DataId{f.start});
+      const PeerIndex owner = sys_.owner_tpeer(DataId{fingers.start(k)});
       if (owner != kNoPeer && owner != f.node) {
         add(report, "finger_targets", t,
             "finger[" + std::to_string(k) + "] == successor(" +
-                std::to_string(f.start) + ") == " + peer_str(owner),
+                std::to_string(fingers.start(k)) + ") == " + peer_str(owner),
             peer_str(f.node));
       }
     }

@@ -414,7 +414,7 @@ void ChordNetwork::fix_next_finger(PeerIndex i) {
   n.next_finger_to_fix = (k + 1) % FingerTable::size();
   Route route;
   route.origin = i;
-  route.target = n.fingers.entry(k).start;
+  route.target = n.fingers.start(k);
   route_to_owner(i, route, TrafficClass::kControl, proto::kControlBytes,
                  [this, i, k](PeerIndex owner, const Route&) {
                    // Owner of the finger start is the finger target; report

@@ -12,10 +12,9 @@
 
 namespace hp2p::chord {
 
-/// One finger: the target start id and the peer currently believed to cover
-/// it.
+/// One finger: the peer currently believed to cover its start id
+/// (FingerTable::start).
 struct Finger {
-  std::uint64_t start = 0;
   PeerIndex node = kNoPeer;
   PeerId node_id{};
 };
@@ -25,16 +24,18 @@ class FingerTable {
  public:
   FingerTable() = default;
 
-  /// Initializes start ids for a node with ring id `own`.
+  /// Empties the table for a node with ring id `own`.
   void init(PeerId own) {
     own_ = own;
-    for (unsigned k = 0; k < kRingBits; ++k) {
-      fingers_[k] = Finger{ring::finger_start(own.value(), k), kNoPeer, {}};
-    }
+    fingers_.fill(Finger{});
   }
 
   [[nodiscard]] static constexpr unsigned size() { return kRingBits; }
   [[nodiscard]] const Finger& entry(unsigned k) const { return fingers_[k]; }
+  /// Start id of entry k: own id + 2^k.  Derived, so never stored.
+  [[nodiscard]] std::uint64_t start(unsigned k) const {
+    return ring::finger_start(own_.value(), k);
+  }
 
   void set(unsigned k, PeerIndex node, PeerId node_id) {
     fingers_[k].node = node;

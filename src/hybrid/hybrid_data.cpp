@@ -16,8 +16,8 @@ bool HybridSystem::in_local_segment(const Peer& p, DataId id) const {
   if (root == kNoPeer) return false;
   const Peer& t = peer(root);
   if (!t.joined) return false;
-  return ring::in_arc_open_closed(id.value(), t.predecessor_id.value(),
-                                  t.pid.value());
+  return ring::in_arc_open_closed(
+      id.value(), ring_view(t).predecessor.id.value(), t.pid.value());
 }
 
 // --- Store (Section 3.4) --------------------------------------------------------
@@ -155,7 +155,7 @@ void HybridSystem::route_at_root(const RouteRef& r, PeerIndex root,
       bt_lookup(r->origin, r->qid, root, hops);
       return;
     case RouteKind::kKeywordRing: {
-      const PeerIndex next = peer(root).successor;
+      const PeerIndex next = ring_view(peer(root)).successor.peer;
       if (next == kNoPeer || next == root) return;
       net_.send(root, next, TrafficClass::kQuery, proto::kQueryBytes,
                 [this, next, root, qid = r->qid] {
@@ -199,9 +199,10 @@ void HybridSystem::route_ring(const RouteRef& r, PeerIndex at,
     net_.note_drop(at, proto::DropReason::kNoRoute, r->cls(), r->ctx);
     return;
   }
-  if (ring::in_arc_open_closed(r->target, here.predecessor_id.value(),
+  const RingState& ring_here = ring(here);
+  if (ring::in_arc_open_closed(r->target, ring_here.predecessor.id.value(),
                                here.pid.value()) ||
-      here.successor == at) {
+      ring_here.successor.peer == at) {
     route_at_owner(*r, at, hops, contacted);
     return;
   }
@@ -213,8 +214,8 @@ void HybridSystem::ring_forward(const RouteRef& r, PeerIndex at,
                                 std::uint32_t hops, std::uint32_t contacted,
                                 unsigned attempt) {
   sim::ComponentScope prof{sim_, sim::Component::kRing};
-  Peer& here = peer(at);
-  PeerIndex next = here.successor;
+  const RingState& here = ring(peer(at));
+  PeerIndex next = here.successor.peer;
   if (params_.t_routing == TRouting::kFinger) {
     const chord::Finger f = here.fingers.closest_preceding(r->target);
     if (f.node != kNoPeer && f.node != at) next = f.node;
@@ -427,8 +428,9 @@ void HybridSystem::rehome_foreign_items(PeerIndex at) {
   // The local segment is (pred, pid]; its ring complement is (pid, pred].
   // extract_arc(a == a) would take everything, so a full-circle segment
   // (single t-peer ring) has no foreign items by definition.
-  if (t.predecessor_id == t.pid) return;
-  auto foreign = p.store.extract_arc(t.pid, t.predecessor_id);
+  const PeerId pred_id = ring_view(t).predecessor.id;
+  if (pred_id == t.pid) return;
+  auto foreign = p.store.extract_arc(t.pid, pred_id);
   for (auto& item : foreign) {
     if (replication_active() && item.replica &&
         is_fallback_holder(at, item.id)) {
@@ -473,7 +475,8 @@ void HybridSystem::maybe_add_bypass(PeerIndex a, PeerIndex b) {
         return;
       }
     }
-    from.bypass.push_back(BypassLink{to.self, remote_root.predecessor_id,
+    from.bypass.push_back(BypassLink{to.self,
+                                     ring_view(remote_root).predecessor.id,
                                      remote_root.pid, expiry});
   };
   install(pa, pb);
@@ -607,8 +610,10 @@ void HybridSystem::bt_lookup(PeerIndex /*origin*/, std::uint64_t qid,
     ++it->second.contacted;
   }
   if (try_answer(tracker, qid, hops)) return;
-  const auto holder_it = t.tracker_index.find(it->second.target);
-  if (holder_it == t.tracker_index.end()) return;  // miss: timeout fires
+  if (t.ring == nullptr) return;  // no ring position, no index: a miss
+  auto& index = t.ring->tracker_index;
+  const auto holder_it = index.find(it->second.target);
+  if (holder_it == index.end()) return;  // miss: timeout fires
   // The tracker hands the query to every announced holder it still
   // believes alive (its own heartbeats prune dead members; the liveness
   // check here mirrors prune_bypass).  The first holder with the item
@@ -620,7 +625,7 @@ void HybridSystem::bt_lookup(PeerIndex /*origin*/, std::uint64_t qid,
     return !net_.alive(h) || !peer(h).joined;
   });
   if (holders.empty()) {
-    t.tracker_index.erase(holder_it);
+    index.erase(holder_it);
     return;  // every announced holder is gone: timeout fires
   }
   for (const PeerIndex holder : holders) {
@@ -639,18 +644,20 @@ void HybridSystem::bt_lookup(PeerIndex /*origin*/, std::uint64_t qid,
 // --- Tracker index maintenance (BitTorrent style) ----------------------------------
 
 void HybridSystem::tracker_index_add(Peer& t, DataId id, PeerIndex holder) {
-  auto& holders = t.tracker_index[id];
+  if (t.ring == nullptr) return;  // handed over, or not promoted yet
+  auto& holders = t.ring->tracker_index[id];
   if (std::find(holders.begin(), holders.end(), holder) == holders.end()) {
     holders.push_back(holder);
   }
 }
 
 void HybridSystem::tracker_index_prune(Peer& t, PeerIndex dead) {
-  for (auto it = t.tracker_index.begin(); it != t.tracker_index.end();) {
+  if (t.ring == nullptr) return;
+  auto& index = t.ring->tracker_index;
+  for (auto it = index.begin(); it != index.end();) {
     auto& holders = it->second;
-    holders.erase(std::remove(holders.begin(), holders.end(), dead),
-                  holders.end());
-    it = holders.empty() ? t.tracker_index.erase(it) : std::next(it);
+    std::erase(holders, dead);
+    it = holders.empty() ? index.erase(it) : std::next(it);
   }
 }
 
@@ -699,8 +706,9 @@ void HybridSystem::tracker_reannounce_store(PeerIndex member) {
 
 std::vector<PeerIndex> HybridSystem::tracker_holders(PeerIndex t,
                                                      DataId id) const {
-  const auto it = peer(t).tracker_index.find(id);
-  if (it == peer(t).tracker_index.end()) return {};
+  const auto& index = ring_view(peer(t)).tracker_index;
+  const auto it = index.find(id);
+  if (it == index.end()) return {};
   return it->second;
 }
 
@@ -936,24 +944,10 @@ void HybridSystem::keyword_ring_walk(PeerIndex at, PeerIndex stop_at,
   if (q.visited.insert(at.value()).second) {
     ++q.result.peers_contacted;
     // The t-peer contributes its own matches and floods its s-network.
-    std::vector<std::string> matches;
-    here.store.for_each([&](const proto::DataItem& item) {
-      if (item.key.find(q.substring) != std::string::npos) {
-        matches.push_back(item.key);
-      }
-    });
-    if (!matches.empty()) {
-      net_.send(at, q.origin, TrafficClass::kData, proto::kDataBytes,
-                [this, qid, matches = std::move(matches)] {
-                  auto qit = keyword_queries_.find(qid);
-                  if (qit == keyword_queries_.end()) return;
-                  auto& keys = qit->second.result.keys;
-                  keys.insert(keys.end(), matches.begin(), matches.end());
-                });
-    }
+    keyword_report(at, qid, q);
     keyword_flood(at, kNoPeer, qid, params_.ttl);
   }
-  const PeerIndex next = here.successor;
+  const PeerIndex next = ring_view(here).successor.peer;
   if (next == kNoPeer || next == at) return;
   net_.send(at, next, TrafficClass::kQuery, proto::kQueryBytes,
             [this, next, stop_at, qid] {
@@ -975,25 +969,28 @@ void HybridSystem::keyword_flood(PeerIndex at, PeerIndex from,
       KeywordQuery& q = it->second;
       if (!q.visited.insert(n.value()).second) return;
       ++q.result.peers_contacted;
-      // Collect local matches and ship them straight to the origin.
-      std::vector<std::string> matches;
-      peer(n).store.for_each([&](const proto::DataItem& item) {
-        if (item.key.find(q.substring) != std::string::npos) {
-          matches.push_back(item.key);
-        }
-      });
-      if (!matches.empty()) {
-        net_.send(n, q.origin, TrafficClass::kData, proto::kDataBytes,
-                  [this, qid, matches = std::move(matches)] {
-                    auto qit = keyword_queries_.find(qid);
-                    if (qit == keyword_queries_.end()) return;
-                    auto& keys = qit->second.result.keys;
-                    keys.insert(keys.end(), matches.begin(), matches.end());
-                  });
-      }
+      keyword_report(n, qid, q);
       keyword_flood(n, at, qid, ttl - 1);
     });
   }
+}
+
+void HybridSystem::keyword_report(PeerIndex at, std::uint64_t qid,
+                                  const KeywordQuery& q) {
+  std::vector<std::string> matches;
+  peer(at).store.for_each([&](const proto::DataItem& item) {
+    if (item.key.find(q.substring) != std::string::npos) {
+      matches.push_back(item.key);
+    }
+  });
+  if (matches.empty()) return;
+  net_.send(at, q.origin, TrafficClass::kData, proto::kDataBytes,
+            [this, qid, matches = std::move(matches)] {
+              auto it = keyword_queries_.find(qid);
+              if (it == keyword_queries_.end()) return;
+              auto& keys = it->second.result.keys;
+              keys.insert(keys.end(), matches.begin(), matches.end());
+            });
 }
 
 void HybridSystem::fail_query_fast(std::uint64_t qid) {

@@ -11,6 +11,8 @@ namespace hp2p::hybrid {
 
 using proto::TrafficClass;
 
+const HybridSystem::RingState HybridSystem::kNoRing{};
+
 HybridSystem::HybridSystem(proto::OverlayNetwork& network,
                            HybridParams params, HostIndex server_host,
                            Rng& rng)
@@ -41,7 +43,6 @@ HybridSystem::HybridSystem(proto::OverlayNetwork& network,
 // --- Server logic -------------------------------------------------------------
 
 Role HybridSystem::server_pick_role(HostIndex host) {
-  if (registry_.empty()) return Role::kTPeer;  // someone must seed the ring
   double p_t = 1.0 - params_.ps;
   if (params_.capacity_aware_roles) {
     // Section 5.1: bias t-peer roles toward fast access links while keeping
@@ -212,28 +213,10 @@ PeerIndex HybridSystem::server_pick_snetwork(PeerIndex joiner) {
 // --- Peer admission -----------------------------------------------------------
 
 PeerIndex HybridSystem::add_peer(HostIndex host, JoinCallback done) {
-  // Role decided at the server; we pre-register the endpoint, then the
-  // request message travels to the server.
-  const PeerIndex i = net_.add_peer(host);
-  Peer p;
-  p.self = i;
-  p.host = host;
-  p.interest = static_cast<std::uint32_t>(rng_.index(params_.num_interests));
-  peers_.push_back(std::move(p));
-
-  const sim::SimTime started = sim_.now();
-  net_.send(i, server_, TrafficClass::kControl, proto::kControlBytes,
-            [this, i, host, started, done = std::move(done)]() mutable {
-              const Role role = server_pick_role(host);
-              peer(i).role = role;
-              if (role == Role::kTPeer) {
-                start_tpeer_join(i, started, std::move(done));
-              } else {
-                start_speer_join(i, server_pick_snetwork(i), started,
-                                 std::move(done));
-              }
-            });
-  return i;
+  return admit_peer(
+      host, std::nullopt,
+      static_cast<std::uint32_t>(rng_.index(params_.num_interests)),
+      std::move(done));
 }
 
 PeerIndex HybridSystem::add_peer_with_role(HostIndex host, Role role,
@@ -247,20 +230,32 @@ PeerIndex HybridSystem::add_peer_with_role(HostIndex host, Role role,
 PeerIndex HybridSystem::add_peer_with_interest(HostIndex host, Role role,
                                                std::uint32_t interest,
                                                JoinCallback done) {
+  return admit_peer(host, role, interest, std::move(done));
+}
+
+PeerIndex HybridSystem::admit_peer(HostIndex host, std::optional<Role> forced,
+                                   std::uint32_t interest, JoinCallback done) {
   sim::ComponentScope prof{sim_, sim::Component::kMembership};
+  // Pre-register the endpoint; the request message then travels to the
+  // server, which settles the role.
   const PeerIndex i = net_.add_peer(host);
   Peer p;
   p.self = i;
   p.host = host;
-  p.role = role;
+  p.role = forced.value_or(Role::kSPeer);
   p.interest = interest;
   peers_.push_back(std::move(p));
 
   const sim::SimTime started = sim_.now();
   net_.send(i, server_, TrafficClass::kControl, proto::kControlBytes,
-            [this, i, role, started, done = std::move(done)]() mutable {
-              if (role == Role::kTPeer || registry_.empty()) {
-                peer(i).role = Role::kTPeer;
+            [this, i, host, forced, started, done = std::move(done)]() mutable {
+              // Someone must seed the ring; past that a forced role stands
+              // and the server picks the rest.
+              const Role role = registry_.empty() ? Role::kTPeer
+                                : forced          ? *forced
+                                                  : server_pick_role(host);
+              peer(i).role = role;
+              if (role == Role::kTPeer) {
                 start_tpeer_join(i, started, std::move(done));
               } else {
                 start_speer_join(i, server_pick_snetwork(i), started,
@@ -276,15 +271,14 @@ void HybridSystem::start_tpeer_join(PeerIndex joiner, sim::SimTime started,
                                     JoinCallback done) {
   Peer& n = peer(joiner);
   n.pid = server_generate_pid();
-  n.fingers.init(n.pid);
+  n.ring = std::make_unique<RingState>();
+  n.ring->fingers.init(n.pid);
   n.tpeer = joiner;
 
   if (registry_.empty()) {
     // First node: a one-peer ring.
-    n.successor = joiner;
-    n.successor_id = n.pid;
-    n.predecessor = joiner;
-    n.predecessor_id = n.pid;
+    n.ring->successor = link_to(joiner);
+    n.ring->predecessor = link_to(joiner);
     registry_insert(n.pid, joiner);
     set_snetwork_size(joiner, 0);
     // Server informs the peer it is the seed (one reply message).
@@ -327,19 +321,20 @@ void HybridSystem::route_tjoin(PeerIndex at, PeerIndex joiner,
               });
     return;
   }
+  const RingState& r = ring(here);
   const std::uint64_t target = peer(joiner).pid.value();
   // `at` is the insertion predecessor when the target lies in
   // (at, at.successor]; equality with the successor id is the conflict case
   // resolved inside the triangle.
-  if (here.successor == at ||
+  if (r.successor.peer == at ||
       ring::in_arc_open_closed(target, here.pid.value(),
-                               here.successor_id.value())) {
+                               r.successor.id.value())) {
     tjoin_at_pre(at, PendingJoin{joiner, hops, started, std::move(done)});
     return;
   }
-  PeerIndex next = here.successor;
+  PeerIndex next = r.successor.peer;
   if (params_.t_routing == TRouting::kFinger) {
-    const chord::Finger f = here.fingers.closest_preceding(target);
+    const chord::Finger f = r.fingers.closest_preceding(target);
     if (f.node != kNoPeer && f.node != at) next = f.node;
   }
   net_.send(at, next, TrafficClass::kControl, proto::kControlBytes,
@@ -350,9 +345,9 @@ void HybridSystem::route_tjoin(PeerIndex at, PeerIndex joiner,
 
 void HybridSystem::tjoin_at_pre(PeerIndex pre, PendingJoin req) {
   Peer& p = peer(pre);
-  if (p.joining_mutex || p.leaving_mutex) {
+  if (ring(p).joining_mutex || p.leaving_mutex) {
     // Section 3.3: serialize -- queue behind the in-flight operation.
-    p.pending_joins.push_back(std::move(req));
+    ring(p).pending_joins.push_back(std::move(req));
     return;
   }
   run_join_triangle(pre, std::move(req));
@@ -360,43 +355,41 @@ void HybridSystem::tjoin_at_pre(PeerIndex pre, PendingJoin req) {
 
 void HybridSystem::run_join_triangle(PeerIndex pre, PendingJoin req) {
   Peer& p = peer(pre);
-  p.joining_mutex = true;
+  RingState& pr = ring(p);
+  pr.joining_mutex = true;
   Peer& n = peer(req.joiner);
 
   // Id-conflict resolution (pre.check of Table 1): midpoint of the arc.
-  if (n.pid == p.pid || n.pid == p.successor_id) {
-    n.pid = PeerId{ring::midpoint_cw(p.pid.value(), p.successor_id.value())};
-    n.fingers.init(n.pid);
+  if (n.pid == p.pid || n.pid == pr.successor.id) {
+    n.pid = PeerId{ring::midpoint_cw(p.pid.value(), pr.successor.id.value())};
+    ring(n).fingers.init(n.pid);
     if (n.pid == p.pid) {
       // Arc of size < 2: nowhere to insert; retry with a fresh random id.
-      p.joining_mutex = false;
+      pr.joining_mutex = false;
       n.pid = server_generate_pid();
-      n.fingers.init(n.pid);
+      ring(n).fingers.init(n.pid);
       route_tjoin(pre, req.joiner, req.hops, req.started, std::move(req.done));
       return;
     }
   }
 
-  const PeerIndex suc = p.successor;
-  const PeerId suc_id = p.successor_id;
+  const RingLink suc_link = pr.successor;
   const PeerIndex joiner = req.joiner;
 
   // Join triangle (Fig. 2): pre -> new (successor address), new -> suc
   // (adopt me as predecessor), suc -> pre (ack; pre flips its successor).
   net_.send(pre, joiner, TrafficClass::kControl, proto::kControlBytes,
-            [this, pre, joiner, suc, suc_id,
+            [this, pre, joiner, suc_link,
              req = std::make_shared<PendingJoin>(std::move(req))]() mutable {
-    Peer& nn = peer(joiner);
-    nn.successor = suc;
-    nn.successor_id = suc_id;
-    nn.predecessor = pre;
-    nn.predecessor_id = peer(pre).pid;
+    RingState& jr = ring(peer(joiner));
+    jr.successor = suc_link;
+    jr.predecessor = link_to(pre);
+    const PeerIndex suc = suc_link.peer;
     net_.send(joiner, suc, TrafficClass::kControl, proto::kControlBytes,
               [this, pre, joiner, suc, req] {
       Peer& s = peer(suc);
-      const PeerId old_pred_id = s.predecessor_id;
-      s.predecessor = joiner;
-      s.predecessor_id = peer(joiner).pid;
+      const PeerId old_pred_id = ring_view(s).predecessor.id;
+      set_link(s, &RingState::predecessor, link_to(joiner));
       // Load transfer (suc.loadtransfer of Table 1): every member of suc's
       // s-network hands over items now owned by the joiner,
       // i.e. d_id in (old predecessor, joiner].
@@ -417,8 +410,7 @@ void HybridSystem::run_join_triangle(PeerIndex pre, PendingJoin req) {
                 [this, pre, joiner, req] {
         Peer& pp = peer(pre);
         Peer& nn2 = peer(joiner);
-        pp.successor = joiner;
-        pp.successor_id = nn2.pid;
+        ring(pp).successor = link_to(joiner);
         nn2.joined = true;
         membership_changed();
         registry_insert(nn2.pid, joiner);
@@ -430,7 +422,7 @@ void HybridSystem::run_join_triangle(PeerIndex pre, PendingJoin req) {
         if (req->done) {
           req->done(proto::JoinResult{sim_.now() - req->started, req->hops});
         }
-        pp.joining_mutex = false;
+        ring(pp).joining_mutex = false;
         process_pending_joins(pre);
       });
     });
@@ -439,13 +431,13 @@ void HybridSystem::run_join_triangle(PeerIndex pre, PendingJoin req) {
 
 void HybridSystem::process_pending_joins(PeerIndex pre) {
   Peer& p = peer(pre);
-  if (p.joining_mutex || p.leaving_mutex || p.pending_joins.empty()) return;
+  const RingState& r = ring_view(p);
+  if (r.joining_mutex || p.leaving_mutex || r.pending_joins.empty()) return;
   // Drain the whole queue, re-routing each request: a queued joiner may now
   // belong to a different arc (another peer was inserted meanwhile), and a
   // request that re-routes away must not strand the ones behind it.  A
   // request that still belongs here starts a triangle and the rest re-queue.
-  std::vector<PendingJoin> drained = std::move(p.pending_joins);
-  p.pending_joins.clear();
+  std::vector<PendingJoin> drained = std::exchange(ring(p).pending_joins, {});
   for (auto& next : drained) {
     route_tjoin(pre, next.joiner, next.hops, next.started,
                 std::move(next.done));
@@ -548,8 +540,7 @@ void HybridSystem::descend_sjoin(PeerIndex at, PeerIndex joiner,
   // Accept here: `at` becomes the joiner's connect point.  A rejoin retry
   // can race an earlier acceptance that is still in flight; never record
   // the same child twice.
-  if (std::find(here.children.begin(), here.children.end(), joiner) ==
-      here.children.end()) {
+  if (std::ranges::find(here.children, joiner) == here.children.end()) {
     here.children.push_back(joiner);
   }
   const PeerIndex root = here.tpeer;
@@ -560,9 +551,7 @@ void HybridSystem::descend_sjoin(PeerIndex at, PeerIndex joiner,
                 // A raced earlier acceptance registered us under another
                 // parent; unhook that entry or the tree keeps two records
                 // of one child.
-                auto& sibs = peer(n.cp).children;
-                sibs.erase(std::remove(sibs.begin(), sibs.end(), joiner),
-                           sibs.end());
+                std::erase(peer(n.cp).children, joiner);
               }
               n.cp = at;
               n.tpeer = root;
@@ -711,9 +700,7 @@ void HybridSystem::detach_from_tree(PeerIndex p_idx, bool notify_children) {
     const PeerIndex parent = p.cp;
     net_.send(p_idx, parent, TrafficClass::kControl, proto::kControlBytes,
               [this, parent, p_idx] {
-                auto& kids = peer(parent).children;
-                kids.erase(std::remove(kids.begin(), kids.end(), p_idx),
-                           kids.end());
+                std::erase(peer(parent).children, p_idx);
               });
   }
   if (notify_children) {
@@ -724,11 +711,7 @@ void HybridSystem::detach_from_tree(PeerIndex p_idx, bool notify_children) {
   }
   for (PeerIndex m : p.mesh_links) {
     net_.send(p_idx, m, TrafficClass::kControl, proto::kControlBytes,
-              [this, m, p_idx] {
-                auto& links = peer(m).mesh_links;
-                links.erase(std::remove(links.begin(), links.end(), p_idx),
-                            links.end());
-              });
+              [this, m, p_idx] { std::erase(peer(m).mesh_links, p_idx); });
   }
   p.children.clear();
   p.mesh_links.clear();
@@ -760,7 +743,7 @@ void HybridSystem::rejoin_subtree(PeerIndex child) {
 
 void HybridSystem::tpeer_leave(PeerIndex leaving) {
   Peer& p = peer(leaving);
-  if (p.joining_mutex || !p.pending_joins.empty()) {
+  if (ring_view(p).joining_mutex || !ring_view(p).pending_joins.empty()) {
     // Section 3.3: a leaving peer must first drain its join queue.
     p.leaving_mutex = true;  // refuse *new* joins while draining
     sim_.schedule_after(sim::SimTime::millis(10),
@@ -798,50 +781,53 @@ void HybridSystem::promote_speer(PeerIndex heir, PeerIndex old_t,
   Peer& o = peer(old_t);
 
   // Heir steps out of its tree slot, keeping its own subtree.
-  if (h.cp != kNoPeer && h.cp != old_t) {
-    const PeerIndex parent = h.cp;
-    auto& kids = peer(parent).children;
-    kids.erase(std::remove(kids.begin(), kids.end(), heir), kids.end());
-  }
-  if (h.cp == old_t) {
-    auto& kids = o.children;
-    kids.erase(std::remove(kids.begin(), kids.end(), heir), kids.end());
-  }
+  if (h.cp != kNoPeer) std::erase(peer(h.cp).children, heir);
   h.cp = kNoPeer;
 
-  // Role transfer: pid, ring pointers, finger table (Section 3.2.1).
-  // The heir changes role without a joined flip, so the role census must
-  // be invalidated here explicitly.
+  // Role transfer: pid and ring position (Section 3.2.1).  The heir
+  // changes role without a joined flip, so the role census must be
+  // invalidated here explicitly.
   h.role = Role::kTPeer;
   membership_changed();
   h.pid = o.pid;
   h.tpeer = heir;
-  if (with_data || o.joined) {
-    h.successor = (o.successor == old_t) ? heir : o.successor;
-    h.successor_id = o.successor_id;
-    h.predecessor = (o.predecessor == old_t) ? heir : o.predecessor;
-    h.predecessor_id = o.predecessor_id;
-    h.fingers = o.fingers;
+  if (with_data) {
+    // Graceful handover: the whole position -- links, fingers, join queue
+    // and tracker index -- moves to the heir (the leaver's join mutex is
+    // free: tpeer_leave waits for it).  The sweep clock starts afresh.
+    h.ring = std::move(o.ring);
+    ring(h).last_sweep = {};
   } else {
-    // Crash replacement: ring neighbors come from the server registry.
-    h.fingers.init(h.pid);
-    auto it = registry_.find(h.pid.value());
-    if (it != registry_.end()) {
-      auto next = std::next(it) == registry_.end() ? registry_.begin()
-                                                   : std::next(it);
-      auto prev = it == registry_.begin() ? std::prev(registry_.end())
-                                          : std::prev(it);
-      h.successor = next->second == old_t ? heir : next->second;
-      h.successor_id = peer(h.successor).pid;
-      h.predecessor = prev->second == old_t ? heir : prev->second;
-      h.predecessor_id = peer(h.predecessor).pid;
+    if (h.ring == nullptr) h.ring = std::make_unique<RingState>();
+    RingState& r = ring(h);
+    if (o.joined) {
+      // The slot's holder rejoined before this promotion landed: take
+      // over its links and fingers as they stand.
+      const RingState& from = ring_view(o);
+      r.successor = from.successor;
+      r.predecessor = from.predecessor;
+      r.fingers = from.fingers;
     } else {
-      h.successor = heir;
-      h.successor_id = h.pid;
-      h.predecessor = heir;
-      h.predecessor_id = h.pid;
+      // Crash replacement: ring neighbors come from the server registry.
+      r.fingers.init(h.pid);
+      auto it = registry_.find(h.pid.value());
+      if (it != registry_.end()) {
+        auto next = std::next(it) == registry_.end() ? registry_.begin()
+                                                     : std::next(it);
+        auto prev = it == registry_.begin() ? std::prev(registry_.end())
+                                            : std::prev(it);
+        r.successor = link_to(next->second);
+        r.predecessor = link_to(prev->second);
+      } else {
+        r.successor = link_to(heir);
+        r.predecessor = link_to(heir);
+      }
     }
   }
+  // Links to the old slot's holder now mean the heir.
+  RingState& r = ring(h);
+  if (r.successor.peer == old_t) r.successor.peer = heir;
+  if (r.predecessor.peer == old_t) r.predecessor.peer = heir;
 
   // On a graceful handover the old root's remaining children re-parent onto
   // the heir.  After a crash the heir cannot read the dead peer's neighbor
@@ -858,22 +844,18 @@ void HybridSystem::promote_speer(PeerIndex heir, PeerIndex old_t,
   o.children.clear();
 
   // Ring neighbors adopt the heir.
-  if (h.successor != heir) {
-    const PeerIndex suc = h.successor;
+  if (r.successor.peer != heir) {
+    const PeerIndex suc = r.successor.peer;
     net_.send(heir, suc, TrafficClass::kControl, proto::kControlBytes,
               [this, suc, heir] {
-                Peer& s = peer(suc);
-                s.predecessor = heir;
-                s.predecessor_id = peer(heir).pid;
+                set_link(peer(suc), &RingState::predecessor, link_to(heir));
               });
   }
-  if (h.predecessor != heir) {
-    const PeerIndex pre = h.predecessor;
+  if (r.predecessor.peer != heir) {
+    const PeerIndex pre = r.predecessor.peer;
     net_.send(heir, pre, TrafficClass::kControl, proto::kControlBytes,
               [this, pre, heir] {
-                Peer& pp = peer(pre);
-                pp.successor = heir;
-                pp.successor_id = peer(heir).pid;
+                set_link(peer(pre), &RingState::successor, link_to(heir));
               });
   }
 
@@ -887,25 +869,17 @@ void HybridSystem::promote_speer(PeerIndex heir, PeerIndex old_t,
                   for (auto& item : items) insert_or_rehome(heir, std::move(item));
                 });
     }
-    // Pending join requests and the tracker index (BitTorrent-style
-    // s-networks) transfer with the ring position.
-    h.pending_joins = std::move(o.pending_joins);
-    o.pending_joins.clear();
-    h.tracker_index = std::move(o.tracker_index);
-    o.tracker_index.clear();
-    // Entries naming the leaver are stale the moment it goes dark; its
-    // items travel to the heir in the transfer above, so rewrite them.
-    for (auto& [id, holders] : h.tracker_index) {
-      bool has_heir = std::find(holders.begin(), holders.end(), heir) !=
-                      holders.end();
+    // Tracker entries naming the leaver are stale the moment it goes dark;
+    // its items travel to the heir in the transfer above, so rewrite them.
+    for (auto& [id, holders] : r.tracker_index) {
+      bool has_heir = std::ranges::find(holders, heir) != holders.end();
       for (PeerIndex& holder : holders) {
         if (holder != old_t) continue;
         holder = heir;
         if (has_heir) holder = kNoPeer;  // already listed: mark for removal
         has_heir = true;
       }
-      holders.erase(std::remove(holders.begin(), holders.end(), kNoPeer),
-                    holders.end());
+      std::erase(holders, kNoPeer);
     }
   } else if (params_.style == SNetworkStyle::kBitTorrent) {
     // Crash replacement: the index died with the old tracker.  Seed the
@@ -930,10 +904,9 @@ void HybridSystem::promote_speer(PeerIndex heir, PeerIndex old_t,
   }
 
   if (with_data) {
-    Peer& old_ref = peer(old_t);
-    old_ref.joined = false;
+    o.joined = false;
     membership_changed();
-    old_ref.leaving_mutex = false;
+    o.leaving_mutex = false;
     net_.set_alive(old_t, false);
   }
   if (failure_detection_) heartbeat_tick(heir);
@@ -946,8 +919,8 @@ void HybridSystem::promote_speer(PeerIndex heir, PeerIndex old_t,
 
 void HybridSystem::ring_leave(PeerIndex leaving) {
   Peer& p = peer(leaving);
-  const PeerIndex pre = p.predecessor;
-  const PeerIndex suc = p.successor;
+  const PeerIndex pre = ring_view(p).predecessor.peer;
+  const PeerIndex suc = ring_view(p).successor.peer;
   registry_erase(p.pid);
   erase_snetwork_size(leaving);
 
@@ -972,7 +945,8 @@ void HybridSystem::ring_leave_wait_pre(PeerIndex leaving) {
   // afresh on every attempt: a concurrent leave may have rewired
   // `leaving`'s predecessor/successor while we waited.
   Peer& me = peer(leaving);
-  if (me.successor == leaving || registry_.empty()) {
+  const RingState& mr = ring_view(me);
+  if (mr.successor.peer == leaving || registry_.empty()) {
     // Everyone else left while we waited: the ring collapses to us alone.
     me.joined = false;
     membership_changed();
@@ -980,58 +954,54 @@ void HybridSystem::ring_leave_wait_pre(PeerIndex leaving) {
     net_.set_alive(leaving, false);
     return;
   }
-  const PeerIndex pre = me.predecessor;
+  const PeerIndex pre = mr.predecessor.peer;
   const Peer& pp = peer(pre);
+  const RingState& pr = ring_view(pp);
   const bool mutual_leave_tiebreak =
-      pp.leaving_mutex && pp.predecessor == leaving &&
+      pp.leaving_mutex && pr.predecessor.peer == leaving &&
       pre.value() > leaving.value();
-  if ((pp.joining_mutex || pp.leaving_mutex || !pp.joined) &&
+  if ((pr.joining_mutex || pp.leaving_mutex || !pp.joined) &&
       !mutual_leave_tiebreak) {
     sim_.schedule_after(sim::SimTime::millis(20),
                         [this, leaving] { ring_leave_wait_pre(leaving); });
     return;
   }
-  ring_leave_step2(pre, me.successor, me.successor_id, leaving,
-                   me.predecessor_id);
+  ring_leave_step2(mr.predecessor, mr.successor, leaving);
 }
 
-void HybridSystem::ring_leave_step2(PeerIndex pre, PeerIndex suc,
-                                    PeerId suc_id, PeerIndex leaving,
-                                    PeerId pre_id) {
-  {
-    Peer& pp = peer(pre);
-    pp.successor = suc;
-    pp.successor_id = suc_id;
-    net_.send(pre, suc, TrafficClass::kControl, proto::kControlBytes,
-              [this, suc, leaving, pre, pre_id] {
-      Peer& s = peer(suc);
-      // Only flip when the leaving peer really is our predecessor.
-      if (s.predecessor == leaving) {
-        s.predecessor = pre;
-        s.predecessor_id = pre_id;
-      }
-      net_.send(suc, leaving, TrafficClass::kControl, proto::kControlBytes,
-                [this, leaving, suc] {
-                  // loaddump(): everything to the successor, then go dark.
-                  Peer& lp = peer(leaving);
-                  auto items = lp.store.extract_all();
-                  if (!items.empty()) {
-                    net_.send(leaving, suc, TrafficClass::kData,
-                              proto::kDataBytes *
-                                  static_cast<std::uint32_t>(items.size()),
-                              [this, suc, items = std::move(items)]() mutable {
-                                for (auto& item : items) {
-                                  insert_or_rehome(suc, std::move(item));
-                                }
-                              });
-                  }
-                  lp.joined = false;
-                  membership_changed();
-                  lp.leaving_mutex = false;
-                  net_.set_alive(leaving, false);
-                });
-    });
-  }
+void HybridSystem::ring_leave_step2(RingLink pre_link, RingLink suc_link,
+                                    PeerIndex leaving) {
+  const PeerIndex pre = pre_link.peer;
+  const PeerIndex suc = suc_link.peer;
+  set_link(peer(pre), &RingState::successor, suc_link);
+  net_.send(pre, suc, TrafficClass::kControl, proto::kControlBytes,
+            [this, suc, leaving, pre_link] {
+    Peer& s = peer(suc);
+    // Only flip when the leaving peer really is our predecessor.
+    if (ring_view(s).predecessor.peer == leaving) {
+      ring(s).predecessor = pre_link;
+    }
+    net_.send(suc, leaving, TrafficClass::kControl, proto::kControlBytes,
+              [this, leaving, suc] {
+                // loaddump(): everything to the successor, then go dark.
+                Peer& lp = peer(leaving);
+                auto items = lp.store.extract_all();
+                if (!items.empty()) {
+                  net_.send(leaving, suc, TrafficClass::kData,
+                            proto::kDataBytes *
+                                static_cast<std::uint32_t>(items.size()),
+                            [this, suc, items = std::move(items)]() mutable {
+                              for (auto& item : items) {
+                                insert_or_rehome(suc, std::move(item));
+                              }
+                            });
+                }
+                lp.joined = false;
+                membership_changed();
+                lp.leaving_mutex = false;
+                net_.set_alive(leaving, false);
+              });
+  });
 }
 
 void HybridSystem::broadcast_substitution(PeerIndex old_t, PeerIndex new_t) {
@@ -1042,19 +1012,18 @@ void HybridSystem::broadcast_substitution(PeerIndex old_t, PeerIndex new_t) {
     if (t == old_t || t == new_t) continue;
     net_.send(server_, t, TrafficClass::kControl, proto::kControlBytes,
               [this, t, old_t, new_t] {
-                Peer& tp = peer(t);
+                // A registered crash heir whose promotion is still in
+                // flight holds nothing to substitute yet.
+                if (peer(t).ring == nullptr) return;
+                RingState& r = ring(peer(t));
                 if (new_t != kNoPeer) {
-                  tp.fingers.substitute(old_t, new_t, peer(new_t).pid);
-                  if (tp.successor == old_t) {
-                    tp.successor = new_t;
-                    tp.successor_id = peer(new_t).pid;
-                  }
-                  if (tp.predecessor == old_t) {
-                    tp.predecessor = new_t;
-                    tp.predecessor_id = peer(new_t).pid;
+                  r.fingers.substitute(old_t, new_t, peer(new_t).pid);
+                  if (r.successor.peer == old_t) r.successor = link_to(new_t);
+                  if (r.predecessor.peer == old_t) {
+                    r.predecessor = link_to(new_t);
                   }
                 } else {
-                  tp.fingers.evict(old_t);
+                  r.fingers.evict(old_t);
                 }
               });
   }
@@ -1118,8 +1087,7 @@ void HybridSystem::server_handle_compete(PeerIndex orphan,
   }
 }
 
-void HybridSystem::server_handle_ring_repair(PeerIndex reporter,
-                                             PeerIndex dead) {
+void HybridSystem::server_handle_ring_repair(PeerIndex dead) {
   if (net_.alive(dead) && peer(dead).joined) return;  // false alarm
   if (!replaced_tpeers_.insert(dead.value()).second) return;
   const PeerId dead_pid = peer(dead).pid;
@@ -1134,18 +1102,13 @@ void HybridSystem::server_handle_ring_repair(PeerIndex reporter,
   if (pre == kNoPeer || suc == kNoPeer) return;
   net_.send(server_, pre, TrafficClass::kControl, proto::kControlBytes,
             [this, pre, suc] {
-              Peer& pp = peer(pre);
-              pp.successor = suc;
-              pp.successor_id = peer(suc).pid;
+              set_link(peer(pre), &RingState::successor, link_to(suc));
             });
   net_.send(server_, suc, TrafficClass::kControl, proto::kControlBytes,
             [this, suc, pre] {
-              Peer& s = peer(suc);
-              s.predecessor = pre;
-              s.predecessor_id = peer(pre).pid;
+              set_link(peer(suc), &RingState::predecessor, link_to(pre));
             });
   broadcast_substitution(dead, kNoPeer);
-  (void)reporter;
 }
 
 void HybridSystem::server_refresh_ring_pointers(PeerIndex reporter,
@@ -1175,13 +1138,11 @@ void HybridSystem::server_refresh_ring_pointers(PeerIndex reporter,
   net_.send(server_, reporter, TrafficClass::kControl, proto::kControlBytes,
             [this, reporter, dead, suc_fix, pre_fix] {
               Peer& r = peer(reporter);
-              if (r.successor == dead) {
-                r.successor = suc_fix;
-                r.successor_id = peer(suc_fix).pid;
+              if (ring_view(r).successor.peer == dead) {
+                ring(r).successor = link_to(suc_fix);
               }
-              if (r.predecessor == dead) {
-                r.predecessor = pre_fix;
-                r.predecessor_id = peer(pre_fix).pid;
+              if (ring_view(r).predecessor.peer == dead) {
+                ring(r).predecessor = link_to(pre_fix);
               }
             });
 }
@@ -1194,13 +1155,10 @@ std::vector<PeerIndex> HybridSystem::link_neighbors(const Peer& p) const {
   out.insert(out.end(), p.children.begin(), p.children.end());
   out.insert(out.end(), p.mesh_links.begin(), p.mesh_links.end());
   if (p.role == Role::kTPeer && p.joined) {
-    if (p.successor != kNoPeer && p.successor != p.self) {
-      out.push_back(p.successor);
-    }
-    if (p.predecessor != kNoPeer && p.predecessor != p.self &&
-        p.predecessor != p.successor) {
-      out.push_back(p.predecessor);
-    }
+    const PeerIndex suc = ring_view(p).successor.peer;
+    const PeerIndex pre = ring_view(p).predecessor.peer;
+    if (suc != kNoPeer && suc != p.self) out.push_back(suc);
+    if (pre != kNoPeer && pre != p.self && pre != suc) out.push_back(pre);
   }
   return out;
 }
@@ -1277,8 +1235,8 @@ void HybridSystem::heartbeat_step(PeerIndex p_idx) {
   // gated: at r = 1 this neither reads nor writes any state.
   if (replication_active() && p.role == Role::kTPeer &&
       params_.anti_entropy_period > sim::Duration{} &&
-      sim::expired(p.last_sweep + params_.anti_entropy_period, now)) {
-    p.last_sweep = now;
+      sim::expired(ring(p).last_sweep + params_.anti_entropy_period, now)) {
+    ring(p).last_sweep = now;
     replication_sweep(p_idx);
   }
   // Footprint for the verify/ explorer: a heartbeat scan reads and writes
@@ -1305,26 +1263,25 @@ void HybridSystem::note_heard(PeerIndex at, PeerIndex from) {
   // narrows the arc to the claimed neighbor -- so they converge and cannot
   // oscillate.
   if (p.role == Role::kTPeer && f.role == Role::kTPeer && f.pid != p.pid) {
-    if (f.successor == at) {
-      const bool pred_gone = p.predecessor == kNoPeer ||
-                             p.predecessor == at ||
-                             !net_.alive(p.predecessor) ||
-                             !peer(p.predecessor).joined;
+    RingState& r = ring(p);
+    const RingState& fr = ring_view(f);
+    if (fr.successor.peer == at) {
+      const PeerIndex pre = r.predecessor.peer;
+      const bool pred_gone = pre == kNoPeer || pre == at ||
+                             !net_.alive(pre) || !peer(pre).joined;
       if (pred_gone || ring::in_arc_open_open(f.pid.value(),
-                                              p.predecessor_id.value(),
+                                              r.predecessor.id.value(),
                                               p.pid.value())) {
-        p.predecessor = from;
-        p.predecessor_id = f.pid;
+        r.predecessor = link_to(from);
       }
     }
-    if (f.predecessor == at) {
-      const bool suc_gone = p.successor == kNoPeer || p.successor == at ||
-                            !net_.alive(p.successor) ||
-                            !peer(p.successor).joined;
+    if (fr.predecessor.peer == at) {
+      const PeerIndex suc = r.successor.peer;
+      const bool suc_gone = suc == kNoPeer || suc == at ||
+                            !net_.alive(suc) || !peer(suc).joined;
       if (suc_gone || ring::in_arc_open_open(f.pid.value(), p.pid.value(),
-                                             p.successor_id.value())) {
-        p.successor = from;
-        p.successor_id = f.pid;
+                                             r.successor.id.value())) {
+        r.successor = link_to(from);
       }
     }
   }
@@ -1387,9 +1344,7 @@ void HybridSystem::on_neighbor_dead(PeerIndex at, PeerIndex dead) {
   trigger_re_replication(at);
 
   // Child died: forget it; its own children will rejoin by themselves.
-  auto& kids = p.children;
-  if (std::find(kids.begin(), kids.end(), dead) != kids.end()) {
-    kids.erase(std::remove(kids.begin(), kids.end(), dead), kids.end());
+  if (std::erase(p.children, dead) != 0) {
     // A tracker also forgets what the dead member held: its data is gone,
     // and a stale index entry would only delay lookups into the timeout.
     if (p.role == Role::kTPeer &&
@@ -1399,11 +1354,7 @@ void HybridSystem::on_neighbor_dead(PeerIndex at, PeerIndex dead) {
     }
     return;
   }
-  auto& mesh = p.mesh_links;
-  if (std::find(mesh.begin(), mesh.end(), dead) != mesh.end()) {
-    mesh.erase(std::remove(mesh.begin(), mesh.end(), dead), mesh.end());
-    return;
-  }
+  if (std::erase(p.mesh_links, dead) != 0) return;
   if (p.cp == dead) {
     p.cp = kNoPeer;
     if (dead == p.tpeer) {
@@ -1415,7 +1366,8 @@ void HybridSystem::on_neighbor_dead(PeerIndex at, PeerIndex dead) {
     }
     return;
   }
-  if (p.role == Role::kTPeer && (p.successor == dead || p.predecessor == dead)) {
+  if (p.role == Role::kTPeer && (ring_view(p).successor.peer == dead ||
+                                 ring_view(p).predecessor.peer == dead)) {
     // Ring neighbor crashed.  If it had an s-network, its orphans will
     // replace it; a loner t-peer needs server-side ring repair.
     net_.send(at, server_, TrafficClass::kControl, proto::kControlBytes,
@@ -1427,15 +1379,12 @@ void HybridSystem::on_neighbor_dead(PeerIndex at, PeerIndex dead) {
                   server_refresh_ring_pointers(at, dead);
                   return;
                 }
-                bool has_orphans = false;
-                for (const Peer& q : peers_) {
-                  if (!q.is_server && q.joined && net_.alive(q.self) &&
-                      q.tpeer == dead) {
-                    has_orphans = true;
-                    break;
-                  }
-                }
-                if (!has_orphans) server_handle_ring_repair(at, dead);
+                const bool has_orphans =
+                    std::ranges::any_of(peers_, [&](const Peer& q) {
+                      return !q.is_server && q.joined && net_.alive(q.self) &&
+                             q.tpeer == dead;
+                    });
+                if (!has_orphans) server_handle_ring_repair(dead);
               });
   }
 }
@@ -1468,7 +1417,7 @@ std::size_t HybridSystem::num_speers() const {
 
 std::pair<PeerId, PeerId> HybridSystem::segment_of(PeerIndex t) const {
   const Peer& p = peer(t);
-  return {p.predecessor_id, p.pid};
+  return {ring_view(p).predecessor.id, p.pid};
 }
 
 std::vector<PeerIndex> HybridSystem::snetwork_members(PeerIndex t) const {
@@ -1538,9 +1487,9 @@ bool HybridSystem::verify_ring() const {
   do {
     const Peer& p = peer(at);
     if (!p.joined) return false;
-    const Peer& s = peer(p.successor);
-    if (s.predecessor != at) return false;
-    at = p.successor;
+    const PeerIndex suc = ring_view(p).successor.peer;
+    if (ring_view(peer(suc)).predecessor.peer != at) return false;
+    at = suc;
     if (++seen > tpeers.size()) return false;
   } while (at != start);
   return seen == tpeers.size();
@@ -1620,11 +1569,13 @@ void HybridSystem::refresh_all_fingers() {
   sim::ComponentScope prof{sim_, sim::Component::kRing};
   for (const auto& [pid, t] : registry_) {
     Peer& p = peer(t);
-    if (!p.joined) continue;
+    // A registered crash heir still waiting for its promotion has no table.
+    if (!p.joined || p.ring == nullptr) continue;
+    chord::FingerTable& fingers = ring(p).fingers;
     for (unsigned k = 0; k < chord::FingerTable::size(); ++k) {
-      const std::uint64_t start = ring::finger_start(p.pid.value(), k);
-      const PeerIndex owner = registry_owner(start);
-      if (owner != kNoPeer) p.fingers.set(k, owner, peer(owner).pid);
+      const PeerIndex owner =
+          registry_owner(ring::finger_start(p.pid.value(), k));
+      if (owner != kNoPeer) fingers.set(k, owner, peer(owner).pid);
     }
   }
 }

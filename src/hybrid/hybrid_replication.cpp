@@ -81,7 +81,7 @@ bool HybridSystem::in_replica_set(
 }
 
 PeerIndex HybridSystem::fallback_successor(PeerIndex owner) const {
-  const PeerIndex suc = peer(owner).successor;
+  const PeerIndex suc = ring_view(peer(owner)).successor.peer;
   if (suc == kNoPeer || suc == owner || !net_.alive(suc) ||
       !peer(suc).joined) {
     return kNoPeer;
@@ -103,7 +103,7 @@ bool HybridSystem::is_fallback_holder(PeerIndex at, DataId id) const {
   if (p.role != Role::kTPeer || !p.joined) return false;
   const PeerIndex owner = registry_owner(id.value());
   if (owner == kNoPeer || owner == at) return false;
-  return peer(owner).successor == at;
+  return ring_view(peer(owner)).successor.peer == at;
 }
 
 void HybridSystem::store_or_merge(Peer& p, proto::DataItem item) {
@@ -167,7 +167,7 @@ void HybridSystem::replication_sweep(PeerIndex root) {
   Peer& t = peer(root);
   if (!net_.alive(root) || !t.joined || t.role != Role::kTPeer) return;
   auto digest = std::make_shared<const std::vector<DataId>>(
-      t.store.ids_in_arc(t.predecessor_id, t.pid));
+      t.store.ids_in_arc(ring_view(t).predecessor.id, t.pid));
   std::vector<PeerIndex> targets;
   replica_candidates(root, targets);
   if (targets.size() + 1 < params_.replication_factor) {
@@ -192,7 +192,7 @@ void HybridSystem::sweep_at_member(
       t.role != Role::kTPeer) {
     return;
   }
-  const PeerId lo = t.predecessor_id;
+  const PeerId lo = ring_view(t).predecessor.id;
   const PeerId hi = t.pid;
   const auto in_digest = [&digest](DataId id) {
     return std::binary_search(digest->begin(), digest->end(), id);

@@ -13,6 +13,7 @@
 // replacement, bypass links, and the Section 5 enhancements.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -141,25 +142,27 @@ class HybridSystem {
   }
   [[nodiscard]] PeerIndex tpeer_of(PeerIndex p) const { return peer(p).tpeer; }
   [[nodiscard]] PeerIndex parent_of(PeerIndex p) const { return peer(p).cp; }
+  /// Ring links and fingers.  Only t-peers hold a ring position; any other
+  /// peer reads kNoPeer links and an empty finger table.
   [[nodiscard]] PeerIndex successor_of(PeerIndex p) const {
-    return peer(p).successor;
+    return ring_view(peer(p)).successor.peer;
   }
   [[nodiscard]] PeerId successor_id_of(PeerIndex p) const {
-    return peer(p).successor_id;
+    return ring_view(peer(p)).successor.id;
   }
   [[nodiscard]] PeerIndex predecessor_of(PeerIndex p) const {
-    return peer(p).predecessor;
+    return ring_view(peer(p)).predecessor.peer;
   }
   [[nodiscard]] PeerId predecessor_id_of(PeerIndex p) const {
-    return peer(p).predecessor_id;
+    return ring_view(peer(p)).predecessor.id;
   }
   [[nodiscard]] const chord::FingerTable& fingers_of(PeerIndex p) const {
-    return peer(p).fingers;
+    return ring_view(peer(p)).fingers;
   }
   /// Mid-join / mid-leave flags (Section 3.3 mutexes).  The auditor uses
   /// them to tell transient protocol states from genuine corruption.
   [[nodiscard]] bool is_joining(PeerIndex p) const {
-    return peer(p).joining_mutex;
+    return ring_view(peer(p)).joining_mutex;
   }
   [[nodiscard]] bool is_leaving(PeerIndex p) const {
     return peer(p).leaving_mutex;
@@ -309,6 +312,34 @@ class HybridSystem {
     JoinCallback done;
   };
 
+  /// One ring link: a neighbour t-peer and the ring id it is known by.
+  struct RingLink {
+    PeerIndex peer = kNoPeer;
+    PeerId id{};
+  };
+
+  /// A t-peer's ring position (Section 3.1), the state only t-peers hold.
+  /// It is allocated where a peer takes a ring position (start_tpeer_join,
+  /// crash promotion) and moves whole to the heir on a graceful promotion.
+  /// S-peers and departed t-peers have none; ring_view() reads them as a
+  /// default RingState, and writes aimed at them are dropped.
+  struct RingState {
+    RingLink successor;
+    RingLink predecessor;
+    chord::FingerTable fingers;
+    // Section 3.3 join serialization: the mutex and the queue behind it.
+    bool joining_mutex = false;
+    std::vector<PendingJoin> pending_joins;  // pushed, then drained whole
+    // BitTorrent style: tracker index at the t-peer (d_id -> holders, in
+    // announce order).  Multiple holders per id is what makes multi-peer
+    // swarm downloads work: the tracker hands the query to every announced
+    // holder and the first live one answers.  Ordered map: the promotion
+    // and pruning paths iterate it, and iteration feeds message emission.
+    std::map<DataId, std::vector<PeerIndex>> tracker_index;
+    /// Last anti-entropy sweep started by this t-peer (replication only).
+    sim::SimTime last_sweep{};
+  };
+
   struct Peer {
     PeerIndex self = kNoPeer;
     HostIndex host = kNoHost;
@@ -316,18 +347,10 @@ class HybridSystem {
     PeerId pid{};
     std::uint32_t interest = 0;
     bool joined = false;
-
-    // T-peer ring state.
-    PeerIndex successor = kNoPeer;
-    PeerId successor_id{};
-    PeerIndex predecessor = kNoPeer;
-    PeerId predecessor_id{};
-    chord::FingerTable fingers;
-    // Concurrency control of Section 3.3.
-    bool joining_mutex = false;
-    bool leaving_mutex = false;
-    std::vector<PendingJoin> pending_joins;  // pushed, then drained whole
+    bool leaving_mutex = false;  // Section 3.3, for both roles
     bool is_server = false;
+
+    std::unique_ptr<RingState> ring;  // t-peers only
 
     // S-network membership (t-peers are tree roots; cp == kNoPeer).
     PeerIndex tpeer = kNoPeer;  // root of my s-network (self for t-peers)
@@ -337,12 +360,6 @@ class HybridSystem {
     std::vector<BypassLink> bypass;
 
     proto::DataStore store;
-    // BitTorrent style: tracker index at the t-peer (d_id -> holders, in
-    // announce order).  Multiple holders per id is what makes multi-peer
-    // swarm downloads work: the tracker hands the query to every announced
-    // holder and the first live one answers.  Ordered map: the promotion
-    // and pruning paths iterate it, and iteration feeds message emission.
-    std::map<DataId, std::vector<PeerIndex>> tracker_index;
     // Section 7 caching scheme: recently fetched items.  The map gives O(1)
     // hits on the lookup fast path; cache_fifo is a ring buffer of the cached
     // ids in insertion order, its oldest at cache_oldest once it is full
@@ -363,12 +380,12 @@ class HybridSystem {
     /// Last time this orphaned s-peer asked to rejoin a tree; throttles the
     /// heartbeat-driven re-attach retry to one request per hello_timeout.
     sim::SimTime last_rejoin_attempt{};
-    /// Last anti-entropy sweep started by this t-peer (replication only).
-    sim::SimTime last_sweep{};
   };
   // peers_ grows one join at a time; a throwing move would make every
   // reallocation deep-copy each peer's maps and vectors instead.
   static_assert(std::is_nothrow_move_constructible_v<Peer>);
+  // Every peer pays for Peer; only t-peers pay for a RingState.
+  static_assert(sizeof(Peer) <= 512);
 
   struct Query {
     PeerIndex origin = kNoPeer;
@@ -388,6 +405,28 @@ class HybridSystem {
   Peer& peer(PeerIndex i) { return peers_[i.value()]; }
   [[nodiscard]] const Peer& peer(PeerIndex i) const {
     return peers_[i.value()];
+  }
+
+  /// `p`'s ring position, for handlers that already know `p` holds one (a
+  /// joined t-peer, or one mid-join).  Asserted.
+  static RingState& ring(Peer& p) {
+    assert(p.ring != nullptr && "peer holds no ring position");
+    return *p.ring;
+  }
+  /// Read view that tolerates absence: a peer without a ring position reads
+  /// as kNoRing (kNoPeer links, empty fingers, queue and index).
+  static const RingState& ring_view(const Peer& p) {
+    return p.ring != nullptr ? *p.ring : kNoRing;
+  }
+  static const RingState kNoRing;
+  /// The link to `n` under its current ring id.
+  [[nodiscard]] RingLink link_to(PeerIndex n) const { return {n, peer(n).pid}; }
+  /// Points `p`'s `side` link (&RingState::successor or
+  /// &RingState::predecessor) at `to`.  Dropped when `p` holds no ring
+  /// position: the server registers a crash heir before its promotion
+  /// lands, so ring repair can address a peer that is still an s-peer.
+  static void set_link(Peer& p, RingLink RingState::*side, RingLink to) {
+    if (p.ring != nullptr) (*p.ring).*side = to;
   }
 
   // --- Tree walks ----------------------------------------------------------------
@@ -442,7 +481,7 @@ class HybridSystem {
   void server_handle_compete(PeerIndex orphan, PeerIndex dead_tpeer);
   /// Ring repair when a t-peer with no surviving s-network crashes: the
   /// server drops it from the registry and reconnects its ring neighbors.
-  void server_handle_ring_repair(PeerIndex reporter, PeerIndex dead);
+  void server_handle_ring_repair(PeerIndex dead);
   /// A t-peer reported `dead` after its slot was already taken over: tell
   /// the reporter who holds the slot now, so a raced/suppressed adoption
   /// message cannot leave its ring pointers dangling forever.
@@ -462,6 +501,11 @@ class HybridSystem {
 
   // --- Join protocols ----------------------------------------------------------
 
+  /// The one admission path behind add_peer*: registers the endpoint and
+  /// sends the join request to the server.  A forced role shows from
+  /// creation; otherwise the peer reads kSPeer until the server picks.
+  PeerIndex admit_peer(HostIndex host, std::optional<Role> forced,
+                       std::uint32_t interest, JoinCallback done);
   void start_tpeer_join(PeerIndex joiner, sim::SimTime started,
                         JoinCallback done);
   void route_tjoin(PeerIndex at, PeerIndex joiner, std::uint32_t hops,
@@ -494,8 +538,7 @@ class HybridSystem {
   void promote_speer(PeerIndex heir, PeerIndex old_t, bool with_data);
   void ring_leave(PeerIndex leaving);
   void ring_leave_wait_pre(PeerIndex leaving);
-  void ring_leave_step2(PeerIndex pre, PeerIndex suc, PeerId suc_id,
-                        PeerIndex leaving, PeerId pre_id);
+  void ring_leave_step2(RingLink pre, RingLink suc, PeerIndex leaving);
   void broadcast_substitution(PeerIndex old_t, PeerIndex new_t);
   void detach_from_tree(PeerIndex p, bool notify_children);
   void rejoin_subtree(PeerIndex child);
@@ -696,7 +739,8 @@ class HybridSystem {
 
   // --- Tracker index maintenance (BitTorrent style) -----------------------------
 
-  /// Records `holder` for `id` in tracker `t`'s index (idempotent).
+  /// Records `holder` for `id` in tracker `t`'s index (idempotent).  Both
+  /// index helpers are no-ops on a peer without a ring position.
   static void tracker_index_add(Peer& t, DataId id, PeerIndex holder);
   /// Sends one announce for `id` from `member` up to its tracker root.
   /// No-op outside kBitTorrent or when tracker_reannounce is off.
@@ -800,6 +844,8 @@ class HybridSystem {
   std::unordered_map<std::uint64_t, KeywordQuery> keyword_queries_;
   void keyword_flood(PeerIndex at, PeerIndex from, std::uint64_t qid,
                      unsigned ttl);
+  /// Ships `at`'s local matches for keyword query `q` to its origin.
+  void keyword_report(PeerIndex at, std::uint64_t qid, const KeywordQuery& q);
   /// Circulates a keyword query clockwise around the ring; each t-peer
   /// contributes its own matches and floods its s-network, until the walk
   /// returns to `stop_at`.

@@ -12,7 +12,7 @@ TEST(FingerTable, InitSetsPowerOfTwoStarts) {
   FingerTable t;
   t.init(PeerId{100});
   for (unsigned k = 0; k < FingerTable::size(); ++k) {
-    EXPECT_EQ(t.entry(k).start,
+    EXPECT_EQ(t.start(k),
               ring::reduce(100 + (std::uint64_t{1} << k)));
     EXPECT_EQ(t.entry(k).node, kNoPeer);
   }

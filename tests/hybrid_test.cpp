@@ -1918,5 +1918,184 @@ TEST(Hybrid, SystemMayBeDestroyedWithRoutesInFlight) {
   f.reset();
 }
 
+// --- Per-role peer state ----------------------------------------------------------
+
+/// Counts live s-peers that show any ring state: a link, a finger, or a
+/// RingState at all.  `first` names the first offender.
+std::size_t speers_with_ring_state(const HybridFixture& f, std::string& first) {
+  std::size_t bad = 0;
+  for (const PeerIndex p : f.peers) {
+    if (!f.system.is_alive(p) || f.system.role_of(p) != Role::kSPeer) continue;
+    bool clean = f.system.successor_of(p) == kNoPeer &&
+                 f.system.predecessor_of(p) == kNoPeer &&
+                 !FaultInjector::holds_ring(f.system, p);
+    const chord::FingerTable& fingers = f.system.fingers_of(p);
+    for (unsigned k = 0; k < chord::FingerTable::size(); ++k) {
+      clean = clean && fingers.entry(k).node == kNoPeer;
+    }
+    if (clean) continue;
+    if (bad++ == 0) first = "s-peer " + std::to_string(p.value());
+  }
+  return bad;
+}
+
+TEST(Hybrid, SPeersHoldNoRingStateThroughChurn) {
+  auto params = defaults();
+  params.ps = 0.7;
+  params.t_routing = TRouting::kFinger;
+  params.hello_interval = sim::SimTime::millis(500);
+  params.hello_timeout = sim::SimTime::millis(1500);
+  HybridFixture f{310, params};
+  f.build(60);
+  f.system.refresh_all_fingers();
+  f.system.start_failure_detection();
+  f.world.sim.run_until(f.world.sim.now() + sim::SimTime::seconds(2));
+
+  std::string first;
+  ASSERT_EQ(speers_with_ring_state(f, first), 0u) << "after build: " << first;
+
+  // Crash storm plus graceful leaves, t-peers with s-networks and s-peers
+  // alike, so both promotion paths run while the checker samples.
+  std::vector<PeerIndex> rooted;
+  std::vector<PeerIndex> speers;
+  for (const PeerIndex p : f.peers) {
+    if (f.system.role_of(p) == Role::kSPeer) {
+      speers.push_back(p);
+    } else if (!f.system.children_of(p).empty()) {
+      rooted.push_back(p);
+    }
+  }
+  ASSERT_GE(rooted.size(), 8u);
+  ASSERT_GE(speers.size(), 6u);
+  std::vector<PeerIndex> crashed;
+  std::vector<PeerIndex> left;
+  for (std::size_t i = 0; i < 8; ++i) {
+    const PeerIndex t = rooted[i];
+    const PeerIndex s = speers[i % speers.size()];
+    const bool graceful = i % 2 == 1;
+    (graceful ? left : crashed).push_back(t);
+    f.world.sim.schedule_after(
+        sim::SimTime::millis(static_cast<std::int64_t>(i) * 120),
+        [&f, t, s, graceful] {
+          if (graceful) {
+            f.system.leave(t);
+            f.system.leave(s);
+          } else {
+            f.system.crash(t);
+            f.system.crash(s);
+          }
+        });
+  }
+  std::size_t mid_churn_bad = 0;
+  for (int i = 1; i <= 400; ++i) {
+    f.world.sim.schedule_after(sim::SimTime::millis(i * 50), [&] {
+      mid_churn_bad += speers_with_ring_state(f, first);
+    });
+  }
+  f.world.sim.run_until(f.world.sim.now() + sim::SimTime::seconds(25));
+  EXPECT_EQ(mid_churn_bad, 0u) << "mid-churn: " << first;
+  EXPECT_EQ(speers_with_ring_state(f, first), 0u) << "after churn: " << first;
+
+  // Both promotion paths ran: a departed root's pid lives on in an heir,
+  // and every live t-peer holds its ring position.
+  const auto heirs_of = [&f](const std::vector<PeerIndex>& victims) {
+    return std::ranges::count_if(victims, [&f](PeerIndex v) {
+      return std::ranges::any_of(f.peers, [&f, v](PeerIndex p) {
+        return p != v && f.system.is_alive(p) && f.system.is_joined(p) &&
+               f.system.role_of(p) == Role::kTPeer &&
+               f.system.pid_of(p) == f.system.pid_of(v);
+      });
+    });
+  };
+  EXPECT_GT(heirs_of(crashed), 0u);
+  EXPECT_EQ(heirs_of(left), static_cast<std::ptrdiff_t>(left.size()));
+  for (const PeerIndex p : f.peers) {
+    if (!f.system.is_alive(p) || !f.system.is_joined(p) ||
+        f.system.role_of(p) != Role::kTPeer) {
+      continue;
+    }
+    EXPECT_TRUE(FaultInjector::holds_ring(f.system, p)) << p.value();
+    EXPECT_NE(f.system.successor_of(p), kNoPeer) << p.value();
+  }
+  for (const PeerIndex v : left) {
+    EXPECT_FALSE(FaultInjector::holds_ring(f.system, v))
+        << "graceful leaver " << v.value() << " kept its ring position";
+  }
+}
+
+TEST(Hybrid, GracefulPromotionMovesTheWholeRingPosition) {
+  // One t-peer rooting an 11-member s-network, so both joiners' requests
+  // reach it: the first runs its triangle while the second queues.  The
+  // t-peer is told to leave mid-join; Section 3.3 makes it finish its join
+  // queue first, then hand its whole position to an s-peer heir.
+  auto params = defaults();
+  params.ps = 0.95;
+  params.t_routing = TRouting::kFinger;
+  HybridFixture f{311, params};
+  f.build(12);
+  const PeerIndex leaver = f.peers[0];
+  ASSERT_EQ(f.system.role_of(leaver), Role::kTPeer);
+  ASSERT_EQ(f.system.num_tpeers(), 1u);
+  f.system.refresh_all_fingers();
+  const PeerId pid = f.system.pid_of(leaver);
+
+  std::size_t joined = 0;
+  for (int i = 0; i < 2; ++i) {
+    f.peers.push_back(f.system.add_peer_with_role(
+        f.world.next_host(), Role::kTPeer,
+        [&](proto::JoinResult) { ++joined; }));
+  }
+  while (!f.system.is_joining(leaver)) {
+    ASSERT_TRUE(f.world.sim.step()) << "no join reached the t-peer";
+  }
+  f.system.leave(leaver);
+
+  // Snapshot the leaver's position at every step until it hands over.
+  struct Position {
+    PeerIndex successor, predecessor;
+    PeerId successor_id, predecessor_id;
+    std::vector<std::pair<PeerIndex, PeerId>> fingers;
+  };
+  const auto position_of = [&f](PeerIndex p) {
+    Position pos{f.system.successor_of(p), f.system.predecessor_of(p),
+                 f.system.successor_id_of(p), f.system.predecessor_id_of(p),
+                 {}};
+    const chord::FingerTable& table = f.system.fingers_of(p);
+    for (unsigned k = 0; k < chord::FingerTable::size(); ++k) {
+      pos.fingers.emplace_back(table.entry(k).node, table.entry(k).node_id);
+    }
+    return pos;
+  };
+  Position before = position_of(leaver);
+  while (f.system.is_joined(leaver)) {
+    before = position_of(leaver);
+    ASSERT_TRUE(f.world.sim.step()) << "the leave never completed";
+  }
+  f.world.sim.run();
+  EXPECT_EQ(joined, 2u) << "a queued join was lost in the hand-over";
+  EXPECT_FALSE(f.system.is_alive(leaver));
+  EXPECT_FALSE(FaultInjector::holds_ring(f.system, leaver));
+
+  PeerIndex heir = kNoPeer;
+  for (const PeerIndex p : f.peers) {
+    if (p != leaver && f.system.is_joined(p) &&
+        f.system.role_of(p) == Role::kTPeer && f.system.pid_of(p) == pid) {
+      heir = p;
+    }
+  }
+  ASSERT_NE(heir, kNoPeer) << "no heir took the leaver's pid";
+  EXPECT_TRUE(FaultInjector::holds_ring(f.system, heir));
+  EXPECT_FALSE(f.system.is_joining(heir));
+  const auto self_to_heir = [&](PeerIndex p) { return p == leaver ? heir : p; };
+  const Position after = position_of(heir);
+  EXPECT_EQ(after.successor, self_to_heir(before.successor));
+  EXPECT_EQ(after.predecessor, self_to_heir(before.predecessor));
+  EXPECT_EQ(after.successor_id, before.successor_id);
+  EXPECT_EQ(after.predecessor_id, before.predecessor_id);
+  EXPECT_EQ(after.fingers, before.fingers);
+  EXPECT_TRUE(f.system.verify_ring());
+  EXPECT_EQ(f.system.num_tpeers(), 3u);
+}
+
 }  // namespace
 }  // namespace hp2p::hybrid
