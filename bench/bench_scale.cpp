@@ -15,7 +15,10 @@
 // t-peers-first build -- the regime Section 4 argues for at scale, where
 // ring state stays O(log N_t) and the s-networks absorb the mass.  Items
 // and lookups track the peer count (1 per 20 peers) unless pinned via
-// HP2P_ITEMS / HP2P_LOOKUPS.
+// HP2P_ITEMS / HP2P_LOOKUPS.  Each peer count runs twice: a quiet rung
+// (build, populate, lookups) and a churn rung that adds the costly steady
+// state -- 5% crashes, 30 s of HELLO failure detection and replication
+// factor 2 -- reported under the key n<peers>_churn.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -57,6 +60,13 @@ exp::RunConfig rung_config(const bench::Scale& scale, std::uint32_t peers) {
   return cfg;
 }
 
+void add_churn(exp::RunConfig& cfg) {
+  cfg.crash_fraction = 0.05;
+  cfg.failure_detection = true;
+  cfg.recovery_time = sim::SimTime::seconds(30);
+  cfg.hybrid.replication_factor = 2;
+}
+
 }  // namespace
 
 int main() {
@@ -76,70 +86,78 @@ int main() {
       "throughput flat past 10k peers",
       scale);
 
-  stats::Table table{{"peers", "routing", "routing_MB", "events", "Mev/s",
-                      "wall_s", "peak_rss_MB", "B/peer", "lookup_ok"}};
+  stats::Table table{{"peers", "mode", "routing", "routing_MB", "events",
+                      "Mev/s", "wall_s", "peak_rss_MB", "B/peer",
+                      "lookup_ok"}};
   // Ascending rungs: VmHWM is a process-wide high-water mark, so each rung's
   // reading is dominated by its own (largest-so-far) run.
   const bool profiling = bench::profile_from_env();
   for (const std::uint32_t peers : ladder) {
-    auto cfg = rung_config(scale, peers);
-    // HP2P_PROFILE=1 profiles the ladder's top rung (the interesting one):
-    // component attribution plus 1 s-period occupancy gauges (arena slots,
-    // event backlog, live heap bytes, VmRSS) in the report's timeseries.
-    stats::Profiler profiler;
-    const bool profile_rung = profiling && peers == ladder.back();
-    if (profile_rung) {
-      cfg.profiler = &profiler;
-      cfg.sample_period = sim::SimTime::seconds(1);
-    }
-    const auto r = exp::run_hybrid_experiment(cfg);
+    for (const bool churn : {false, true}) {
+      auto cfg = rung_config(scale, peers);
+      if (churn) add_churn(cfg);
+      // HP2P_PROFILE=1 profiles the ladder's top quiet rung (the interesting
+      // one): component attribution plus 1 s-period occupancy gauges (arena
+      // slots, event backlog, live heap bytes, VmRSS) in the report's
+      // timeseries.
+      stats::Profiler profiler;
+      const bool profile_rung = profiling && !churn && peers == ladder.back();
+      if (profile_rung) {
+        cfg.profiler = &profiler;
+        cfg.sample_period = sim::SimTime::seconds(1);
+      }
+      const auto r = exp::run_hybrid_experiment(cfg);
 
-    double wall_ms = 0;
-    double sim_ms = 0;
-    for (const auto& phase : r.phases) {
-      wall_ms += phase.wall_ms;
-      sim_ms += phase.sim_ms;
-    }
-    const double events_per_sec =
-        wall_ms > 0
-            ? static_cast<double>(r.sim_stats.events_executed) * 1000.0 / wall_ms
-            : 0;
-    const std::uint64_t peak_rss = peak_rss_bytes();
-    const double bytes_per_peer =
-        static_cast<double>(peak_rss) / static_cast<double>(peers);
-    const double lookup_ok =
-        r.lookups.issued > 0 ? static_cast<double>(r.lookups.succeeded) /
-                                   static_cast<double>(r.lookups.issued)
-                             : 0;
+      double wall_ms = 0;
+      double sim_ms = 0;
+      for (const auto& phase : r.phases) {
+        wall_ms += phase.wall_ms;
+        sim_ms += phase.sim_ms;
+      }
+      const double events_per_sec =
+          wall_ms > 0 ? static_cast<double>(r.sim_stats.events_executed) *
+                            1000.0 / wall_ms
+                      : 0;
+      const std::uint64_t peak_rss = peak_rss_bytes();
+      const double bytes_per_peer =
+          static_cast<double>(peak_rss) / static_cast<double>(peers);
+      const double lookup_ok =
+          r.lookups.issued > 0 ? static_cast<double>(r.lookups.succeeded) /
+                                     static_cast<double>(r.lookups.issued)
+                               : 0;
 
-    table.row()
-        .cell(std::uint64_t{peers})
-        .cell(mode_name(r.routing_mode))
-        .cell(static_cast<double>(r.routing_table_bytes) / (1024.0 * 1024.0),
-              2)
-        .cell(r.sim_stats.events_executed)
-        .cell(events_per_sec / 1e6, 2)
-        .cell(wall_ms / 1000.0, 2)
-        .cell(static_cast<double>(peak_rss) / (1024.0 * 1024.0), 1)
-        .cell(bytes_per_peer, 0)
-        .cell(lookup_ok, 3);
+      table.row()
+          .cell(std::uint64_t{peers})
+          .cell(churn ? "churn" : "quiet")
+          .cell(mode_name(r.routing_mode))
+          .cell(static_cast<double>(r.routing_table_bytes) / (1024.0 * 1024.0),
+                2)
+          .cell(r.sim_stats.events_executed)
+          .cell(events_per_sec / 1e6, 2)
+          .cell(wall_ms / 1000.0, 2)
+          .cell(static_cast<double>(peak_rss) / (1024.0 * 1024.0), 1)
+          .cell(bytes_per_peer, 0)
+          .cell(lookup_ok, 3);
 
-    const std::string key = "n" + std::to_string(peers);
-    exp::collect_run_result(reporter.metrics(), key, r);
-    auto& m = reporter.metrics();
-    m.set(key + ".routing_mode",
-          stats::JsonValue{std::string{mode_name(r.routing_mode)}});
-    m.set(key + ".routing_table_bytes",
-          stats::JsonValue{static_cast<std::uint64_t>(r.routing_table_bytes)});
-    m.set(key + ".hosts", stats::JsonValue{std::uint64_t{r.hosts}});
-    m.set(key + ".events_per_sec", stats::JsonValue{events_per_sec});
-    m.set(key + ".wall_ms_total", stats::JsonValue{wall_ms});
-    m.set(key + ".sim_ms_total", stats::JsonValue{sim_ms});
-    m.set(key + ".peak_rss_bytes", stats::JsonValue{peak_rss});
-    m.set(key + ".bytes_per_peer", stats::JsonValue{bytes_per_peer});
-    if (profile_rung) {
-      if (r.timeseries) reporter.add_timeseries(*r.timeseries);
-      bench::report_profile(reporter, profiler);
+      const std::string key =
+          "n" + std::to_string(peers) + (churn ? "_churn" : "");
+      exp::collect_run_result(reporter.metrics(), key, r);
+      auto& m = reporter.metrics();
+      m.set(key + ".routing_mode",
+            stats::JsonValue{std::string{mode_name(r.routing_mode)}});
+      m.set(key + ".routing_table_bytes",
+            stats::JsonValue{
+                static_cast<std::uint64_t>(r.routing_table_bytes)});
+      m.set(key + ".hosts", stats::JsonValue{std::uint64_t{r.hosts}});
+      m.set(key + ".events_per_sec", stats::JsonValue{events_per_sec});
+      m.set(key + ".wall_ms_total", stats::JsonValue{wall_ms});
+      m.set(key + ".sim_ms_total", stats::JsonValue{sim_ms});
+      m.set(key + ".peak_rss_bytes", stats::JsonValue{peak_rss});
+      m.set(key + ".bytes_per_peer", stats::JsonValue{bytes_per_peer});
+      if (profile_rung) {
+        if (r.timeseries) reporter.add_timeseries(*r.timeseries);
+        bench::report_profile(reporter, profiler);
+      }
     }
   }
   table.print(std::cout);

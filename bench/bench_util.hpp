@@ -22,7 +22,7 @@ namespace hp2p::bench {
 
 /// Experiment scale, overridable from the environment so the same binaries
 /// serve both a quick smoke pass and a paper-scale run:
-///   HP2P_PEERS=1000 HP2P_ITEMS=5000 HP2P_LOOKUPS=5000 HP2P_REPLICAS=3
+///   HP2P_PEERS=1000 HP2P_ITEMS=5000 HP2P_LOOKUPS=5000 HP2P_SEEDS=3
 struct Scale {
   std::uint32_t peers;
   std::size_t items;
@@ -36,7 +36,7 @@ struct Scale {
   s.peers = static_cast<std::uint32_t>(env_or("HP2P_PEERS", std::int64_t{400}));
   s.items = static_cast<std::size_t>(env_or("HP2P_ITEMS", std::int64_t{1000}));
   s.lookups = static_cast<std::size_t>(env_or("HP2P_LOOKUPS", std::int64_t{1000}));
-  s.replicas = static_cast<std::size_t>(env_or("HP2P_REPLICAS", std::int64_t{1}));
+  s.replicas = static_cast<std::size_t>(env_or("HP2P_SEEDS", std::int64_t{1}));
   s.seed = static_cast<std::uint64_t>(env_or("HP2P_SEED", std::int64_t{42}));
   return s;
 }

@@ -7,7 +7,6 @@
 // for differential tests.  Test-only: never linked into benches.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -44,10 +43,9 @@ struct FaultInjector {
       auto& mm = sys.peer(m);
       if (m == parent || m == root || mm.cp == parent) continue;
       if (!mm.children.empty() || mm.cp == kNoPeer) continue;
-      auto& old_parent = sys.peer(mm.cp);
-      std::erase(old_parent.children, m);
+      sys.drop_child(sys.peer(mm.cp), m);
       mm.cp = parent;
-      pp.children.push_back(m);
+      sys.add_child(pp, m);
     }
     return sys.tree_degree(pp) > target_degree;
   }
@@ -73,7 +71,7 @@ struct FaultInjector {
   static bool orphan_stored_item(HybridSystem& sys, PeerIndex speer) {
     auto& p = sys.peer(speer);
     if (p.cp == kNoPeer || p.store.empty()) return false;
-    std::erase(sys.peer(p.cp).children, speer);
+    sys.drop_child(sys.peer(p.cp), speer);
     p.cp = kNoPeer;
     return true;
   }
@@ -84,8 +82,14 @@ struct FaultInjector {
   static bool drop_tree_edge(HybridSystem& sys, PeerIndex child) {
     auto& c = sys.peer(child);
     if (c.cp == kNoPeer) return false;
-    std::erase(sys.peer(c.cp).children, child);
+    sys.drop_child(sys.peer(c.cp), child);
     return true;
+  }
+
+  /// Runs the tree half of a departure alone: `p` leaves its parent's child
+  /// list and clears its own, and its children rejoin.  `p` stays joined.
+  static void detach_from_tree(HybridSystem& sys, PeerIndex p) {
+    sys.detach_from_tree(p, /*notify_children=*/true);
   }
 
   /// Appends `upper` to the child list of `lower`, a peer below it, closing
@@ -93,7 +97,7 @@ struct FaultInjector {
   /// in child lists.  cp pointers stay as they are.
   static void close_child_cycle(HybridSystem& sys, PeerIndex upper,
                                 PeerIndex lower) {
-    sys.peer(lower).children.push_back(upper);
+    sys.add_child(sys.peer(lower), upper);
   }
 
   /// Whether `p` holds a ring position (RingState) at all.
@@ -113,9 +117,21 @@ struct FaultInjector {
   static bool sweep_in_replica_set(const HybridSystem& sys, PeerIndex member,
                                    DataId id) {
     const PeerIndex owner = sys.registry_owner(id.value());
-    std::vector<PeerIndex> candidates;
-    if (owner != kNoPeer) sys.replica_candidates(owner, candidates);
-    return sys.in_replica_set(member, id, owner, candidates);
+    if (owner == kNoPeer) return false;
+    return sys.in_replica_set(member, id, owner, sys.candidates_of(owner));
+  }
+
+  /// The replication paths' memoized candidate list for `owner`, and a
+  /// fresh s-network walk to check it against.
+  static std::vector<PeerIndex> memo_candidates(const HybridSystem& sys,
+                                                PeerIndex owner) {
+    return sys.candidates_of(owner);
+  }
+  static std::vector<PeerIndex> fresh_candidates(const HybridSystem& sys,
+                                                 PeerIndex owner) {
+    std::vector<PeerIndex> out;
+    sys.replica_candidates(owner, out);
+    return out;
   }
 
   /// Reports a flood wave with an out-of-bound TTL straight to the

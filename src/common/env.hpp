@@ -1,7 +1,7 @@
 // Environment-variable knobs for benchmarks and examples.
 //
 // Benchmarks default to paper-scale parameters (1,000 peers) but can be
-// scaled up/down without recompiling, e.g. HP2P_PEERS=5000 HP2P_REPLICAS=10.
+// scaled up/down without recompiling, e.g. HP2P_PEERS=5000 HP2P_SEEDS=10.
 #pragma once
 
 #include <cstdint>

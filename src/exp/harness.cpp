@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <iostream>
 #include <optional>
 #include <set>
@@ -21,14 +22,19 @@ namespace {
 using hybrid::HybridSystem;
 using hybrid::Role;
 
-/// Role sequence with exactly round((1-ps) n) t-peers, first peer always a
-/// t-peer.  With capacity sorting, t-roles are paired with the fastest
+/// N_t: round((1-ps) n) t-peers, at least one and at most n.
+std::uint32_t tpeer_count(std::uint32_t n, double ps) {
+  const auto n_t = static_cast<std::uint32_t>(
+      std::max(1.0, (1.0 - ps) * static_cast<double>(n) + 0.5));
+  return std::min(n_t, n);
+}
+
+/// Role sequence with exactly tpeer_count(n, ps) t-peers, first peer always
+/// a t-peer.  With capacity sorting, t-roles are paired with the fastest
 /// hosts by construction in the caller.
 std::vector<Role> role_sequence(std::uint32_t n, double ps, bool tpeers_first,
                                 Rng& rng) {
-  auto n_t = static_cast<std::uint32_t>(
-      std::max(1.0, (1.0 - ps) * static_cast<double>(n) + 0.5));
-  n_t = std::min(n_t, n);
+  const std::uint32_t n_t = tpeer_count(n, ps);
   std::vector<Role> roles(n, Role::kSPeer);
   for (std::uint32_t i = 0; i < n_t; ++i) roles[i] = Role::kTPeer;
   if (!tpeers_first) {
@@ -47,8 +53,17 @@ RunResult run_hybrid_experiment(const RunConfig& raw_config) {
   // on a transit-stub underlay; a fixed timeout would misclassify long
   // walks as failures (the paper's Table 2 counts full walks).  Scale the
   // deadline with the worst-case walk, never below the configured value.
+  // Ring routing keeps the bound over all N peers: the idle re-flood and
+  // re-route timers fire at half the deadline, and the pinned N=1,000
+  // digest records their sim time.  Finger routing takes ~log N_t hops,
+  // but at 100k peers its lookups queue for transmission for up to ~30 s,
+  // so its bound is sized by N_t rather than by the hop count.
+  const std::uint32_t bound_peers =
+      config.hybrid.t_routing == hybrid::TRouting::kFinger
+          ? tpeer_count(config.num_peers, config.hybrid.ps)
+          : config.num_peers;
   const auto walk_bound = sim::SimTime::millis(
-      static_cast<std::int64_t>(config.num_peers) * 250 + 15'000);
+      static_cast<std::int64_t>(bound_peers) * 250 + 15'000);
   if (config.hybrid.lookup_timeout < walk_bound) {
     config.hybrid.lookup_timeout = walk_bound;
   }
@@ -318,12 +333,35 @@ RunResult run_hybrid_experiment(const RunConfig& raw_config) {
     zipf.emplace(stored_ids.size(), config.zipf_exponent);
   }
   const sim::SimTime lookup_phase_start = sim.now();
+  // With heartbeats running the queue never drains, so the phase ends at
+  // the last answer: once every lookup has been launched and answered.
+  // Without them the queue drains by itself, idle timers included.
+  std::size_t unlaunched = config.num_lookups;
+  std::size_t outstanding = 0;
+  const auto stop_when_answered = [&] {
+    if (heartbeats && unlaunched == 0 && outstanding == 0) sim.stop();
+  };
+  // Passed by std::ref, which a LookupCallback stores without allocating.
+  const auto report = [&](const proto::LookupResult& r) {
+    result.lookups.record(r);
+    if (r.success) {
+      result.lookup_latency_ms.add(r.latency.as_millis());
+      result.lookup_hops.add(static_cast<double>(r.request_hops));
+    } else if (config.flight != nullptr && result.lookups.failed == 1) {
+      // First failure of the run: dump the tail so the final moments are
+      // inspectable.
+      config.flight->dump(std::cerr, "first lookup failure");
+    }
+    --outstanding;
+    stop_when_answered();
+  };
   for (std::size_t i = 0; i < config.num_lookups; ++i) {
     sim::ComponentScope prof{sim, sim::Component::kWorkload};
     sim.schedule_after(
         sim::SimTime::micros(static_cast<std::int64_t>(i) *
                              config.op_spacing.as_micros()),
         [&] {
+          --unlaunched;
           const auto& live = system.live_peers();
           if (live.empty() || stored_ids.empty()) return;
           const std::size_t pool =
@@ -339,26 +377,12 @@ RunResult run_hybrid_experiment(const RunConfig& raw_config) {
             const auto& mine = by_interest[system.interest_of(origin)];
             if (!mine.empty()) target = mine[op_rng.index(mine.size())];
           }
-          system.lookup_id(origin, target,
-                           [&result, &config](proto::LookupResult r) {
-                             result.lookups.record(r);
-                             if (r.success) {
-                               result.lookup_latency_ms.add(
-                                   r.latency.as_millis());
-                               result.lookup_hops.add(
-                                   static_cast<double>(r.request_hops));
-                             } else if (config.flight != nullptr &&
-                                        result.lookups.failed == 1) {
-                               // First failure of the run: dump the tail so
-                               // the final moments are inspectable.
-                               config.flight->dump(std::cerr,
-                                                   "first lookup failure");
-                             }
-                           });
+          ++outstanding;
+          system.lookup_id(origin, target, std::ref(report));
         });
   }
-  // Drain: with heartbeats running the queue never empties, so bound the
-  // phase explicitly (ops + timeout + slack).
+  // With heartbeats, stop_when_answered() ends the phase; the deadline
+  // (ops + timeout + slack) caps it should a launch find no one to ask.
   const auto phase_span = sim::SimTime::micros(
       static_cast<std::int64_t>(config.num_lookups) *
       config.op_spacing.as_micros());

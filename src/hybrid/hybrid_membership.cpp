@@ -541,7 +541,7 @@ void HybridSystem::descend_sjoin(PeerIndex at, PeerIndex joiner,
   // can race an earlier acceptance that is still in flight; never record
   // the same child twice.
   if (std::ranges::find(here.children, joiner) == here.children.end()) {
-    here.children.push_back(joiner);
+    add_child(here, joiner);
   }
   const PeerIndex root = here.tpeer;
   net_.send(at, joiner, TrafficClass::kControl, proto::kControlBytes,
@@ -551,7 +551,7 @@ void HybridSystem::descend_sjoin(PeerIndex at, PeerIndex joiner,
                 // A raced earlier acceptance registered us under another
                 // parent; unhook that entry or the tree keeps two records
                 // of one child.
-                std::erase(peer(n.cp).children, joiner);
+                drop_child(peer(n.cp), joiner);
               }
               n.cp = at;
               n.tpeer = root;
@@ -700,7 +700,7 @@ void HybridSystem::detach_from_tree(PeerIndex p_idx, bool notify_children) {
     const PeerIndex parent = p.cp;
     net_.send(p_idx, parent, TrafficClass::kControl, proto::kControlBytes,
               [this, parent, p_idx] {
-                std::erase(peer(parent).children, p_idx);
+                drop_child(peer(parent), p_idx);
               });
   }
   if (notify_children) {
@@ -713,7 +713,7 @@ void HybridSystem::detach_from_tree(PeerIndex p_idx, bool notify_children) {
     net_.send(p_idx, m, TrafficClass::kControl, proto::kControlBytes,
               [this, m, p_idx] { std::erase(peer(m).mesh_links, p_idx); });
   }
-  p.children.clear();
+  clear_children(p);
   p.mesh_links.clear();
   p.cp = kNoPeer;
   p.bypass.clear();
@@ -781,7 +781,7 @@ void HybridSystem::promote_speer(PeerIndex heir, PeerIndex old_t,
   Peer& o = peer(old_t);
 
   // Heir steps out of its tree slot, keeping its own subtree.
-  if (h.cp != kNoPeer) std::erase(peer(h.cp).children, heir);
+  if (h.cp != kNoPeer) drop_child(peer(h.cp), heir);
   h.cp = kNoPeer;
 
   // Role transfer: pid and ring position (Section 3.2.1).  The heir
@@ -836,12 +836,12 @@ void HybridSystem::promote_speer(PeerIndex heir, PeerIndex old_t,
   if (with_data) {
     for (PeerIndex child : o.children) {
       if (child == heir) continue;
-      h.children.push_back(child);
+      add_child(h, child);
       net_.send(old_t, child, TrafficClass::kControl, proto::kControlBytes,
                 [this, child, heir] { peer(child).cp = heir; });
     }
   }
-  o.children.clear();
+  clear_children(o);
 
   // Ring neighbors adopt the heir.
   if (r.successor.peer != heir) {
@@ -1312,7 +1312,7 @@ void HybridSystem::note_heard(PeerIndex at, PeerIndex from) {
     if (p.cp == from) {
       f.cp = kNoPeer;
     } else if (accepts_child(p)) {
-      p.children.push_back(from);
+      add_child(p, from);
     } else {
       f.cp = kNoPeer;
     }
@@ -1344,7 +1344,7 @@ void HybridSystem::on_neighbor_dead(PeerIndex at, PeerIndex dead) {
   trigger_re_replication(at);
 
   // Child died: forget it; its own children will rejoin by themselves.
-  if (std::erase(p.children, dead) != 0) {
+  if (drop_child(p, dead)) {
     // A tracker also forgets what the dead member held: its data is gone,
     // and a stale index entry would only delay lookups into the timeout.
     if (p.role == Role::kTPeer &&

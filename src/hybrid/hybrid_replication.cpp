@@ -40,8 +40,7 @@ std::vector<PeerIndex> HybridSystem::replica_set(DataId id) const {
   out.push_back(owner);
   const unsigned r = params_.replication_factor;
   if (r <= 1) return out;
-  std::vector<PeerIndex> ranked;
-  replica_candidates(owner, ranked);
+  std::vector<PeerIndex> ranked = candidates_of(owner);
   std::sort(ranked.begin(), ranked.end(), [id](PeerIndex a, PeerIndex b) {
     return replica_key(id, a) < replica_key(id, b);
   });
@@ -96,6 +95,19 @@ void HybridSystem::replica_candidates(PeerIndex owner,
   std::erase_if(out, [this, owner](PeerIndex m) {
     return m == owner || !net_.alive(m) || !peer(m).joined;
   });
+}
+
+const std::vector<PeerIndex>& HybridSystem::candidates_of(
+    PeerIndex owner) const {
+  auto [it, fresh] = candidate_memo_.try_emplace(owner.value());
+  CandidateMemo& memo = it->second;
+  if (fresh || memo.tree_epoch != tree_epoch_ ||
+      memo.net_epoch != net_.liveness_epoch()) {
+    replica_candidates(owner, memo.list);
+    memo.tree_epoch = tree_epoch_;
+    memo.net_epoch = net_.liveness_epoch();
+  }
+  return memo.list;
 }
 
 bool HybridSystem::is_fallback_holder(PeerIndex at, DataId id) const {
@@ -168,17 +180,17 @@ void HybridSystem::replication_sweep(PeerIndex root) {
   if (!net_.alive(root) || !t.joined || t.role != Role::kTPeer) return;
   auto digest = std::make_shared<const std::vector<DataId>>(
       t.store.ids_in_arc(ring_view(t).predecessor.id, t.pid));
-  std::vector<PeerIndex> targets;
-  replica_candidates(root, targets);
-  if (targets.size() + 1 < params_.replication_factor) {
-    const PeerIndex suc = fallback_successor(root);
-    if (suc != kNoPeer) targets.push_back(suc);
-  }
   const auto digest_bytes = static_cast<std::uint32_t>(
       proto::kControlBytes + 8 * digest->size());
-  for (const PeerIndex m : targets) {
+  const auto send_digest = [&](PeerIndex m) {
     net_.send(root, m, TrafficClass::kControl, digest_bytes,
               [this, m, root, digest] { sweep_at_member(m, root, digest); });
+  };
+  const std::vector<PeerIndex>& members = candidates_of(root);
+  for (const PeerIndex m : members) send_digest(m);
+  if (members.size() + 1 < params_.replication_factor) {
+    const PeerIndex suc = fallback_successor(root);
+    if (suc != kNoPeer) send_digest(suc);
   }
 }
 
@@ -229,20 +241,15 @@ void HybridSystem::sweep_at_member(
   }
 
   // Direction 2: digest ids this member should hold (it is in the replica
-  // set, or it is the successor fallback) but doesn't travel down.  The
-  // digest is sorted by id, so ids of one owner come in runs (two at most,
-  // when the segment wraps past zero): rank each run's candidates once.
+  // set, or it is the successor fallback) but doesn't travel down.
   std::vector<DataId> want;
-  std::vector<PeerIndex> candidates;
-  PeerIndex ranked_owner = kNoPeer;
   for (const DataId id : *digest) {
     if (m.store.contains(id)) continue;
     const PeerIndex owner = registry_owner(id.value());
-    if (owner != ranked_owner && owner != kNoPeer) {
-      replica_candidates(owner, candidates);
-      ranked_owner = owner;
+    if (owner == kNoPeer) continue;
+    if (in_replica_set(member, id, owner, candidates_of(owner))) {
+      want.push_back(id);
     }
-    if (in_replica_set(member, id, owner, candidates)) want.push_back(id);
   }
   if (want.empty()) return;
   const auto want_bytes = static_cast<std::uint32_t>(

@@ -542,6 +542,21 @@ class HybridSystem {
   void broadcast_substitution(PeerIndex old_t, PeerIndex new_t);
   void detach_from_tree(PeerIndex p, bool notify_children);
   void rejoin_subtree(PeerIndex child);
+  /// The only writers of child lists.  Each bumps tree_epoch_, so the
+  /// candidates_of() memo never outlives the tree it walked.
+  void add_child(Peer& parent, PeerIndex child) {
+    parent.children.push_back(child);
+    ++tree_epoch_;
+  }
+  /// Removes `child` from `parent`'s list; true when it was there.
+  bool drop_child(Peer& parent, PeerIndex child) {
+    ++tree_epoch_;
+    return std::erase(parent.children, child) != 0;
+  }
+  void clear_children(Peer& parent) {
+    parent.children.clear();
+    ++tree_epoch_;
+  }
 
   // --- Failure detection -------------------------------------------------------
 
@@ -684,10 +699,16 @@ class HybridSystem {
   /// s-network (live, joined, not the owner itself), else kNoPeer.
   [[nodiscard]] PeerIndex fallback_successor(PeerIndex owner) const;
   /// Sets `out` to the peers replica_set() ranks for ids owned by `owner`:
-  /// the live joined members of its s-network other than itself.
+  /// the live joined members of its s-network other than itself.  A fresh
+  /// O(s-network) walk; the replication paths read candidates_of().
   void replica_candidates(PeerIndex owner, std::vector<PeerIndex>& out) const;
-  /// Whether `member` is in replica_set(id), given the replica_candidates()
-  /// of id's owner `owner`.  Counts the candidates ranked ahead of `member`
+  /// replica_candidates(owner), walked once per owner and membership epoch:
+  /// the list is kept until tree_epoch_ or the transport's liveness epoch
+  /// moves.  The reference stays valid until the next call for `owner`.
+  [[nodiscard]] const std::vector<PeerIndex>& candidates_of(
+      PeerIndex owner) const;
+  /// Whether `member` is in replica_set(id), given candidates_of(owner) for
+  /// id's owner `owner`.  Counts the candidates ranked ahead of `member`
   /// instead of sorting them, so it allocates nothing.
   [[nodiscard]] bool in_replica_set(
       PeerIndex member, DataId id, PeerIndex owner,
@@ -777,6 +798,7 @@ class HybridSystem {
   void membership_changed() const {
     live_peers_dirty_ = true;
     role_counts_dirty_ = true;
+    ++tree_epoch_;
   }
   /// Rebuilds the memoized t/s-peer census when dirty.  num_tpeers() and
   /// num_speers() feed the per-sim-second sampler gauges; an O(peers) scan
@@ -787,6 +809,18 @@ class HybridSystem {
   PeerIndex server_ = kNoPeer;  // the well-known server's transport endpoint
   std::vector<Peer> peers_;
   mutable VisitMarks visit_marks_;
+  /// Bumped by membership_changed() and by every child-list edit
+  /// (add_child, drop_child, clear_children): together with the transport's
+  /// liveness epoch it dates everything an s-network walk reads.
+  mutable std::uint64_t tree_epoch_ = 0;
+  /// candidates_of() memo, one list per owner, stamped with the epochs it
+  /// was walked under.  Lookup-only; never iterated.
+  struct CandidateMemo {
+    std::uint64_t tree_epoch = 0;
+    std::uint64_t net_epoch = 0;
+    std::vector<PeerIndex> list;
+  };
+  mutable std::unordered_map<std::uint32_t, CandidateMemo> candidate_memo_;
   /// live_peers() cache; rebuilt lazily after membership_changed() or a
   /// transport liveness-epoch bump.
   mutable std::vector<PeerIndex> live_peers_cache_;

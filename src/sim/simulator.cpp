@@ -171,15 +171,18 @@ SimTime Simulator::next_event_time() {
 
 void Simulator::run() {
   for (Observer* o : observers_) o->resync();
-  while (step()) {
+  stop_requested_ = false;
+  while (!stop_requested_ && step()) {
   }
 }
 
 void Simulator::run_until(SimTime deadline) {
   for (Observer* o : observers_) o->resync();
+  stop_requested_ = false;
   for (const HeapItem* next = peek_live();
        next != nullptr && next->when <= deadline; next = peek_live()) {
     step();
+    if (stop_requested_) return;
   }
   if (now_ < deadline) now_ = deadline;
 }

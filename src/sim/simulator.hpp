@@ -222,11 +222,16 @@ class Simulator {
   /// Runs a single event; returns false when the queue is empty.
   bool step();
 
-  /// Runs until the queue drains.
+  /// Runs until the queue drains or stop() is called.
   void run();
 
-  /// Runs events with time <= deadline, then sets now() = deadline.
+  /// Runs events with time <= deadline, then sets now() = deadline.  After
+  /// a stop() the run ends early and now() stays at the stopping event.
   void run_until(SimTime deadline);
+
+  /// Ends the current run() or run_until() once the event in progress
+  /// returns.  Pending events stay queued; the next run starts afresh.
+  void stop() { stop_requested_ = true; }
 
   [[nodiscard]] const SimulatorStats& stats() const { return stats_; }
 
@@ -343,6 +348,7 @@ class Simulator {
   void fire(const HeapItem& item, Action& action, Component comp);
 
   SimTime now_{};
+  bool stop_requested_ = false;
   std::uint64_t next_seq_ = 1;
   std::size_t daemon_events_ = 0;
   std::size_t live_events_ = 0;

@@ -158,6 +158,33 @@ TEST(Harness, RecordsPhaseTimingsAndSimStats) {
   EXPECT_GE(r.sim_stats.events_scheduled, r.sim_stats.events_executed);
 }
 
+TEST(Harness, FingerFdLookupPhaseEndsAtLastAnswer) {
+  // 1,000 peers at p_s 0.99 (10 t-peers), finger routing, 5% crashes,
+  // 30 s of failure detection, r = 2.  Heartbeats keep the event queue
+  // busy, so the lookup phase must end at the last answer instead of
+  // heartbeating out a deadline sized for a ring walk over all N peers.
+  RunConfig c;
+  c.seed = 42;
+  c.num_peers = 1000;
+  c.num_items = 50;
+  c.num_lookups = 1000;
+  c.tpeers_first = true;
+  c.crash_fraction = 0.05;
+  c.failure_detection = true;
+  c.recovery_time = sim::SimTime::seconds(30);
+  c.hybrid.delta = 3;
+  c.hybrid.ps = 0.99;
+  c.hybrid.ttl = 8;
+  c.hybrid.t_routing = hybrid::TRouting::kFinger;
+  c.hybrid.replication_factor = 2;
+  const auto r = run_hybrid_experiment(c);
+  ASSERT_EQ(r.phases.back().name, "lookup");
+  EXPECT_LT(r.phases.back().sim_ms, 30'000.0);
+  EXPECT_EQ(r.lookups.issued, 1000u);
+  EXPECT_EQ(r.lookups.succeeded, 996u);
+  EXPECT_EQ(r.lookups.failed, 4u);
+}
+
 TEST(ParallelMap, PropagatesWorkerExceptions) {
   const std::vector<int> configs{0, 1, 2, 3, 4, 5, 6, 7};
   EXPECT_THROW(parallel_map(

@@ -2023,6 +2023,125 @@ TEST(Hybrid, SPeersHoldNoRingStateThroughChurn) {
   }
 }
 
+TEST(Replication, CandidateMemoMatchesFreshWalk) {
+  // The replication paths read each owner's replica candidates from a memo
+  // kept per tree epoch and transport liveness epoch.  Through crashes,
+  // graceful leaves and joins the memo must equal a fresh s-network walk
+  // after every event, for every live t-peer.
+  auto params = defaults();
+  params.ps = 0.7;
+  params.t_routing = TRouting::kFinger;
+  params.hello_interval = sim::SimTime::millis(500);
+  params.hello_timeout = sim::SimTime::millis(1500);
+  params.replication_factor = 2;
+  HybridFixture f{310, params};
+  f.build(60);
+  f.system.refresh_all_fingers();
+  f.populate(60);
+  f.system.start_failure_detection();
+
+  std::size_t checks = 0;
+  std::size_t stale = 0;
+  std::string first;
+  const auto compare = [&] {
+    for (const PeerIndex p : f.peers) {
+      if (!f.system.is_alive(p) || !f.system.is_joined(p) ||
+          f.system.role_of(p) != Role::kTPeer) {
+        continue;
+      }
+      ++checks;
+      const auto memo = FaultInjector::memo_candidates(f.system, p);
+      if (memo != FaultInjector::fresh_candidates(f.system, p) &&
+          ++stale == 1) {
+        first = "owner " + std::to_string(p.value()) + " at " +
+                std::to_string(f.world.sim.now().as_millis()) + " ms";
+      }
+    }
+  };
+
+  std::vector<PeerIndex> rooted;
+  std::vector<PeerIndex> speers;
+  for (const PeerIndex p : f.peers) {
+    if (f.system.role_of(p) == Role::kSPeer) {
+      speers.push_back(p);
+    } else if (!f.system.children_of(p).empty()) {
+      rooted.push_back(p);
+    }
+  }
+  ASSERT_GE(rooted.size(), 8u);
+  ASSERT_GE(speers.size(), 6u);
+  for (std::size_t i = 0; i < 8; ++i) {
+    const PeerIndex t = rooted[i];
+    const PeerIndex s = speers[i % speers.size()];
+    const bool graceful = i % 2 == 1;
+    f.world.sim.schedule_after(
+        sim::SimTime::millis(static_cast<std::int64_t>(i) * 120),
+        [&f, t, s, graceful] {
+          if (graceful) {
+            f.system.leave(t);
+            f.system.leave(s);
+          } else {
+            f.system.crash(t);
+            f.system.crash(s);
+          }
+          f.peers.push_back(f.system.add_peer(f.world.next_host()));
+        });
+  }
+  const auto run_for = [&](sim::Duration span) {
+    const sim::SimTime end = f.world.sim.now() + span;
+    while (f.world.sim.next_event_time() <= end) {
+      f.world.sim.step();
+      compare();
+    }
+  };
+  run_for(sim::SimTime::seconds(25));
+  EXPECT_GT(checks, 0u);
+  EXPECT_EQ(stale, 0u) << "first stale memo after churn: " << first;
+
+  // Churn flips `joined` or liveness in the same event as most child-list
+  // edits, so each edit helper is also exercised on its own: a lost child
+  // record (drop_child), its re-adoption on the next HELLO (add_child), and
+  // a subtree cut loose from its parent (clear_children).
+  const auto joined_child_of = [&f](PeerIndex p) {
+    for (const PeerIndex c : f.system.children_of(p)) {
+      if (f.system.is_alive(c) && f.system.is_joined(c)) return c;
+    }
+    return kNoPeer;
+  };
+  PeerIndex parent = kNoPeer;
+  PeerIndex inner = kNoPeer;  // an s-peer with a joined child
+  for (const PeerIndex p : f.peers) {
+    if (!f.system.is_alive(p) || !f.system.is_joined(p) ||
+        joined_child_of(p) == kNoPeer) {
+      continue;
+    }
+    if (f.system.role_of(p) == Role::kTPeer && parent == kNoPeer) parent = p;
+    if (f.system.role_of(p) == Role::kSPeer && inner == kNoPeer) inner = p;
+  }
+  ASSERT_NE(parent, kNoPeer);
+  ASSERT_NE(inner, kNoPeer);
+  const PeerIndex child = joined_child_of(parent);
+  ASSERT_TRUE(FaultInjector::drop_tree_edge(f.system, child));
+  compare();
+  EXPECT_EQ(stale, 0u) << "after drop_child: " << first;
+  run_for(sim::SimTime::seconds(2));
+  EXPECT_TRUE(std::ranges::count(f.system.children_of(parent), child) == 1)
+      << "the HELLO re-adoption never ran";
+  EXPECT_EQ(stale, 0u) << "after add_child: " << first;
+  FaultInjector::detach_from_tree(f.system, inner);
+  compare();
+  EXPECT_EQ(stale, 0u) << "after clear_children: " << first;
+  run_for(sim::SimTime::seconds(5));
+  EXPECT_EQ(stale, 0u) << "after the subtree rejoined: " << first;
+  // A death only the transport has seen yet: the liveness epoch alone
+  // dates it.
+  const PeerIndex victim = joined_child_of(parent);
+  ASSERT_NE(victim, kNoPeer);
+  f.world.network.set_alive(victim, false);
+  compare();
+  EXPECT_EQ(stale, 0u) << "after a transport-level death: " << first;
+}
+
 TEST(Hybrid, GracefulPromotionMovesTheWholeRingPosition) {
   // One t-peer rooting an 11-member s-network, so both joiners' requests
   // reach it: the first runs its triangle while the second queues.  The

@@ -124,6 +124,25 @@ TEST(Simulator, RunUntilAdvancesClockWhenQueueEmpty) {
   EXPECT_EQ(s.now(), SimTime::millis(100));
 }
 
+TEST(Simulator, StopEndsTheRunAtTheStoppingEvent) {
+  Simulator s;
+  int fired = 0;
+  s.schedule_at(SimTime::millis(10), [&] { ++fired; });
+  s.schedule_at(SimTime::millis(20), [&] {
+    ++fired;
+    s.stop();
+  });
+  s.schedule_at(SimTime::millis(30), [&] { ++fired; });
+  s.run_until(SimTime::millis(100));
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(s.now(), SimTime::millis(20));  // not advanced to the deadline
+  EXPECT_EQ(s.pending_events(), 1u);
+  s.schedule_at(SimTime::millis(40), [&] { s.stop(); });
+  s.run();  // a fresh run, stopped again by the event at 40 ms
+  EXPECT_EQ(fired, 3);
+  EXPECT_EQ(s.now(), SimTime::millis(40));
+}
+
 TEST(Simulator, EventsScheduledDuringRunExecute) {
   Simulator s;
   int depth = 0;
