@@ -97,6 +97,7 @@ RunResult run_hybrid_experiment(const RunConfig& raw_config) {
     flight_tap.emplace(*config.flight, sim, network);
   }
   if (config.profiler != nullptr) sim.add_observer(config.profiler);
+  if (config.observer != nullptr) sim.add_observer(config.observer);
   std::optional<stats::TimeSeriesSampler> sampler;
   if (config.sample_period > sim::Duration{}) {
     sampler.emplace(sim, config.sample_period);

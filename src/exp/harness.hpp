@@ -120,6 +120,11 @@ struct RunConfig {
   /// timeseries.  Export via Profiler::to_json()/write_collapsed() after
   /// the run.  Not owned.
   stats::Profiler* profiler = nullptr;
+
+  /// Any other kernel observer, registered for the whole run after the
+  /// profiler (e.g. a test that paces two runs against each other).  Not
+  /// owned.
+  sim::Observer* observer = nullptr;
 };
 
 /// How long one harness phase took, in both host and simulated time.
@@ -219,6 +224,8 @@ class FlightRecorderTap final : public sim::Observer,
   FlightRecorderTap(const FlightRecorderTap&) = delete;
   FlightRecorderTap& operator=(const FlightRecorderTap&) = delete;
 
+  /// The kernel trace only: frames are not recorded.
+  [[nodiscard]] unsigned hooks() const override { return kTrace; }
   void on_event(const sim::TraceEvent& e) override;
   void on_message(const proto::NetTraceEvent& e) override;
 

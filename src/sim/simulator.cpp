@@ -106,12 +106,12 @@ void Simulator::fire(const HeapItem& item, Action& action, Component comp) {
   // is attributed to the component that set it in motion.  The observer
   // frame brackets exactly the action's execution.
   current_component_ = comp;
-  if (observers_.empty()) {
+  if (frame_observers_.empty()) {
     action();
   } else {
-    for (Observer* o : observers_) o->enter(comp);
+    for (Observer* o : frame_observers_) o->enter(comp);
     action();
-    for (Observer* o : observers_) o->leave();
+    for (Observer* o : frame_observers_) o->leave();
   }
   current_component_ = Component::kKernel;
 }
@@ -170,14 +170,14 @@ SimTime Simulator::next_event_time() {
 }
 
 void Simulator::run() {
-  for (Observer* o : observers_) o->resync();
+  for (Observer* o : frame_observers_) o->resync();
   stop_requested_ = false;
   while (!stop_requested_ && step()) {
   }
 }
 
 void Simulator::run_until(SimTime deadline) {
-  for (Observer* o : observers_) o->resync();
+  for (Observer* o : frame_observers_) o->resync();
   stop_requested_ = false;
   for (const HeapItem* next = peek_live();
        next != nullptr && next->when <= deadline; next = peek_live()) {

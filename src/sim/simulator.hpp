@@ -137,7 +137,7 @@ struct SimulatorStats {
   std::uint64_t corpses_skipped = 0;
 };
 
-/// One kernel-level trace record, delivered to every observer.
+/// One kernel-level trace record, delivered to every kTrace observer.
 struct TraceEvent {
   enum class Kind { kSchedule, kFire, kCancel };
   Kind kind;
@@ -150,16 +150,25 @@ struct TraceEvent {
 /// method defaults to doing nothing.
 class Observer {
  public:
+  /// The two groups of callbacks.  kTrace is on_event(); kFrames is
+  /// enter(), leave(), resync() and message().
+  enum Hooks : unsigned { kTrace = 1u << 0, kFrames = 1u << 1 };
+
   virtual ~Observer() = default;
+  /// The groups this observer takes, read once by add_observer(); the
+  /// kernel never calls it for the others.  A tracer that leaves out
+  /// kFrames, or a profiler that leaves out kTrace, pays nothing for them.
+  [[nodiscard]] virtual unsigned hooks() const { return kTrace | kFrames; }
   /// Every schedule, fire and cancel.
   virtual void on_event(const TraceEvent& /*ev*/) {}
   /// A dispatch frame tagged `c` began / the innermost frame ended.
   virtual void enter(Component /*c*/) {}
   virtual void leave() {}
   /// The host is about to (re)enter a dispatch run after doing unrelated
-  /// work (called on add_observer() and at run()/run_until() entry).  Lets
-  /// a timing observer re-mark its clock baseline so host work between
-  /// dispatch runs is never charged to the next event.
+  /// work (called on add_observer() and, for kFrames observers, at
+  /// run()/run_until() entry).  Lets a timing observer re-mark its clock
+  /// baseline so host work between dispatch runs is never charged to the
+  /// next event.
   virtual void resync() {}
   /// A message of class `cls` (stable `name`) with `bytes` on the wire is
   /// being delivered inside the current frame (see note_message()).
@@ -235,18 +244,24 @@ class Simulator {
 
   [[nodiscard]] const SimulatorStats& stats() const { return stats_; }
 
-  /// Registers `o` (not owned; must outlive its registration) and resyncs
-  /// it.  With no observers every schedule, cancel and dispatch costs one
-  /// predicted branch; see BM_EventQueueScheduleRun in micro_kernel.
+  /// Registers `o` (not owned; must outlive its registration) for the
+  /// hook groups it names, and resyncs it.  With no observers every
+  /// schedule, cancel and dispatch costs one predicted branch; see
+  /// BM_EventQueueScheduleRun in micro_kernel.
   void add_observer(Observer* o) {
-    observers_.push_back(o);
+    const unsigned hooks = o->hooks();
+    if ((hooks & Observer::kTrace) != 0) trace_observers_.push_back(o);
+    if ((hooks & Observer::kFrames) != 0) frame_observers_.push_back(o);
     o->resync();
   }
-  void remove_observer(Observer* o) { std::erase(observers_, o); }
+  void remove_observer(Observer* o) {
+    std::erase(trace_observers_, o);
+    std::erase(frame_observers_, o);
+  }
 
   /// Called by the transport on every delivery; see Observer::message.
   void note_message(std::size_t cls, const char* name, std::uint64_t bytes) {
-    for (Observer* o : observers_) o->message(cls, name, bytes);
+    for (Observer* o : frame_observers_) o->message(cls, name, bytes);
   }
 
   /// Switches the current tag and opens an observer frame; returns the
@@ -255,12 +270,12 @@ class Simulator {
   Component begin_component(Component c) {
     const Component prev = current_component_;
     current_component_ = c;
-    for (Observer* o : observers_) o->enter(c);
+    for (Observer* o : frame_observers_) o->enter(c);
     return prev;
   }
   void end_component(Component prev) {
     current_component_ = prev;
-    for (Observer* o : observers_) o->leave();
+    for (Observer* o : frame_observers_) o->leave();
   }
 
   /// Switches the footprint stamped on events scheduled right now (mirrors
@@ -326,7 +341,7 @@ class Simulator {
   }
   void free_slot(std::uint32_t slot);
   void notify(const TraceEvent& ev) {
-    for (Observer* o : observers_) o->on_event(ev);
+    for (Observer* o : trace_observers_) o->on_event(ev);
   }
 
   /// Discards cancelled corpses from the heap top (counting them in
@@ -356,7 +371,9 @@ class Simulator {
   std::vector<Slot> slots_;               // arena of live events
   std::vector<std::uint32_t> free_slots_; // recycled slot indices
   SimulatorStats stats_;
-  std::vector<Observer*> observers_;  // not owned
+  // Not owned; an observer sits in each list whose hooks it takes.
+  std::vector<Observer*> trace_observers_;
+  std::vector<Observer*> frame_observers_;
   /// Stamped on events scheduled right now: the dispatching event's tag
   /// during dispatch, or the innermost ComponentScope's / FootprintScope's.
   Component current_component_ = Component::kKernel;

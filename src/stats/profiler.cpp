@@ -1,25 +1,16 @@
 #include "stats/profiler.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <fstream>
+#include <map>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "common/alloc_stats.hpp"
 
 namespace hp2p::stats {
 
 namespace {
-
-/// splitmix64: cheap, well-mixed hash for the packed component paths.
-std::uint64_t mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 /// Packs component `c` into the path nibble for `depth` (4 bits per level,
 /// +1 so an empty nibble never aliases component 0).
@@ -63,31 +54,24 @@ std::uint64_t Profiler::steady_ns() {
 }
 
 Profiler::Profiler() {
-  stack_.reserve(kMaxDepth + 2);
-  accums_.reserve(kMaxPaths + 2);
-  index_.assign(kMaxPaths * 2, 0);  // power of two, load factor <= 0.5
-  // Accum 0: the permanent root (host program time; never accrued).
-  // Accum 1: the overflow bucket for paths past kMaxPaths -- created via
-  // find_or_insert so it is indexed like any other accum (it doubles as the
-  // legitimate depth-1 kOther path).
+  paths_.reserve(kMaxPaths);
+  // The root (host program time; never exported), the overflow bucket for
+  // paths past kMaxPaths (exported as the depth-1 kOther path), then every
+  // depth-1 path at kFirstTopAccum + component.  Prefilled accums start at
+  // zero enters and ticks, so unused ones never appear in exports.
   const std::uint64_t root_path = path_nibble(sim::Component::kKernel, 0);
-  accums_.push_back(Accum{root_path, 0, 0, 0, 0, sim::Component::kKernel, 0});
-  (void)find_or_insert(root_path | path_nibble(sim::Component::kOther, 1),
-                       sim::Component::kOther, 1);
-  // Prefill every depth-1 path so the top-level enter() fast path is a
-  // table load instead of a hash probe.  Prefilled accums start at zero
-  // enters/ticks, so unused ones never appear in exports.
+  add_accum(root_path, sim::Component::kKernel, 0);
+  add_accum(root_path | path_nibble(sim::Component::kOther, 1),
+            sim::Component::kOther, 1);
   for (std::size_t c = 0; c < sim::kNumComponents; ++c) {
     const auto comp = static_cast<sim::Component>(c);
-    depth1_accum_[c] =
-        find_or_insert(root_path | path_nibble(comp, 1), comp, 1);
+    add_accum(root_path | path_nibble(comp, 1), comp, 1);
   }
   anchor_ticks_ = now_ticks();
   anchor_ns_ = steady_ns();
   last_ticks_ = anchor_ticks_;
   last_allocs_ = alloc_stats::allocation_count();
   last_alloc_bytes_ = alloc_stats::allocated_bytes();
-  stack_.push_back(Frame{root_path, 0, sim::Component::kKernel});
 }
 
 double Profiler::ns_per_tick() const {
@@ -113,92 +97,88 @@ std::uint64_t Profiler::ticks_to_ns(std::uint64_t ticks) const {
                                     ns_per_tick());
 }
 
-void Profiler::charge_allocs() {
-  const std::uint64_t allocs = alloc_stats::allocation_count();
-  const std::uint64_t bytes = alloc_stats::allocated_bytes();
-  if (stack_.size() > 1) {  // root deltas belong to the host program
-    Accum& a = accums_[stack_.back().accum];
-    a.allocs += allocs - last_allocs_;
-    a.alloc_bytes += bytes - last_alloc_bytes_;
-  }
-  last_allocs_ = allocs;
-  last_alloc_bytes_ = bytes;
-}
-
 void Profiler::charge_ticks(std::uint64_t now) {
-  if (stack_.size() > 1) {  // root self time belongs to the host program
+  if (depth_ > 0) {  // root self time belongs to the host program
     const std::uint64_t span = now - last_ticks_;
-    accums_[stack_.back().accum].self_ticks += span;
-    dispatch_ticks_total_ += span;
-    if (pending_class_ >= 0 && stack_.size() == pending_depth_) {
-      classes_[pending_class_].cpu_ticks += span;
-    }
+    accums_[stack_[depth_]].self_ticks += span;
+    if (pending_depth_ == depth_) class_counts_[pending_class_].ticks += span;
   }
   last_ticks_ = now;
 }
 
-void Profiler::maybe_charge_ticks() {
+void Profiler::sample() {
   if (exact_left_ > 0) {
     --exact_left_;
-    charge_ticks(now_ticks());
-    return;
-  }
-  if (--sample_countdown_ == 0) {
-    // Deterministic LCG stride in [4, 19] (mean ~11.5): pseudo-random so
+    sample_countdown_ = 1;
+  } else {
+    // Deterministic LCG stride in [16, 79] (mean ~47.5): pseudo-random so
     // samples cannot phase-lock with a regular enter/leave pattern, seeded
     // with a constant so sample points repeat exactly across runs.
     sample_rng_ =
         sample_rng_ * 6364136223846793005ULL + 1442695040888963407ULL;
-    sample_countdown_ = 4 + static_cast<std::uint32_t>(sample_rng_ >> 60);
-    charge_ticks(now_ticks());
+    sample_countdown_ = static_cast<std::uint8_t>(16 + (sample_rng_ >> 58));
   }
+  charge_ticks(now_ticks());
 }
 
-std::uint32_t Profiler::find_or_insert(std::uint64_t path, sim::Component comp,
-                                       std::uint8_t depth) {
-  const std::uint64_t mask = index_.size() - 1;
-  std::uint64_t i = mix(path) & mask;
-  while (true) {
-    const std::uint32_t entry = index_[i];
-    if (entry == 0) break;
-    if (accums_[entry - 1].path == path) return entry - 1;
-    i = (i + 1) & mask;
-  }
-  if (accums_.size() >= kMaxPaths) {
+inline void Profiler::charge_allocs() {
+  const std::uint64_t allocs = alloc_stats::allocation_count();
+  const std::uint64_t bytes = alloc_stats::allocated_bytes();
+  Accum& a = accums_[stack_[depth_]];
+  a.allocs += allocs - last_allocs_;
+  a.alloc_bytes += bytes - last_alloc_bytes_;
+  last_allocs_ = allocs;
+  last_alloc_bytes_ = bytes;
+}
+
+inline void Profiler::charge() {
+  charge_allocs();
+  if (--sample_countdown_ == 0) sample();
+}
+
+Profiler::AccumIndex Profiler::add_accum(std::uint64_t path,
+                                         sim::Component comp,
+                                         std::uint8_t depth) {
+  const auto index = static_cast<AccumIndex>(paths_.size());
+  paths_.push_back(PathInfo{path, comp, depth});
+  return index;
+}
+
+Profiler::AccumIndex Profiler::resolve(AccumIndex parent, sim::Component c) {
+  // Frames inside a folded frame fold with it: the bucket has no children.
+  if (parent == kOverflowAccum || paths_.size() >= kMaxPaths) {
     ++truncated_frames_;
-    return 1;  // overflow bucket
+    return kOverflowAccum;
   }
-  const auto accum = static_cast<std::uint32_t>(accums_.size());
-  accums_.push_back(Accum{path, 0, 0, 0, 0, comp, depth});
-  index_[i] = accum + 1;
-  return accum;
+  const PathInfo& info = paths_[parent];
+  const auto depth = static_cast<std::uint8_t>(info.depth + 1);
+  const AccumIndex child =
+      add_accum(info.path | path_nibble(c, depth), c, depth);
+  accums_[parent].child[static_cast<std::size_t>(c)] = child;
+  return child;
 }
 
 void Profiler::enter(sim::Component c) {
-  // Fast path for top-level frames (every event dispatch): no clock or
-  // counter reads at all -- the kernel's pop/dispatch gap stays in the
-  // open span and lands on whichever frame the next sample charges -- and
-  // the accum comes from the prefilled depth-1 table.  One predicted
-  // branch, one table load, one push.
-  if (stack_.size() == 1) {
-    const std::uint32_t accum = depth1_accum_[static_cast<std::size_t>(c)];
-    ++accums_[accum].enters;
-    stack_.push_back(Frame{accums_[accum].path, accum, c});
-    return;
+  AccumIndex accum;
+  if (depth_ == 0) {
+    // A top-level frame (every event dispatch) charges nothing: the
+    // kernel's pop/dispatch gap stays in the open span and lands on
+    // whichever frame the next sample charges.
+    accum = static_cast<AccumIndex>(kFirstTopAccum + static_cast<int>(c));
+  } else {
+    // A nested frame first closes the enclosing frame's share.
+    charge();
+    if (std::size_t{depth_} + 1 >= kMaxDepth) {
+      ++depth_overflow_;  // fold into the ancestor; leave() pairs with this
+      ++truncated_frames_;
+      return;
+    }
+    const AccumIndex parent = stack_[depth_];
+    accum = accums_[parent].child[static_cast<std::size_t>(c)];
+    if (accum == 0) accum = resolve(parent, c);
   }
-  charge_allocs();      // the delta so far belongs to the enclosing frame
-  maybe_charge_ticks();
-  const std::size_t depth = stack_.size();  // the new frame's depth
-  if (depth >= kMaxDepth) {
-    ++depth_overflow_;  // fold into the ancestor; leave() pairs with this
-    ++truncated_frames_;
-    return;
-  }
-  const std::uint64_t path = stack_.back().path | path_nibble(c, depth);
-  const std::uint32_t accum =
-      find_or_insert(path, c, static_cast<std::uint8_t>(depth));
   ++accums_[accum].enters;
-  stack_.push_back(Frame{path, accum, c});
+  stack_[++depth_] = accum;
 }
 
 void Profiler::leave() {
@@ -206,21 +186,17 @@ void Profiler::leave() {
     --depth_overflow_;  // folded frame: its time stays with the ancestor
     return;
   }
-  if (stack_.size() <= 1) return;  // unbalanced leave; ignore
-  charge_allocs();
-  maybe_charge_ticks();
-  if (pending_class_ >= 0 && stack_.size() == pending_depth_) {
-    pending_class_ = -1;  // the delivering frame is closing
-  }
-  stack_.pop_back();
+  if (depth_ == 0) return;  // unbalanced leave; ignore
+  charge();
+  if (pending_depth_ == depth_) pending_depth_ = 0;  // its frame is closing
+  --depth_;
 }
 
 void Profiler::resync() {
   // The kernel is (re)entering a dispatch run after host work (underlay
   // construction, phase bookkeeping between run_until calls).  Re-mark the
   // tick and allocation baselines so that host work is never charged to the
-  // next sampled frame; with only the root on the stack the charges are
-  // mark-only.
+  // next sampled frame; with only the root open nothing is charged.
   charge_allocs();
   charge_ticks(now_ticks());
 }
@@ -228,27 +204,33 @@ void Profiler::resync() {
 void Profiler::message(std::size_t cls, const char* name,
                        std::uint64_t bytes) {
   if (cls >= kMaxMessageClasses) return;
-  ClassStat& stat = classes_[cls];
-  stat.name = name;
-  ++stat.messages;
-  stat.bytes += bytes;
-  if (stack_.size() > 1) {  // charge the enclosing frame's time at its close
-    pending_class_ = static_cast<int>(cls);
-    pending_depth_ = stack_.size();
-  }
+  ClassCount& count = class_counts_[cls];
+  if (count.messages++ == 0) class_names_[cls] = name;
+  count.bytes += bytes;
+  // The open frame's sampled time is charged to the class until it closes;
+  // at the root (depth 0) nothing is pending.
+  pending_class_ = static_cast<std::uint8_t>(cls);
+  pending_depth_ = depth_;
 }
 
 std::uint64_t Profiler::dispatch_ns_total() const {
-  return ticks_to_ns(dispatch_ticks_total_);
+  // Every charged span lands on exactly one non-root accum.
+  std::uint64_t ticks = 0;
+  for (std::size_t i = 1; i < paths_.size(); ++i) {
+    ticks += accums_[i].self_ticks;
+  }
+  return ticks_to_ns(ticks);
 }
 
 std::uint64_t Profiler::attributed_ns() const {
   std::uint64_t ticks = 0;
-  for (const Accum& a : accums_) {
-    if (a.depth == 0) continue;  // root: host program time
-    if (a.comp == sim::Component::kKernel || a.comp == sim::Component::kOther)
+  for (std::size_t i = 0; i < paths_.size(); ++i) {
+    const PathInfo& info = paths_[i];
+    if (info.depth == 0) continue;  // root: host program time
+    if (info.comp == sim::Component::kKernel ||
+        info.comp == sim::Component::kOther)
       continue;
-    ticks += a.self_ticks;
+    ticks += accums_[i].self_ticks;
   }
   return ticks_to_ns(ticks);
 }
@@ -256,8 +238,9 @@ std::uint64_t Profiler::attributed_ns() const {
 Profiler::ComponentTotal Profiler::component_total(sim::Component c) const {
   ComponentTotal total;
   const double scale = ns_per_tick();
-  for (const Accum& a : accums_) {
-    if (a.depth == 0 || a.comp != c) continue;
+  for (std::size_t i = 0; i < paths_.size(); ++i) {
+    if (paths_[i].depth == 0 || paths_[i].comp != c) continue;
+    const Accum& a = accums_[i];
     total.enters += a.enters;
     total.cpu_ns += static_cast<std::uint64_t>(
         static_cast<double>(a.self_ticks) * scale);
@@ -269,16 +252,16 @@ Profiler::ComponentTotal Profiler::component_total(sim::Component c) const {
 
 JsonValue Profiler::to_json() const {
   const double scale = ns_per_tick();
-  const std::uint64_t dispatch_ns = static_cast<std::uint64_t>(
-      static_cast<double>(dispatch_ticks_total_) * scale);
+  const std::uint64_t dispatch_ns = dispatch_ns_total();
   JsonValue components = JsonValue::object();
   std::uint64_t attributed_ticks = 0;
   for (std::size_t c = 0; c < sim::kNumComponents; ++c) {
     const auto comp = static_cast<sim::Component>(c);
     ComponentTotal total;
     std::uint64_t self_ticks = 0;
-    for (const Accum& a : accums_) {
-      if (a.depth == 0 || a.comp != comp) continue;
+    for (std::size_t i = 0; i < paths_.size(); ++i) {
+      if (paths_[i].depth == 0 || paths_[i].comp != comp) continue;
+      const Accum& a = accums_[i];
       total.enters += a.enters;
       total.allocs += a.allocs;
       total.alloc_bytes += a.alloc_bytes;
@@ -300,14 +283,14 @@ JsonValue Profiler::to_json() const {
       static_cast<double>(attributed_ticks) * scale);
 
   JsonValue message_types = JsonValue::object();
-  for (const ClassStat& stat : classes_) {
-    if (stat.name == nullptr) continue;
+  for (std::size_t cls = 0; cls < kMaxMessageClasses; ++cls) {
+    if (class_names_[cls] == nullptr) continue;
     JsonValue entry = JsonValue::object();
-    entry.set("messages", stat.messages);
-    entry.set("bytes", stat.bytes);
+    entry.set("messages", class_counts_[cls].messages);
+    entry.set("bytes", class_counts_[cls].bytes);
     entry.set("cpu_ns", static_cast<std::uint64_t>(
-                            static_cast<double>(stat.cpu_ticks) * scale));
-    message_types.set(stat.name, std::move(entry));
+                            static_cast<double>(class_counts_[cls].ticks) * scale));
+    message_types.set(class_names_[cls], std::move(entry));
   }
 
   JsonValue profile = JsonValue::object();
@@ -328,28 +311,29 @@ JsonValue Profiler::to_json() const {
 
 bool Profiler::write_collapsed(const std::string& path) const {
   const double scale = ns_per_tick();
-  std::vector<std::string> lines;
-  lines.reserve(accums_.size());
-  for (const Accum& a : accums_) {
-    if (a.depth == 0) continue;  // root frame: host program, not dispatch
+  // Keyed by the frame names, so the overflow bucket merges with the
+  // depth-1 kOther path it is exported as.
+  std::map<std::string, std::uint64_t> lines;
+  for (std::size_t i = 0; i < paths_.size(); ++i) {
+    const PathInfo& info = paths_[i];
+    if (info.depth == 0) continue;  // root frame: host program, not dispatch
     const auto self_ns = static_cast<std::uint64_t>(
-        static_cast<double>(a.self_ticks) * scale);
+        static_cast<double>(accums_[i].self_ticks) * scale);
     if (self_ns == 0) continue;
-    std::string line;
-    for (std::size_t d = 0; d <= a.depth; ++d) {
-      const std::uint64_t nibble = (a.path >> (4 * d)) & 0xF;
+    std::string stack;
+    for (std::size_t d = 0; d <= info.depth; ++d) {
+      const std::uint64_t nibble = (info.path >> (4 * d)) & 0xF;
       if (nibble == 0) break;
-      if (!line.empty()) line += ';';
-      line += sim::component_name(static_cast<sim::Component>(nibble - 1));
+      if (!stack.empty()) stack += ';';
+      stack += sim::component_name(static_cast<sim::Component>(nibble - 1));
     }
-    line += ' ';
-    line += std::to_string(self_ns);
-    lines.push_back(std::move(line));
+    lines[stack] += self_ns;
   }
-  std::sort(lines.begin(), lines.end());
   std::ofstream out(path, std::ios::trunc);
   if (!out) return false;
-  for (const std::string& line : lines) out << line << '\n';
+  for (const auto& [stack, self_ns] : lines) {
+    out << stack << ' ' << self_ns << '\n';
+  }
   return static_cast<bool>(out.flush());
 }
 

@@ -154,6 +154,41 @@ TEST(Profiler, DepthOverflowFoldsIntoAncestorWithoutCorruption) {
   EXPECT_EQ(prof.component_total(Component::kAudit).enters, 1u + 1u);
 }
 
+TEST(Profiler, PathsPastTheTableFoldIntoTheOverflowBucket) {
+  sim::Simulator sim;
+  Profiler prof;
+  sim.add_observer(&prof);
+
+  // Two depth-1 components, each with every two-level nesting below it:
+  // 2 * (13 + 169) distinct paths, more than kMaxPaths holds.
+  static_assert(2 * (sim::kNumComponents +
+                     sim::kNumComponents * sim::kNumComponents) >
+                Profiler::kMaxPaths);
+  for (const Component top : {Component::kRing, Component::kFlood}) {
+    ComponentScope scope{sim, top};
+    sim.schedule_at(SimTime::millis(1), [&sim] {
+      for (std::size_t a = 0; a < sim::kNumComponents; ++a) {
+        for (std::size_t b = 0; b < sim::kNumComponents; ++b) {
+          ComponentScope outer{sim, static_cast<Component>(a)};
+          ComponentScope inner{sim, static_cast<Component>(b)};
+        }
+      }
+    });
+  }
+  sim.run();
+
+  EXPECT_GT(prof.truncated_frames(), 0u);
+  // Folded or not, every frame is counted once: 2 scheduling scopes,
+  // 2 dispatches and 2 * 13 * 13 * 2 nested scopes (13 components).
+  std::uint64_t enters = 0;
+  for (std::size_t c = 0; c < sim::kNumComponents; ++c) {
+    enters += prof.component_total(static_cast<Component>(c)).enters;
+  }
+  constexpr std::uint64_t kN = sim::kNumComponents;
+  EXPECT_EQ(enters, 2u + 2u + 2u * kN * kN * 2u);
+  EXPECT_LE(prof.attributed_ns(), prof.dispatch_ns_total());
+}
+
 TEST(Profiler, ExportsWellFormedJsonAndCollapsedStacks) {
   sim::Simulator sim;
   Profiler prof;

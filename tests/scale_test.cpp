@@ -13,17 +13,32 @@
 //    statement that the paper benches moved.
 // 3. The continuous profiler earns its keep at N=20,000 (bench_scale's top
 //    default rung): >= 90% of measured dispatch time must be attributed to
-//    named components, and attaching the profiler must cost <= 5% in
-//    process CPU time (median ratio over back-to-back pairs).
+//    named components, and attaching the profiler must cost <= 5% in CPU
+//    time.  Each pair runs the plain and the profiled call in lockstep on
+//    two threads bound to one CPU, in turns of 4,096 events, and the test
+//    takes the median ratio over 16 pairs.  On a shared 4-vCPU Xeon VM
+//    that median read 1.021-1.037 over ten runs, and 1.050-1.061 for a
+//    profiler that cost ~2.5 points more, also with two busy loops
+//    running beside the test; single back-to-back whole calls differ by
+//    5-10% from one call to the next there.
 // 4. Membership allocates O(1) per join: its allocated bytes per completed
 //    join stay small and flat from 5k to 20k peers.
 #include <gtest/gtest.h>
 
 #include <time.h>
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include <algorithm>
+#include <array>
+#include <condition_variable>
 #include <cstdint>
+#include <exception>
+#include <iostream>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/proc_stats.hpp"
@@ -122,20 +137,137 @@ RunConfig profiled_rung_config() {
   return cfg;
 }
 
-/// CPU time this process has used, in seconds.
-double process_cpu_s() {
+/// CPU time the calling thread has used, in seconds.
+double thread_cpu_s() {
   timespec ts{};
-  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
   return static_cast<double>(ts.tv_sec) +
          static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
-/// Runs `cfg`; sets `cpu_s` to the process CPU time the call used.
-RunResult run_timed(const RunConfig& cfg, double& cpu_s) {
-  const double start = process_cpu_s();
-  RunResult r = run_hybrid_experiment(cfg);
-  cpu_s = process_cpu_s() - start;
-  return r;
+/// The CPU the calling thread runs on, or -1 where that is unknown.
+int current_cpu() {
+#if defined(__linux__)
+  return sched_getcpu();
+#else
+  return -1;
+#endif
+}
+
+/// Binds the calling thread to `cpu` (best effort; no-op for -1).
+void bind_to_cpu(int cpu) {
+#if defined(__linux__)
+  if (cpu < 0) return;
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  CPU_SET(static_cast<std::size_t>(cpu), &set);
+  (void)sched_setaffinity(0, sizeof set, &set);
+#else
+  (void)cpu;
+#endif
+}
+
+/// A turn shared by two runs on two threads: only the holder runs, and the
+/// other waits, so the two never compete for a core.
+class Baton {
+ public:
+  explicit Baton(int first) : turn_(first) {}
+
+  /// Blocks until `arm` holds the turn or the other arm has finished.
+  void wait(int arm) {
+    std::unique_lock<std::mutex> lock{mu_};
+    cv_.wait(lock, [&] { return turn_ == arm || done_[1 - arm]; });
+  }
+  /// Hands the turn to the other arm.
+  void pass(int arm) {
+    {
+      const std::lock_guard<std::mutex> lock{mu_};
+      turn_ = 1 - arm;
+    }
+    cv_.notify_all();
+  }
+  /// `arm` has finished; the other runs to its end without waiting.
+  void finish(int arm) {
+    {
+      const std::lock_guard<std::mutex> lock{mu_};
+      done_[arm] = true;
+      turn_ = 1 - arm;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int turn_;
+  bool done_[2] = {false, false};
+};
+
+/// Passes the baton every kSliceEvents fired events.
+class SliceObserver final : public sim::Observer {
+ public:
+  static constexpr std::uint64_t kSliceEvents = 4096;  // ~4 ms at 20k peers
+
+  SliceObserver(Baton& baton, int arm) : baton_(baton), arm_(arm) {}
+  SliceObserver(const SliceObserver&) = delete;
+  SliceObserver& operator=(const SliceObserver&) = delete;
+
+  void on_event(const sim::TraceEvent& ev) override {
+    if (ev.kind != sim::TraceEvent::Kind::kFire) return;
+    if (++fired_ % kSliceEvents != 0) return;
+    baton_.pass(arm_);
+    baton_.wait(arm_);
+  }
+
+ private:
+  Baton& baton_;
+  int arm_;
+  std::uint64_t fired_ = 0;
+};
+
+struct ArmResult {
+  double cpu_s = 0;  // CPU time of the run_hybrid_experiment call
+  std::uint64_t events = 0;
+};
+
+/// Runs `cfg` plain (arm 0) and profiled (arm 1) at once, each on its own
+/// thread, in slices of kSliceEvents events that take turns; `first`
+/// picks the arm that starts.  Both runs execute the same events, so a
+/// pair of slices is the same work under the same host conditions.  Both
+/// threads are bound to the caller's CPU: left free, the scheduler puts
+/// them on different cores whenever other work runs, and one pair's
+/// ratio then read anywhere from 0.70 to 1.31.
+std::array<ArmResult, 2> run_lockstep_pair(const RunConfig& cfg, int first) {
+  const int cpu = current_cpu();
+  Baton baton{first};
+  std::array<ArmResult, 2> out;
+  std::array<std::exception_ptr, 2> errors;
+  const auto arm = [&](int a) {
+    const auto i = static_cast<std::size_t>(a);
+    bind_to_cpu(cpu);
+    try {
+      stats::Profiler profiler;
+      RunConfig c = cfg;
+      if (a == 1) c.profiler = &profiler;
+      SliceObserver slicer{baton, a};
+      c.observer = &slicer;
+      baton.wait(a);
+      const double start = thread_cpu_s();
+      const RunResult r = run_hybrid_experiment(c);
+      out[i] = {thread_cpu_s() - start, r.sim_stats.events_executed};
+    } catch (...) {
+      errors[i] = std::current_exception();
+    }
+    baton.finish(a);  // never leave the other arm waiting
+  };
+  std::thread plain{arm, 0};
+  std::thread profiled{arm, 1};
+  plain.join();
+  profiled.join();
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
+  return out;
 }
 
 TEST(Scale, ProfilerAttributesDispatchTimeAtTwentyThousandPeers) {
@@ -168,35 +300,31 @@ TEST(Scale, ProfilerOverheadStaysUnderFivePercent) {
   const auto cfg = profiled_rung_config();
   // events_executed is identical on both arms (the profiler schedules
   // nothing), so events/sec overhead reduces to the ratio of the CPU time
-  // each whole call used.  CPU time leaves out the waits a shared host adds
-  // to wall time; each back-to-back (plain, profiled) pair still yields one
-  // ratio, so adjacent runs see the same cache and frequency conditions,
-  // and the median over the pairs rejects the occasional outlier.
+  // each whole call used.  A shared host changes speed from one call to
+  // the next by more than the 5% under test, so the two calls of a pair
+  // run in lockstep: turns of 4,096 events, one thread each, both on one
+  // CPU, one running at a time.  Each call still reads its own thread's
+  // CPU clock over the whole call, but a slow spell now lands on both.  The arm that starts
+  // alternates between pairs, and the median over the pairs rejects the
+  // occasional outlier.  The first pair warms both threads' heaps and is
+  // not counted.
+  constexpr int kPairs = 16;
   std::vector<double> ratios;
-  std::uint64_t events = 0;
-  std::uint64_t profiled_events = 0;
-  for (int i = 0; i < 5; ++i) {
-    double plain_s = 0;
-    const RunResult plain = run_timed(cfg, plain_s);
-    events = plain.sim_stats.events_executed;
-
-    auto pcfg = cfg;
-    stats::Profiler prof;
-    pcfg.profiler = &prof;
-    double profiled_s = 0;
-    const RunResult profiled = run_timed(pcfg, profiled_s);
-    profiled_events = profiled.sim_stats.events_executed;
-
-    ASSERT_GT(plain_s, 0.0);
-    ratios.push_back(profiled_s / plain_s);
+  for (int i = -1; i < kPairs; ++i) {
+    const auto arms = run_lockstep_pair(cfg, i & 1);
+    ASSERT_EQ(arms[0].events, arms[1].events)
+        << "profiling must not change the event stream";
+    ASSERT_GT(arms[0].cpu_s, 0.0);
+    if (i >= 0) ratios.push_back(arms[1].cpu_s / arms[0].cpu_s);
   }
-  EXPECT_EQ(events, profiled_events)
-      << "profiling must not change the event stream";
   std::sort(ratios.begin(), ratios.end());
-  const double overhead = ratios[ratios.size() / 2] - 1.0;
-  EXPECT_LE(overhead, 0.05)
-      << "median profiled/plain CPU-time ratio " << ratios[ratios.size() / 2]
-      << " (" << overhead * 100 << "% overhead; ratios " << ratios.front()
+  const double median = ratios[ratios.size() / 2];
+  std::cout << "[overhead] median profiled/plain CPU-time ratio " << median
+            << " over " << kPairs << " pairs (" << ratios.front() << " .. "
+            << ratios.back() << ")\n";
+  EXPECT_LE(median - 1.0, 0.05)
+      << "median profiled/plain CPU-time ratio " << median << " ("
+      << (median - 1.0) * 100 << "% overhead; ratios " << ratios.front()
       << " .. " << ratios.back() << ")";
 }
 

@@ -232,6 +232,48 @@ TEST(Simulator, TraceHookSeesScheduleFireCancel) {
   }
 }
 
+TEST(Simulator, ObserversGetOnlyTheHookGroupsTheyName) {
+  struct Counter : Observer {
+    explicit Counter(unsigned g) : groups(g) {}
+    unsigned hooks() const override { return groups; }
+    void on_event(const TraceEvent&) override { ++events; }
+    void enter(Component) override { ++frames; }
+    void message(std::size_t, const char*, std::uint64_t) override {
+      ++messages;
+    }
+    unsigned groups;
+    int events = 0;
+    int frames = 0;
+    int messages = 0;
+  };
+  Simulator s;
+  Counter trace{Observer::kTrace};
+  Counter frames{Observer::kFrames};
+  Counter both{Observer::kTrace | Observer::kFrames};
+  s.add_observer(&trace);
+  s.add_observer(&frames);
+  s.add_observer(&both);
+  s.schedule_at(SimTime::millis(1), [&s] { s.note_message(0, "control", 64); });
+  s.run();
+  EXPECT_EQ(trace.events, 2);  // the schedule and the fire
+  EXPECT_EQ(trace.frames, 0);
+  EXPECT_EQ(trace.messages, 0);
+  EXPECT_EQ(frames.events, 0);
+  EXPECT_EQ(frames.frames, 1);
+  EXPECT_EQ(frames.messages, 1);
+  EXPECT_EQ(both.events, 2);
+  EXPECT_EQ(both.frames, 1);
+  EXPECT_EQ(both.messages, 1);
+  // Removal detaches an observer from both groups.
+  s.remove_observer(&both);
+  s.schedule_at(SimTime::millis(2), [] {});
+  s.run();
+  EXPECT_EQ(both.events, 2);
+  EXPECT_EQ(both.frames, 1);
+  EXPECT_EQ(trace.events, 4);
+  EXPECT_EQ(frames.frames, 2);
+}
+
 TEST(Simulator, CorpseSkipAccountingIsConsistent) {
   Simulator s;
   std::vector<TimerId> ids;
