@@ -6,6 +6,10 @@
 // (e.g. the event-loop items_per_second guarding the trace-hook overhead).
 #include <benchmark/benchmark.h>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <deque>
 #include <unordered_map>
 #include <vector>
@@ -480,6 +484,16 @@ class JsonCaptureReporter : public benchmark::ConsoleReporter {
 }  // namespace
 
 int main(int argc, char** argv) {
+#if defined(__GLIBC__)
+  // glibc raises its mmap and trim thresholds each time a large block is
+  // freed, so a bench that builds a fresh kernel per iteration would pay
+  // page faults for its multi-MB arena on every iteration or on none,
+  // depending on which benches ran before it.  Fixed thresholds keep freed
+  // blocks in the heap from the start, so every bench starts from the same
+  // warm-heap state whatever runs first.
+  mallopt(M_MMAP_THRESHOLD, 32 << 20);
+  mallopt(M_TRIM_THRESHOLD, 256 << 20);
+#endif
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   hp2p::bench::Reporter reporter{"micro_kernel"};

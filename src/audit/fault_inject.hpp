@@ -105,6 +105,11 @@ struct FaultInjector {
     return sys.peer(p).ring != nullptr;
   }
 
+  /// How many neighbours `p` holds liveness stamps for.
+  static std::size_t liveness_entries(const HybridSystem& sys, PeerIndex p) {
+    return sys.peer(p).liveness.size();
+  }
+
   /// Sets the tree-walk epoch, so a test can reach its wrap-around without
   /// 2^32 walks.  Walks stamp peers with the epoch they ran under; a value
   /// below some stamp still in place would skip those peers.

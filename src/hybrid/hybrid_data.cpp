@@ -245,11 +245,12 @@ void HybridSystem::ring_forward(const RouteRef& r, PeerIndex at,
   // conservative 2x hop RTT plus backoff, re-resolve the next hop -- our
   // successor pointer may have been repaired to the crash heir meanwhile --
   // and forward again.  On healthy hops the watchdog fires as a no-op.
+  constexpr sim::Duration kRetryCap = sim::SimTime::seconds(4);
   sim::Duration backoff = params_.ring_retry_base;
-  for (unsigned i = 0; i < attempt && backoff < params_.ring_retry_cap; ++i) {
+  for (unsigned i = 0; i < attempt && backoff < kRetryCap; ++i) {
     backoff += backoff;
   }
-  if (params_.ring_retry_cap < backoff) backoff = params_.ring_retry_cap;
+  if (kRetryCap < backoff) backoff = kRetryCap;
   const sim::Duration hop = net_.hop_latency(at, next, r->bytes());
   auto watchdog = [this, r, at, hops, contacted, send, attempt] {
     if (r->delivered[send] != 0) return;
@@ -712,16 +713,6 @@ std::vector<PeerIndex> HybridSystem::tracker_holders(PeerIndex t,
   return it->second;
 }
 
-std::vector<PeerIndex> HybridSystem::snetwork_neighbors(const Peer& p) const {
-  // Tree neighbours (cp + children) plus mesh links; bypass links are
-  // shortcuts between s-networks and are not part of the local search.
-  std::vector<PeerIndex> targets;
-  if (p.cp != kNoPeer) targets.push_back(p.cp);
-  targets.insert(targets.end(), p.children.begin(), p.children.end());
-  targets.insert(targets.end(), p.mesh_links.begin(), p.mesh_links.end());
-  return targets;
-}
-
 void HybridSystem::search_snetwork(PeerIndex at, PeerIndex from,
                                    std::uint64_t qid, unsigned ttl,
                                    std::uint32_t hops) {
@@ -741,9 +732,13 @@ void HybridSystem::walk(PeerIndex at, std::uint64_t qid, unsigned ttl,
                    query_trace(qid));
     return;
   }
-  const auto targets = snetwork_neighbors(peer(at));
-  if (targets.empty()) return;
-  const PeerIndex next = targets[rng_.index(targets.size())];
+  std::size_t degree = 0;
+  for_each_link(peer(at), /*with_ring=*/false, [&](PeerIndex) { ++degree; });
+  if (degree == 0) return;
+  std::size_t pick = rng_.index(degree);
+  PeerIndex next = kNoPeer;
+  for_each_link(peer(at), /*with_ring=*/false,
+                [&](PeerIndex n) { if (pick-- == 0) next = n; });
   net_.send(at, next, TrafficClass::kQuery, proto::kQueryBytes,
             query_trace(qid), [this, next, qid, ttl, hops] {
               auto it = queries_.find(qid);
@@ -770,10 +765,9 @@ void HybridSystem::flood(PeerIndex at, PeerIndex from, std::uint64_t qid,
                    query_trace(qid));
     return;
   }
-  Peer& p = peer(at);
   const stats::TraceContext ctx = query_trace(qid);
-  for (PeerIndex n : snetwork_neighbors(p)) {
-    if (n == from) continue;
+  for_each_link(peer(at), /*with_ring=*/false, [&](PeerIndex n) {
+    if (n == from) return;
     net_.send(at, n, TrafficClass::kQuery, proto::kQueryBytes, ctx,
               [this, n, at, qid, ttl, hops] {
                 auto it = queries_.find(qid);
@@ -789,7 +783,7 @@ void HybridSystem::flood(PeerIndex at, PeerIndex from, std::uint64_t qid,
                 if (try_answer(n, qid, hops + 1)) return;
                 flood(n, at, qid, ttl - 1, hops + 1);
               });
-  }
+  });
 }
 
 const proto::DataItem* HybridSystem::answer_source(Peer& p, DataId id,
@@ -960,8 +954,8 @@ void HybridSystem::keyword_flood(PeerIndex at, PeerIndex from,
   sim::ComponentScope prof{sim_, sim::Component::kFlood};
   notify_flood_wave(at, ttl);
   if (ttl == 0) return;
-  for (PeerIndex n : snetwork_neighbors(peer(at))) {
-    if (n == from) continue;
+  for_each_link(peer(at), /*with_ring=*/false, [&](PeerIndex n) {
+    if (n == from) return;
     net_.send(at, n, TrafficClass::kQuery, proto::kQueryBytes,
               [this, n, at, qid, ttl] {
       auto it = keyword_queries_.find(qid);
@@ -972,7 +966,7 @@ void HybridSystem::keyword_flood(PeerIndex at, PeerIndex from,
       keyword_report(n, qid, q);
       keyword_flood(n, at, qid, ttl - 1);
     });
-  }
+  });
 }
 
 void HybridSystem::keyword_report(PeerIndex at, std::uint64_t qid,

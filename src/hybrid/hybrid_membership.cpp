@@ -1149,29 +1149,11 @@ void HybridSystem::server_refresh_ring_pointers(PeerIndex reporter,
 
 // --- Failure detection (Section 3.2.2) --------------------------------------------
 
-std::vector<PeerIndex> HybridSystem::link_neighbors(const Peer& p) const {
-  std::vector<PeerIndex> out;
-  if (p.cp != kNoPeer) out.push_back(p.cp);
-  out.insert(out.end(), p.children.begin(), p.children.end());
-  out.insert(out.end(), p.mesh_links.begin(), p.mesh_links.end());
-  if (p.role == Role::kTPeer && p.joined) {
-    const PeerIndex suc = ring_view(p).successor.peer;
-    const PeerIndex pre = ring_view(p).predecessor.peer;
-    if (suc != kNoPeer && suc != p.self) out.push_back(suc);
-    if (pre != kNoPeer && pre != p.self && pre != suc) out.push_back(pre);
-  }
-  return out;
-}
-
 void HybridSystem::start_failure_detection() {
-  failure_detection_ = true;
+  assert(!failure_detection_ && "failure detection starts once");
+  failure_detection_ = true;  // from here on note_heard stamps
   for (Peer& p : peers_) {
     if (p.is_server || !p.joined) continue;
-    // Liveness stamps recorded during the build (join-time handshakes) are
-    // stale by now; reset so the first detection epoch starts clean instead
-    // of firing false timeouts.
-    p.last_heard.clear();
-    p.last_sent.clear();
     heartbeat_tick(p.self);
   }
 }
@@ -1191,26 +1173,29 @@ void HybridSystem::heartbeat_step(PeerIndex p_idx) {
     return;
   }
   const sim::SimTime now = sim_.now();
-  for (PeerIndex n : link_neighbors(p)) {
-    // Timeout check first.
-    auto heard = p.last_heard.find(n.value());
-    if (heard == p.last_heard.end()) {
-      p.last_heard[n.value()] = now;
-    } else if (sim::expired(heard->second + params_.hello_timeout, now)) {
-      on_neighbor_dead(p_idx, n);
+  assert(!beat_links_open_ && "heartbeat scans never nest");
+  beat_links_open_ = true;
+  beat_links_.clear();
+  for_each_link(p, /*with_ring=*/true,
+                [this](PeerIndex n) { beat_links_.push_back(n); });
+  for (const PeerIndex n : beat_links_) {
+    Liveness& l = p.liveness[n.value()];
+    if (l.heard == Liveness::kUnset) {
+      l.heard = now;
+    } else if (sim::expired(l.heard + params_.hello_timeout, now)) {
+      on_neighbor_dead(p_idx, n);  // erases l
       continue;
     }
     // HELLO suppression: recent acknowledgment traffic substitutes for the
     // scheduled HELLO (the ack/suppress timers of Section 3.2.2).
-    auto sent = p.last_sent.find(n.value());
-    if (sent != p.last_sent.end() &&
-        now - sent->second < params_.hello_interval) {
+    if (l.sent != Liveness::kUnset && now - l.sent < params_.hello_interval) {
       continue;
     }
-    p.last_sent[n.value()] = now;
+    l.sent = now;
     net_.send(p_idx, n, TrafficClass::kHeartbeat, proto::kHeartbeatBytes,
               [this, n, p_idx] { note_heard(n, p_idx); });
   }
+  beat_links_open_ = false;
   // Orphaned s-peer: a crashed parent (or a rejoin whose acceptance never
   // arrived) leaves cp == kNoPeer and nothing else will ever re-attach it.
   // Retry once per hello_timeout.
@@ -1240,7 +1225,7 @@ void HybridSystem::heartbeat_step(PeerIndex p_idx) {
     replication_sweep(p_idx);
   }
   // Footprint for the verify/ explorer: a heartbeat scan reads and writes
-  // only this peer's own records (last_heard/last_sent, child/mesh lists,
+  // only this peer's own records (liveness stamps, child/mesh lists,
   // ring pointers), so scans of distinct peers commute.  Messages it sends
   // are stamped by the transport with their own endpoint footprints.
   const sim::FootprintScope fps{sim_,
@@ -1251,9 +1236,10 @@ void HybridSystem::heartbeat_step(PeerIndex p_idx) {
 
 void HybridSystem::note_heard(PeerIndex at, PeerIndex from) {
   sim::ComponentScope prof{sim_, sim::Component::kMembership};
+  if (!failure_detection_) return;
   Peer& p = peer(at);
-  p.last_heard[from.value()] = sim_.now();
-  if (!failure_detection_ || at == from) return;
+  p.liveness[from.value()].heard = sim_.now();
+  if (at == from) return;
   Peer& f = peer(from);
   if (!p.joined || !f.joined || f.is_server || p.is_server) return;
   // State-only reconciliation against what the live sender claims.  Crash
@@ -1321,13 +1307,10 @@ void HybridSystem::note_heard(PeerIndex at, PeerIndex from) {
 
 void HybridSystem::maybe_ack(PeerIndex at, PeerIndex to) {
   if (!failure_detection_) return;
-  Peer& p = peer(at);
-  const sim::SimTime now = sim_.now();
-  auto sent = p.last_sent.find(to.value());
-  if (sent != p.last_sent.end() && now - sent->second < params_.ack_suppress) {
-    return;  // suppress timer still running
-  }
-  p.last_sent[to.value()] = now;
+  constexpr sim::Duration kAckSuppress = sim::SimTime::millis(500);
+  Liveness& l = peer(at).liveness[to.value()];
+  if (l.sent != Liveness::kUnset && sim_.now() - l.sent < kAckSuppress) return;
+  l.sent = sim_.now();
   net_.send(at, to, TrafficClass::kHeartbeat, proto::kHeartbeatBytes,
             [this, to, at] { note_heard(to, at); });
 }
@@ -1335,8 +1318,7 @@ void HybridSystem::maybe_ack(PeerIndex at, PeerIndex to) {
 void HybridSystem::on_neighbor_dead(PeerIndex at, PeerIndex dead) {
   sim::ComponentScope prof{sim_, sim::Component::kMembership};
   Peer& p = peer(at);
-  p.last_heard.erase(dead.value());
-  p.last_sent.erase(dead.value());
+  p.liveness.erase(dead.value());
 
   // Whatever repair the branches below perform, the dead neighbor may have
   // held replicas for this segment; schedule a sweep once the membership

@@ -340,6 +340,13 @@ class HybridSystem {
     sim::SimTime last_sweep{};
   };
 
+  /// When a peer last heard from a neighbour and last sent it a HELLO/ack.
+  struct Liveness {
+    static constexpr sim::SimTime kUnset = sim::SimTime::never();
+    sim::SimTime heard = kUnset;
+    sim::SimTime sent = kUnset;
+  };
+
   struct Peer {
     PeerIndex self = kNoPeer;
     HostIndex host = kNoHost;
@@ -373,9 +380,8 @@ class HybridSystem {
     std::size_t cache_oldest = 0;
     std::uint64_t answers_served = 0;
 
-    // Failure-detection bookkeeping.
-    std::unordered_map<std::uint32_t, sim::SimTime> last_heard;  // by peer idx
-    std::unordered_map<std::uint32_t, sim::SimTime> last_sent;
+    // By neighbour peer index; written only while failure detection runs.
+    std::unordered_map<std::uint32_t, Liveness> liveness;
     bool heartbeat_running = false;
     /// Last time this orphaned s-peer asked to rejoin a tree; throttles the
     /// heartbeat-driven re-attach retry to one request per hello_timeout.
@@ -385,7 +391,7 @@ class HybridSystem {
   // reallocation deep-copy each peer's maps and vectors instead.
   static_assert(std::is_nothrow_move_constructible_v<Peer>);
   // Every peer pays for Peer; only t-peers pay for a RingState.
-  static_assert(sizeof(Peer) <= 512);
+  static_assert(sizeof(Peer) <= 384);
 
   struct Query {
     PeerIndex origin = kNoPeer;
@@ -463,6 +469,20 @@ class HybridSystem {
   };
   [[nodiscard]] Walk begin_walk() const {
     return Walk{visit_marks_, peers_.size()};
+  }
+  /// Calls f(n) for each of `p`'s links (never bypass links) in the order
+  /// floods, walks and beats rely on: cp, children, mesh links, then, if
+  /// `with_ring` and `p` is a joined t-peer, successor and predecessor.
+  template <class F>
+  void for_each_link(const Peer& p, bool with_ring, F&& f) const {
+    if (p.cp != kNoPeer) f(p.cp);
+    for (const PeerIndex c : p.children) f(c);
+    for (const PeerIndex m : p.mesh_links) f(m);
+    if (!with_ring || p.role != Role::kTPeer || !p.joined) return;
+    const PeerIndex suc = ring_view(p).successor.peer;
+    const PeerIndex pre = ring_view(p).predecessor.peer;
+    if (suc != kNoPeer && suc != p.self) f(suc);
+    if (pre != kNoPeer && pre != p.self && pre != suc) f(pre);
   }
   /// Appends snetwork_members(t) to `out`.
   void collect_snetwork(PeerIndex t, std::vector<PeerIndex>& out) const;
@@ -562,7 +582,6 @@ class HybridSystem {
 
   void heartbeat_tick(PeerIndex p);
   void heartbeat_step(PeerIndex p);
-  [[nodiscard]] std::vector<PeerIndex> link_neighbors(const Peer& p) const;
   void on_neighbor_dead(PeerIndex at, PeerIndex dead);
   void note_heard(PeerIndex at, PeerIndex from);
   void maybe_ack(PeerIndex at, PeerIndex to);
@@ -724,7 +743,6 @@ class HybridSystem {
              std::uint32_t hops);
   void walk(PeerIndex at, std::uint64_t qid, unsigned ttl,
             std::uint32_t hops);
-  [[nodiscard]] std::vector<PeerIndex> snetwork_neighbors(const Peer& p) const;
   bool try_answer(PeerIndex at, std::uint64_t qid, std::uint32_t hops);
   /// Store first, then cache (when enabled); nullptr on miss.
   [[nodiscard]] const proto::DataItem* answer_source(Peer& p, DataId id,
@@ -809,6 +827,10 @@ class HybridSystem {
   PeerIndex server_ = kNoPeer;  // the well-known server's transport endpoint
   std::vector<Peer> peers_;
   mutable VisitMarks visit_marks_;
+  /// heartbeat_step's snapshot of one peer's links, which on_neighbor_dead
+  /// edits mid-scan.  Reused by every beat; beats never nest (asserted).
+  std::vector<PeerIndex> beat_links_;
+  bool beat_links_open_ = false;
   /// Bumped by membership_changed() and by every child-list edit
   /// (add_child, drop_child, clear_children): together with the transport's
   /// liveness epoch it dates everything an s-network walk reads.

@@ -86,8 +86,6 @@ struct HybridParams {
   /// Heartbeat machinery (Section 3.2.2).
   sim::Duration hello_interval = sim::SimTime::millis(2000);
   sim::Duration hello_timeout = sim::SimTime::millis(5000);
-  /// Suppress timer: minimum gap between acknowledgment messages.
-  sim::Duration ack_suppress = sim::SimTime::millis(500);
   /// note_heard repair rule: a parent that false-positive-timed-out a child
   /// takes it back when the child's next HELLO arrives.  Disabling it makes
   /// the HELLO-timeout vs. late-HELLO race a real (persistent) bug -- the
@@ -108,9 +106,8 @@ struct HybridParams {
   /// 0 disables the retry entirely (the chaos regression tests rely on
   /// this to prove the directed crash-storm schedule catches its absence).
   unsigned ring_retry_limit = 2;
-  /// First retry backoff; doubles per attempt up to ring_retry_cap.
+  /// First retry backoff; doubles per attempt up to a fixed 4 s cap.
   sim::Duration ring_retry_base = sim::SimTime::millis(500);
-  sim::Duration ring_retry_cap = sim::SimTime::seconds(4);
 
   /// Data durability: every stored item is kept on up to `replication_factor`
   /// holders inside its owning segment -- the responsible t-peer plus replica

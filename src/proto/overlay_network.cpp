@@ -114,7 +114,7 @@ void OverlayNetwork::send(PeerIndex from, PeerIndex to, TrafficClass cls,
   const sim::SimTime delay = hop_latency(from, to, bytes) + fault_delay;
   // Footprint for the verify/ explorer's independence relation: a heartbeat,
   // query or data delivery only touches the records of the two endpoints
-  // (note_heard mutates *both* the receiver's last_heard and the sender's
+  // (note_heard mutates *both* the receiver's liveness and the sender's
   // tree pointers), so deliveries on disjoint peer pairs commute.  Control
   // messages restructure the overlay (joins, ring repair, server
   // competition) and stay wildcard-ordered against everything.

@@ -18,6 +18,7 @@
 #include "common/hashing.hpp"
 #include "common/ring_math.hpp"
 #include "hybrid/hybrid_system.hpp"
+#include "stats/profiler.hpp"
 #include "tests/test_util.hpp"
 
 namespace hp2p::hybrid {
@@ -1403,6 +1404,61 @@ TEST(Hybrid, QueryTrafficSubstitutesForHellos) {
   // heartbeat traffic than idle + the ack budget.
   EXPECT_GT(idle_hellos, 0u);
   EXPECT_LE(busy_hellos, idle_hellos * 2);
+}
+
+TEST(Hybrid, NoLivenessStampsWhileDetectionIsOff) {
+  // Section 3.2.2 stamps are read only by heartbeats, so nothing writes
+  // them before failure detection starts, however much joins and stores
+  // talk to each other.
+  auto params = defaults();
+  params.style = SNetworkStyle::kMesh;
+  HybridFixture f{216, params};
+  f.build(40);
+  f.populate(40);
+  for (const PeerIndex p : f.peers) {
+    EXPECT_EQ(FaultInjector::liveness_entries(f.system, p), 0u)
+        << "peer " << p.value();
+  }
+  f.system.start_failure_detection();
+  f.world.sim.run_until(f.world.sim.now() + sim::SimTime::seconds(5));
+  const auto stamped = std::ranges::count_if(f.peers, [&f](PeerIndex p) {
+    return FaultInjector::liveness_entries(f.system, p) != 0;
+  });
+  EXPECT_EQ(static_cast<std::size_t>(stamped), f.peers.size());
+}
+
+TEST(Hybrid, SettledHeartbeatsAllocateNothing) {
+  // Once every peer has stamped its neighbours, a beat reuses the link
+  // snapshot and the stamps it already holds: further hello intervals on a
+  // quiescent world cost membership no allocation at all.
+  auto params = defaults();
+  params.style = SNetworkStyle::kMesh;
+  params.hello_interval = sim::SimTime::millis(500);
+  params.hello_timeout = sim::SimTime::millis(2000);
+  HybridFixture f{217, params};
+  f.build(40);
+  f.populate(40);
+  f.system.start_failure_detection();
+  f.world.sim.run_until(f.world.sim.now() + sim::SimTime::seconds(5));
+
+  const std::uint64_t hellos_before =
+      f.world.network.stats().class_messages(proto::TrafficClass::kHeartbeat);
+  stats::Profiler prof;
+  f.world.sim.add_observer(&prof);
+  constexpr std::int64_t kIntervals = 8;
+  f.world.sim.run_until(f.world.sim.now() +
+                        sim::SimTime::millis(500 * kIntervals));
+  f.world.sim.remove_observer(&prof);
+
+  const auto membership = prof.component_total(sim::Component::kMembership);
+  EXPECT_GE(f.world.network.stats().class_messages(
+                proto::TrafficClass::kHeartbeat) -
+                hellos_before,
+            static_cast<std::size_t>(kIntervals) * f.peers.size());
+  EXPECT_GT(membership.enters, 0u);
+  EXPECT_EQ(membership.allocs, 0u)
+      << membership.alloc_bytes << " B allocated over " << kIntervals
+      << " settled hello intervals";
 }
 
 TEST(Hybrid, KeywordSearchRespectsTtl) {

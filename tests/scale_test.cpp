@@ -23,6 +23,8 @@
 //    5-10% from one call to the next there.
 // 4. Membership allocates O(1) per join: its allocated bytes per completed
 //    join stay small and flat from 5k to 20k peers.
+// 5. The 1,000-peer churn rung (5% crashes, 30 s of failure detection,
+//    r = 2) allocates no more in membership and flood than when measured.
 #include <gtest/gtest.h>
 
 #include <time.h>
@@ -353,6 +355,43 @@ TEST(Scale, MembershipAllocatesConstantBytesPerJoin) {
   EXPECT_LE(per_join[1], 1.25 * per_join[0])
       << "membership bytes per join grew from " << per_join[0] << " B at 5k to "
       << per_join[1] << " B at 20k peers";
+}
+
+TEST(Scale, ChurnRungAllocationsStayWithinMeasuredCounts) {
+  // The costly steady state at 1,000 peers: 5% crashes, 30 s of failure
+  // detection and replication factor 2, so heartbeats, repair and floods
+  // all run.  Profiler allocation counts are exact and deterministic, so
+  // each bound is the count measured when it was set; a change that adds
+  // allocations to either component fails here and must justify raising it.
+  RunConfig cfg;
+  cfg.seed = 42;
+  cfg.num_peers = 1000;
+  cfg.num_items = 50;
+  cfg.num_lookups = 1000;
+  cfg.hybrid.ps = 0.99;
+  cfg.hybrid.ttl = 8;
+  cfg.hybrid.delta = 3;
+  cfg.hybrid.t_routing = hybrid::TRouting::kFinger;
+  cfg.hybrid.replication_factor = 2;
+  cfg.tpeers_first = true;
+  cfg.crash_fraction = 0.05;
+  cfg.failure_detection = true;
+  cfg.recovery_time = sim::SimTime::seconds(30);
+  stats::Profiler prof;
+  cfg.profiler = &prof;
+  const RunResult r = run_hybrid_experiment(cfg);
+  if (r.audit_runs != 0) {
+    // Debug builds and HP2P_AUDIT=1 audit every phase boundary, and the
+    // auditor's allocations land in whichever component is running.
+    GTEST_SKIP() << "the bounds were measured without the overlay auditor";
+  }
+  ASSERT_EQ(r.sim_stats.events_executed, 114'042u) << "the rung's shape moved";
+  const std::uint64_t membership =
+      prof.component_total(sim::Component::kMembership).allocs;
+  const std::uint64_t flood =
+      prof.component_total(sim::Component::kFlood).allocs;
+  EXPECT_LE(membership, 5'652u);
+  EXPECT_LE(flood, 1'636u);
 }
 
 TEST(Scale, PaperScaleDigestIsPinned) {
