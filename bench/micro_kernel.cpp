@@ -12,6 +12,7 @@
 
 #include <deque>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -426,6 +427,82 @@ void BM_UnderlayApsp(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_UnderlayApsp)->Arg(200)->Arg(500);
+
+// Underlay construction alone (the topology copy is untimed): dense at the
+// paper's 1,024 hosts, hierarchical at ~100k (kAuto picks both).
+void BM_UnderlayBuild(benchmark::State& state) {
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  Rng topo_rng{4};
+  const net::Topology topo = net::generate_transit_stub(
+      net::TransitStubParams::for_total_nodes(n), topo_rng);
+  for (auto _ : state) {
+    state.PauseTiming();
+    net::Topology copy = topo;
+    Rng cap{5};
+    state.ResumeTiming();
+    const net::Underlay underlay{std::move(copy), cap};
+    benchmark::DoNotOptimize(underlay.routing_memory_bytes());
+  }
+  state.counters["hosts"] = static_cast<double>(topo.graph.num_nodes());
+}
+BENCHMARK(BM_UnderlayBuild)
+    ->Arg(1024)
+    ->Arg(100'000)
+    ->Unit(benchmark::kMillisecond);
+
+/// One latency() query per iteration, cycling over 4,096 seeded pairs.
+/// Arg 0: dense (1,024 hosts).  Arg 1: hierarchical, hosts in different
+/// domains.  Arg 2: hierarchical, both hosts in one stub domain with the
+/// destination changing every query, so each one misses the thread-local
+/// tree cache and runs the intra-domain Dijkstra.
+void BM_UnderlayLatency(benchmark::State& state) {
+  const auto kind = state.range(0);
+  Rng rng{6};
+  const net::Underlay underlay{
+      net::generate_transit_stub(
+          net::TransitStubParams::for_total_nodes(kind == 0 ? 1024 : 100'000),
+          rng),
+      rng};
+  const net::Topology& topo = underlay.topology();
+  const std::uint32_t v = underlay.num_hosts();
+  const std::uint32_t t = topo.num_transit_nodes;
+  std::vector<std::pair<HostIndex, HostIndex>> pairs;
+  pairs.reserve(4096);
+  while (pairs.size() < 4096) {
+    const auto a = static_cast<std::uint32_t>(rng.index(v));
+    if (kind == 0) {
+      const auto b = static_cast<std::uint32_t>(rng.index(v));
+      pairs.emplace_back(HostIndex{a}, HostIndex{b});
+      continue;
+    }
+    if (a < t) continue;  // stub sources only
+    const std::uint32_t domain = topo.domain[a];
+    if (kind == 1) {
+      const auto b = static_cast<std::uint32_t>(rng.index(v));
+      if (b >= t && topo.domain[b] != domain) {
+        pairs.emplace_back(HostIndex{a}, HostIndex{b});
+      }
+      continue;
+    }
+    // Two more members of a's domain as destinations (stub domains are
+    // contiguous id blocks), so consecutive destinations differ.
+    for (const std::uint32_t b : {a + 1, a - 1}) {
+      if (b >= t && b < v && topo.domain[b] == domain) {
+        pairs.emplace_back(HostIndex{a}, HostIndex{b});
+      }
+    }
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto& [from, to] = pairs[i];
+    benchmark::DoNotOptimize(underlay.latency(from, to));
+    i = (i + 1) % pairs.size();
+  }
+  state.SetLabel(kind == 0   ? "dense"
+                 : kind == 1 ? "hier_inter"
+                             : "hier_intra_miss");
+}
+BENCHMARK(BM_UnderlayLatency)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_HistogramAdd(benchmark::State& state) {
   stats::Histogram hist{0.0, 1000.0, 64};

@@ -4,7 +4,7 @@
 #include <atomic>
 #include <cassert>
 #include <limits>
-#include <queue>
+#include <functional>
 #include <utility>
 
 namespace hp2p::net {
@@ -21,6 +21,13 @@ std::uint32_t narrow_latency(std::uint64_t us) {
   // microseconds); anything near 2^32 us (~71 min) is a topology bug.
   assert(us < std::numeric_limits<std::uint32_t>::max());
   return static_cast<std::uint32_t>(us);
+}
+
+/// Frees a vector's storage (clear() keeps the capacity, which
+/// routing_memory_bytes() counts).
+template <typename T>
+void release(std::vector<T>& vec) {
+  std::vector<T>().swap(vec);
 }
 
 }  // namespace
@@ -46,11 +53,17 @@ Underlay::Underlay(Topology topology, Rng& capacity_rng, RoutingMode mode)
     want = v <= kDenseRoutingThreshold ? RoutingMode::kDense
                                        : RoutingMode::kHierarchical;
   }
-  if (want == RoutingMode::kHierarchical && build_hierarchical()) {
-    mode_ = RoutingMode::kHierarchical;
-  } else {
-    build_dense();
+  if (!find_stub_domains()) {
+    // No transit-stub shape: the whole graph is one core.
+    build_core(static_cast<std::uint32_t>(v), dense_latency_us_,
+               dense_first_hop_, dense_first_edge_);
     mode_ = RoutingMode::kDense;
+  } else {
+    build_core(topology_.num_transit_nodes, core_latency_us_, core_next_,
+               core_next_edge_);
+    mode_ = want == RoutingMode::kHierarchical ? RoutingMode::kHierarchical
+                                               : RoutingMode::kDense;
+    if (mode_ == RoutingMode::kDense) build_dense();
   }
 
   // Deal capacity classes exactly 1/3 : 1/3 : 1/3 (paper Section 6),
@@ -77,70 +90,52 @@ std::size_t Underlay::routing_memory_bytes() const {
 }
 
 // --------------------------------------------------------------------------
-// Dense backend: the original all-pairs implementation.
+// Construction: one Dijkstra, one decomposition.
 // --------------------------------------------------------------------------
 
-void Underlay::build_dense() {
-  const std::size_t v = topology_.graph.num_nodes();
-  dense_latency_us_.assign(v * v, std::numeric_limits<std::uint32_t>::max());
-  dense_first_hop_.assign(v * v, kNoNode);
-  dense_first_edge_.assign(v * v, kNoEdge);
-  for (std::uint32_t s = 0; s < v; ++s) dense_dijkstra_from(s);
-}
-
-void Underlay::dense_dijkstra_from(std::uint32_t source) {
-  const std::size_t v = topology_.graph.num_nodes();
-  using QItem = std::pair<std::uint64_t, std::uint32_t>;  // (dist, node)
-  std::priority_queue<QItem, std::vector<QItem>, std::greater<>> queue;
-  std::vector<std::uint64_t> dist(v, kInf64);
-  // For path recovery we track, per settled node, the *first* hop taken out
-  // of the source, plus per-node parent edge for for_each_path_edge.
-  std::vector<std::uint32_t> parent(v, kNoNode);
-  std::vector<EdgeIndex> parent_edge(v, kNoEdge);
-
-  dist[source] = 0;
-  queue.emplace(0, source);
-  while (!queue.empty()) {
-    const auto [d, u] = queue.top();
-    queue.pop();
-    if (d != dist[u]) continue;
+void Underlay::shortest_paths(std::uint32_t lo, std::uint32_t hi,
+                              std::uint32_t source, PathTree& tree) const {
+  const std::uint32_t n = hi - lo;
+  tree.dist_us.assign(n, kInf64);
+  tree.parent.assign(n, kNoNode);
+  tree.parent_edge.assign(n, kNoEdge);
+  tree.hops.assign(n, 0);
+  tree.first_hop.assign(n, kNoNode);
+  tree.first_edge.assign(n, kNoEdge);
+  // Min-heap on (dist, node): equal distances settle the lowest id first.
+  auto& heap = tree.heap;
+  heap.clear();
+  tree.dist_us[source - lo] = 0;
+  heap.emplace_back(0, source);
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+    const auto [d, u] = heap.back();
+    heap.pop_back();
+    const std::uint32_t ui = u - lo;
+    if (d != tree.dist_us[ui]) continue;  // superseded entry
     for (const HalfEdge& h : topology_.graph.neighbors(u)) {
+      if (h.to < lo || h.to >= hi) continue;
+      const std::uint32_t vi = h.to - lo;
       const std::uint64_t nd = d + h.latency_us;
-      if (nd < dist[h.to]) {
-        dist[h.to] = nd;
-        parent[h.to] = u;
-        parent_edge[h.to] = h.edge;
-        queue.emplace(nd, h.to);
+      // Strict: the first settled predecessor at the final distance keeps
+      // the node, and u is settled, so its first hop is already final.
+      if (nd < tree.dist_us[vi]) {
+        tree.dist_us[vi] = nd;
+        tree.parent[vi] = u;
+        tree.parent_edge[vi] = h.edge;
+        tree.hops[vi] = tree.hops[ui] + 1;
+        tree.first_hop[vi] = u == source ? h.to : tree.first_hop[ui];
+        tree.first_edge[vi] = u == source ? h.edge : tree.first_edge[ui];
+        heap.emplace_back(nd, h.to);
+        std::push_heap(heap.begin(), heap.end(), std::greater<>{});
       }
     }
   }
-
-  for (std::uint32_t t = 0; t < v; ++t) {
-    assert(dist[t] != kInf64);
-    dense_latency_us_[dense_index(source, t)] = narrow_latency(dist[t]);
-    if (t == source) continue;
-    // Walk back from t to find the hop adjacent to the source.
-    std::uint32_t walk = t;
-    while (parent[walk] != source) walk = parent[walk];
-    dense_first_hop_[dense_index(source, t)] = walk;
-    dense_first_edge_[dense_index(source, t)] = parent_edge[walk];
-  }
 }
 
-// --------------------------------------------------------------------------
-// Hierarchical backend.
-// --------------------------------------------------------------------------
-
-bool Underlay::build_hierarchical() {
+bool Underlay::find_stub_domains() {
   const auto fail = [this] {
-    stub_domains_.clear();
-    gw_dist_us_.clear();
-    gw_parent_.clear();
-    gw_parent_edge_.clear();
-    gw_hops_.clear();
-    core_latency_us_.clear();
-    core_next_.clear();
-    core_next_edge_.clear();
+    release(stub_domains_);
     return false;
   };
 
@@ -203,11 +198,12 @@ bool Underlay::build_hierarchical() {
   gw_parent_.assign(v, kNoNode);
   gw_parent_edge_.assign(v, kNoEdge);
   gw_hops_.assign(v, 0);
+  PathTree tree;
   for (const StubDomain& dom : stub_domains_) {
     if (dom.num_nodes == 0) continue;
-    const IntraTree& tree = intra_tree(dom.gateway);
+    shortest_paths(dom.first_node, dom.first_node + dom.num_nodes, dom.gateway,
+                   tree);
     for (std::uint32_t i = 0; i < dom.num_nodes; ++i) {
-      if (tree.dist_us[i] == kInf64) return fail();  // disconnected domain
       const std::uint32_t n = dom.first_node + i;
       gw_dist_us_[n] = narrow_latency(tree.dist_us[i]);
       gw_parent_[n] = tree.parent[i];
@@ -215,99 +211,126 @@ bool Underlay::build_hierarchical() {
       gw_hops_[n] = tree.hops[i];
     }
   }
-
-  // All-pairs over the transit core (T*T, T tiny even at 100k+ hosts).
-  // Core paths never cross a stub domain -- doing so would use that
-  // domain's single gateway edge twice -- so restricting Dijkstra to
-  // transit nodes is exact.
-  core_latency_us_.assign(static_cast<std::size_t>(t) * t, 0);
-  core_next_.assign(static_cast<std::size_t>(t) * t, kNoNode);
-  core_next_edge_.assign(static_cast<std::size_t>(t) * t, kNoEdge);
-  std::vector<std::uint64_t> dist(t);
-  std::vector<std::uint32_t> parent(t);
-  std::vector<EdgeIndex> parent_edge(t);
-  using QItem = std::pair<std::uint64_t, std::uint32_t>;
-  for (std::uint32_t s = 0; s < t; ++s) {
-    std::fill(dist.begin(), dist.end(), kInf64);
-    std::fill(parent.begin(), parent.end(), kNoNode);
-    std::fill(parent_edge.begin(), parent_edge.end(), kNoEdge);
-    std::priority_queue<QItem, std::vector<QItem>, std::greater<>> queue;
-    dist[s] = 0;
-    queue.emplace(0, s);
-    while (!queue.empty()) {
-      const auto [d, u] = queue.top();
-      queue.pop();
-      if (d != dist[u]) continue;
-      for (const HalfEdge& h : topology_.graph.neighbors(u)) {
-        if (h.to >= t) continue;  // stay inside the core
-        const std::uint64_t nd = d + h.latency_us;
-        if (nd < dist[h.to]) {
-          dist[h.to] = nd;
-          parent[h.to] = u;
-          parent_edge[h.to] = h.edge;
-          queue.emplace(nd, h.to);
-        }
-      }
-    }
-    for (std::uint32_t e = 0; e < t; ++e) {
-      if (dist[e] == kInf64) return fail();  // core must be connected
-      core_latency_us_[core_index(s, e)] = narrow_latency(dist[e]);
-      if (e == s) continue;
-      std::uint32_t walk = e;
-      while (parent[walk] != s) walk = parent[walk];
-      core_next_[core_index(s, e)] = walk;
-      core_next_edge_[core_index(s, e)] = parent_edge[walk];
-    }
-  }
   return true;
 }
 
-const Underlay::IntraTree& Underlay::intra_tree(std::uint32_t root) const {
-  thread_local IntraTree tree;
-  thread_local std::vector<char> settled;
-  if (tree.owner_id == instance_id_ && tree.root == root) return tree;
-
-  const StubDomain& dom = stub_of(root);
-  const std::uint32_t n = dom.num_nodes;
-  tree.owner_id = instance_id_;
-  tree.root = root;
-  tree.dist_us.assign(n, kInf64);
-  tree.parent.assign(n, kNoNode);
-  tree.parent_edge.assign(n, kNoEdge);
-  tree.hops.assign(n, 0);
-  settled.assign(n, 0);
-
-  // O(n^2) Dijkstra: domains are small (tens of nodes), and the flat scan
-  // beats a heap at that size.  Ties settle the lowest node id first, so
-  // the tree -- hence path_hops / for_each_path_edge -- is deterministic.
-  tree.dist_us[root - dom.first_node] = 0;
-  for (std::uint32_t round = 0; round < n; ++round) {
-    std::uint32_t best = kNoNode;
-    std::uint64_t best_dist = kInf64;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      if (settled[i] == 0 && tree.dist_us[i] < best_dist) {
-        best_dist = tree.dist_us[i];
-        best = i;
-      }
+void Underlay::build_core(std::uint32_t core,
+                          std::vector<std::uint32_t>& latency_us,
+                          std::vector<std::uint32_t>& first_hop,
+                          std::vector<EdgeIndex>& first_edge) const {
+  // In a transit-stub topology core paths never cross a stub domain --
+  // doing so would use that domain's single gateway edge twice -- so
+  // restricting Dijkstra to the transit nodes is exact.
+  const std::size_t cells = static_cast<std::size_t>(core) * core;
+  latency_us.resize(cells);
+  first_hop.resize(cells);
+  first_edge.resize(cells);
+  PathTree tree;
+  for (std::uint32_t s = 0; s < core; ++s) {
+    shortest_paths(0, core, s, tree);
+    const std::size_t row = static_cast<std::size_t>(s) * core;
+    for (std::uint32_t e = 0; e < core; ++e) {
+      latency_us[row + e] = narrow_latency(tree.dist_us[e]);
     }
-    if (best == kNoNode) break;  // remainder unreachable (caught by caller)
-    settled[best] = 1;
-    const std::uint32_t u = dom.first_node + best;
-    for (const HalfEdge& h : topology_.graph.neighbors(u)) {
-      if (h.to < dom.first_node || h.to >= dom.first_node + n) {
-        continue;  // the gateway up-link; intra paths never leave the domain
+    std::copy(tree.first_hop.begin(), tree.first_hop.end(),
+              first_hop.begin() + static_cast<std::ptrdiff_t>(row));
+    std::copy(tree.first_edge.begin(), tree.first_edge.end(),
+              first_edge.begin() + static_cast<std::ptrdiff_t>(row));
+  }
+}
+
+void Underlay::build_dense() {
+  const std::uint32_t v =
+      static_cast<std::uint32_t>(topology_.graph.num_nodes());
+  const std::uint32_t t = topology_.num_transit_nodes;
+  const std::size_t cells = static_cast<std::size_t>(v) * v;
+  dense_latency_us_.resize(cells);
+  dense_first_hop_.resize(cells);
+  dense_first_edge_.resize(cells);
+
+  // Transit rows: the core row, then each stub domain reached through its
+  // anchor, the gateway edge and the gateway tree.
+  for (std::uint32_t s = 0; s < t; ++s) {
+    std::uint32_t* lat = &dense_latency_us_[dense_index(s, 0)];
+    std::uint32_t* hop = &dense_first_hop_[dense_index(s, 0)];
+    EdgeIndex* edge = &dense_first_edge_[dense_index(s, 0)];
+    for (std::uint32_t e = 0; e < t; ++e) {
+      lat[e] = core_latency_us_[core_index(s, e)];
+      hop[e] = core_next_[core_index(s, e)];
+      edge[e] = core_next_edge_[core_index(s, e)];
+    }
+    for (const StubDomain& dom : stub_domains_) {
+      if (dom.num_nodes == 0) continue;
+      const std::uint64_t up =
+          core_latency_us_[core_index(s, dom.anchor)] + dom.gateway_latency_us;
+      const bool at_anchor = s == dom.anchor;
+      const std::uint32_t h =
+          at_anchor ? dom.gateway : core_next_[core_index(s, dom.anchor)];
+      const EdgeIndex eg =
+          at_anchor ? dom.gateway_edge : core_next_edge_[core_index(s, dom.anchor)];
+      const std::uint32_t first = dom.first_node;
+      const std::uint32_t last = first + dom.num_nodes;
+      for (std::uint32_t x = first; x < last; ++x) {
+        lat[x] = narrow_latency(up + gw_dist_us_[x]);
       }
-      const std::uint32_t li = h.to - dom.first_node;
-      const std::uint64_t nd = best_dist + h.latency_us;
-      if (nd < tree.dist_us[li]) {
-        tree.dist_us[li] = nd;
-        tree.parent[li] = u;  // next node toward the root
-        tree.parent_edge[li] = h.edge;
-        tree.hops[li] = tree.hops[best] + 1;
+      std::fill(hop + first, hop + last, h);
+      std::fill(edge + first, edge + last, eg);
+    }
+  }
+
+  // Stub rows: every target outside the source's domain lies beyond the
+  // gateway edge, so it is the anchor's row plus a constant and shares the
+  // first step toward the gateway; the domain itself is one intra run.
+  PathTree tree;
+  for (const StubDomain& dom : stub_domains_) {
+    if (dom.num_nodes == 0) continue;
+    const std::uint32_t first = dom.first_node;
+    const std::uint32_t last = first + dom.num_nodes;
+    const std::uint32_t* anchor_lat =
+        &dense_latency_us_[dense_index(dom.anchor, 0)];
+    for (std::uint32_t s = first; s < last; ++s) {
+      shortest_paths(first, last, s, tree);
+      const std::uint32_t g = dom.gateway - first;
+      const std::uint64_t up = tree.dist_us[g] + dom.gateway_latency_us;
+      const bool at_gateway = s == dom.gateway;
+      const std::uint32_t h = at_gateway ? dom.anchor : tree.first_hop[g];
+      const EdgeIndex eg = at_gateway ? dom.gateway_edge : tree.first_edge[g];
+      std::uint32_t* lat = &dense_latency_us_[dense_index(s, 0)];
+      std::uint32_t* hop = &dense_first_hop_[dense_index(s, 0)];
+      EdgeIndex* edge = &dense_first_edge_[dense_index(s, 0)];
+      for (std::uint32_t x = 0; x < v; ++x) {
+        lat[x] = narrow_latency(up + anchor_lat[x]);
+      }
+      std::fill(hop, hop + v, h);
+      std::fill(edge, edge + v, eg);
+      for (std::uint32_t i = 0; i < dom.num_nodes; ++i) {
+        lat[first + i] = narrow_latency(tree.dist_us[i]);
+        hop[first + i] = tree.first_hop[i];
+        edge[first + i] = tree.first_edge[i];
       }
     }
   }
-  return tree;
+
+  // Dense queries read only the V*V tables.
+  release(stub_domains_);
+  release(gw_dist_us_);
+  release(gw_parent_);
+  release(gw_parent_edge_);
+  release(gw_hops_);
+  release(core_latency_us_);
+  release(core_next_);
+  release(core_next_edge_);
+}
+
+const Underlay::PathTree& Underlay::intra_tree(std::uint32_t root) const {
+  thread_local IntraTree cache;
+  if (cache.owner_id == instance_id_ && cache.root == root) return cache.tree;
+  const StubDomain& dom = stub_of(root);
+  cache.owner_id = instance_id_;
+  cache.root = root;
+  shortest_paths(dom.first_node, dom.first_node + dom.num_nodes, root,
+                 cache.tree);
+  return cache.tree;
 }
 
 // --------------------------------------------------------------------------
@@ -323,7 +346,7 @@ std::uint64_t Underlay::latency_us(std::uint32_t from, std::uint32_t to) const {
       topology_.domain[from] == topology_.domain[to]) {
     // Same stub domain: bounded on-demand Dijkstra, rooted at the
     // destination so latency/hops/edge-walk all read one tree.
-    const IntraTree& tree = intra_tree(to);
+    const PathTree& tree = intra_tree(to);
     return tree.dist_us[from - stub_of(to).first_node];
   }
   return uplink_us(from) +
@@ -345,7 +368,7 @@ std::uint32_t Underlay::path_hops(HostIndex from, HostIndex to) const {
   if (u == t) return 0;
   if (!is_transit(u) && !is_transit(t) &&
       topology_.domain[u] == topology_.domain[t]) {
-    const IntraTree& tree = intra_tree(t);
+    const PathTree& tree = intra_tree(t);
     return tree.hops[u - stub_of(t).first_node];
   }
   std::uint32_t hops = 0;
@@ -375,7 +398,7 @@ void Underlay::for_each_path_edge(
   if (u == t) return;
   if (!is_transit(u) && !is_transit(t) &&
       topology_.domain[u] == topology_.domain[t]) {
-    const IntraTree& tree = intra_tree(t);
+    const PathTree& tree = intra_tree(t);
     const std::uint32_t first = stub_of(t).first_node;
     while (u != t) {
       fn(tree.parent_edge[u - first]);

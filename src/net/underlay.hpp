@@ -6,33 +6,46 @@
 // and link-stress accounting walks the physical edges of that path (the
 // paper's Section 5.2 metric).
 //
+// Every Underlay is built through one decomposition.  In a transit-stub
+// topology each stub domain hangs off the transit core by exactly ONE
+// gateway edge, so every cross-domain shortest path splits exactly as
+//     intra(u, gw_A) + gate_A + core(t_A, t_B) + gate_B + intra(gw_B, v).
+// The build keeps O(V) per-node gateway trees plus an all-pairs table over
+// the (tiny) transit core.  A topology without that shape becomes one core
+// of all V nodes.  One range-restricted Dijkstra (shortest_paths) computes
+// every piece: the core rows, the gateway trees and the intra-domain trees.
+//
 // Two routing backends share one query interface:
 //
-//   kDense         All-pairs tables (the original implementation): O(V^2)
-//                  memory, O(1) queries.  Fine to ~4k hosts, impossible at
-//                  100k (a 100k-host table is 120 GB).
-//   kHierarchical  Exploits the transit-stub structure: each stub domain
-//                  hangs off the transit core by exactly ONE gateway edge,
-//                  so every cross-domain shortest path decomposes exactly as
-//                      intra(u, gw_A) + gate_A + core(t_A, t_B)
-//                                    + gate_B + intra(gw_B, v).
-//                  State is O(V) per-node gateway trees plus an all-pairs
-//                  table over the (tiny) transit core; same-domain queries
-//                  run a bounded intra-domain Dijkstra on demand.  The
-//                  decomposition is exact -- a path leaving a stub domain
-//                  must cross its single gateway edge, and re-entering any
-//                  domain would reuse such an edge -- so latencies equal the
-//                  dense answers bit-for-bit (asserted by net_test).
+//   kDense         Materialises the V*V tables (latency, first hop, first
+//                  edge) from the decomposition: a transit row is its core
+//                  row plus per-domain offsets, a stub row is one
+//                  intra-domain Dijkstra plus its anchor's row shifted by a
+//                  constant.  O(V^2) memory and time, O(1) queries.  Fine
+//                  to ~4k hosts, impossible at 100k (120 GB).
+//   kHierarchical  Keeps the decomposition itself: O(V + T^2) memory;
+//                  same-domain queries run a bounded intra-domain Dijkstra
+//                  on demand, cached per thread for the last root.
+//
+// Both are exact.  Paths settle in (distance, node id) order and relax only
+// on strict improvement, so a node's parent is its lowest (distance, id)
+// predecessor in any subgraph that holds every shortest path to it; a path
+// leaving a stub domain must cross its single gateway edge, and re-entering
+// any domain would reuse such an edge.  The composed dense tables therefore
+// equal whole-graph per-source Dijkstra tables bit for bit (net_test strips
+// the structure off generated topologies and compares every pair), and
+// hierarchical latencies equal the dense ones.
 //
 // kAuto picks kDense below kDenseRoutingThreshold hosts (preserving the
 // historical byte-identical behaviour of every paper-scale experiment) and
-// kHierarchical above it.  A topology without the expected structure falls
-// back to dense routing; routing_mode() reports what was chosen.
+// kHierarchical above it.  A topology without the expected structure routes
+// densely; routing_mode() reports what was chosen.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -121,8 +134,12 @@ class Underlay {
   /// Host count at or below which kAuto routes densely.
   static constexpr std::uint32_t kDenseRoutingThreshold = 4096;
 
-  /// Builds routing state.  Dense: O(V * E log V) time, O(V^2) memory.
-  /// Hierarchical: O(E log V) time, O(V + T^2) memory (T = transit nodes).
+  /// Builds routing state.  Decomposition: one Dijkstra per transit node
+  /// over the core and one per stub domain from its gateway, O(T * E_core
+  /// log T + E log n) time (n = nodes per stub domain).  Dense adds one
+  /// intra-domain Dijkstra per stub host and the V*V fill, O(V^2) time and
+  /// memory.  Hierarchical keeps O(V + T^2) memory.  An unstructured
+  /// topology costs one whole-graph Dijkstra per host.
   /// `capacity_rng` deals the 1/3:1/3:1/3 capacity classes; the draw
   /// sequence is identical in every mode.
   Underlay(Topology topology, Rng& capacity_rng,
@@ -180,16 +197,35 @@ class Underlay {
     std::uint32_t gateway_latency_us = 0;
   };
 
-  /// Shortest-path tree over one stub domain, rooted at `root`; arrays are
-  /// indexed by (node - domain.first_node).  Reused thread-locally so
-  /// repeated queries against the same (underlay, root) are free.
+  /// Shortest-path tree from one source over the nodes [lo, hi); arrays
+  /// are indexed by (node - lo).  `parent` is the previous node on the path
+  /// from the source (the next node toward it); `first_hop`/`first_edge`
+  /// are the source's first step toward each node (kNoNode/kNoEdge at the
+  /// source).  The heap is scratch, kept here so reuse allocates nothing.
+  struct PathTree {
+    std::vector<std::uint64_t> dist_us;
+    std::vector<std::uint32_t> parent;
+    std::vector<EdgeIndex> parent_edge;
+    std::vector<std::uint32_t> hops;
+    std::vector<std::uint32_t> first_hop;
+    std::vector<EdgeIndex> first_edge;
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> heap;
+  };
+
+  /// The one Dijkstra: shortest paths from `source` over the subgraph
+  /// induced by [lo, hi).  Settles nodes in (distance, node id) order and
+  /// relaxes only on strict improvement, so ties resolve to the lowest
+  /// (distance, id) predecessor.
+  void shortest_paths(std::uint32_t lo, std::uint32_t hi,
+                      std::uint32_t source, PathTree& tree) const;
+
+  /// Thread-local cache entry for on-demand intra-domain queries: the
+  /// tree of `root`'s stub domain rooted at `root`, so repeated queries
+  /// against the same (underlay, root) are free.
   struct IntraTree {
     std::uint64_t owner_id = 0;  // Underlay instance id (0 = empty cache)
     std::uint32_t root = UINT32_MAX;
-    std::vector<std::uint64_t> dist_us;
-    std::vector<std::uint32_t> parent;  // next node toward root
-    std::vector<EdgeIndex> parent_edge;
-    std::vector<std::uint32_t> hops;
+    PathTree tree;
   };
 
   [[nodiscard]] std::uint64_t latency_us(std::uint32_t from,
@@ -199,11 +235,18 @@ class Underlay {
     // 64-bit product: from * V overflows 32 bits past ~65k hosts.
     return static_cast<std::size_t>(from) * topology_.graph.num_nodes() + to;
   }
+  /// Fills stub_domains_ and the gateway trees.  Returns false (state
+  /// left empty) when the topology lacks the single-gateway transit-stub
+  /// structure the decomposition needs.
+  [[nodiscard]] bool find_stub_domains();
+  /// All-pairs tables over the core nodes [0, core), written row by row
+  /// (stride `core`) into the three given tables.
+  void build_core(std::uint32_t core, std::vector<std::uint32_t>& latency_us,
+                  std::vector<std::uint32_t>& first_hop,
+                  std::vector<EdgeIndex>& first_edge) const;
+  /// V*V tables composed from the core and the stub domains; releases the
+  /// decomposition afterwards.
   void build_dense();
-  void dense_dijkstra_from(std::uint32_t source);
-  /// Returns false when the topology lacks the single-gateway transit-stub
-  /// structure the hierarchical decomposition needs.
-  [[nodiscard]] bool build_hierarchical();
 
   [[nodiscard]] bool is_transit(std::uint32_t node) const {
     return node < topology_.num_transit_nodes;
@@ -225,7 +268,7 @@ class Underlay {
   }
   /// Shortest-path tree of `root`'s stub domain rooted at `root`, from the
   /// thread-local cache (recomputed only when (owner, root) changes).
-  [[nodiscard]] const IntraTree& intra_tree(std::uint32_t root) const;
+  [[nodiscard]] const PathTree& intra_tree(std::uint32_t root) const;
 
   Topology topology_;
   RoutingMode mode_ = RoutingMode::kDense;
@@ -239,7 +282,7 @@ class Underlay {
   std::vector<std::uint32_t> dense_first_hop_;  // next node from->to
   std::vector<EdgeIndex> dense_first_edge_;     // edge of that hop
 
-  // --- hierarchical backend ---
+  // --- decomposition (kept by the hierarchical backend) ---
   std::vector<StubDomain> stub_domains_;  // indexed by domain id
   // Per stub node: shortest path to its domain gateway (tree rooted at the
   // gateway); zeros/kNoEdge for transit nodes.

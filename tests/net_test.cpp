@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "net/graph.hpp"
@@ -364,6 +366,145 @@ TEST(HierarchicalRouting, FallsBackToDenseOnUnstructuredTopology) {
   const Underlay u{std::move(topo), cap, RoutingMode::kHierarchical};
   EXPECT_EQ(u.routing_mode(), RoutingMode::kDense);
   EXPECT_EQ(u.latency(HostIndex{0}, HostIndex{2}).as_micros(), 20);
+}
+
+/// FNV-1a over 32-bit words.
+struct Fnv {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  void add(std::uint32_t word) {
+    for (int i = 0; i < 4; ++i) {
+      h ^= (word >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  }
+};
+
+/// The dense tables are composed from the transit-stub decomposition.  The
+/// same topology with its structure stripped (num_transit_nodes = 0) is one
+/// core of V nodes, routed by one whole-graph Dijkstra per host.  Every pair
+/// must agree on latency, hop count and the full edge walk.  The first
+/// seed's topology is the harness's (Rng{seed}.fork(1)).
+void expect_composed_tables_equal_whole_graph(std::uint32_t hosts) {
+  const auto params = TransitStubParams::for_total_nodes(hosts);
+  ASSERT_EQ(params.total_nodes(), hosts);
+  // One pointer captured, so the std::function holds it inline.
+  struct Walk {
+    std::vector<EdgeIndex> edges;
+    std::size_t at = 0;
+    bool same = true;
+  } walk;
+  Walk* w = &walk;
+  for (const std::uint64_t seed : {42u, 7u, 1234u}) {
+    Rng topo_rng = Rng{seed}.fork(1);
+    const Topology topo = generate_transit_stub(params, topo_rng);
+    Topology stripped = topo;
+    stripped.num_transit_nodes = 0;
+    Rng cap_a{seed};
+    Rng cap_b{seed};
+    const Underlay composed{topo, cap_a, RoutingMode::kDense};
+    const Underlay whole{std::move(stripped), cap_b, RoutingMode::kDense};
+    ASSERT_EQ(composed.routing_mode(), RoutingMode::kDense);
+    ASSERT_EQ(composed.routing_memory_bytes(), whole.routing_memory_bytes());
+    for (std::uint32_t a = 0; a < hosts; ++a) {
+      for (std::uint32_t b = 0; b < hosts; ++b) {
+        const HostIndex from{a};
+        const HostIndex to{b};
+        ASSERT_EQ(composed.latency(from, to), whole.latency(from, to))
+            << "seed " << seed << ", pair (" << a << ", " << b << ")";
+        ASSERT_EQ(composed.path_hops(from, to), whole.path_hops(from, to))
+            << "seed " << seed << ", pair (" << a << ", " << b << ")";
+        walk.edges.clear();
+        whole.for_each_path_edge(
+            from, to, [w](EdgeIndex e) { w->edges.push_back(e); });
+        walk.at = 0;
+        walk.same = true;
+        composed.for_each_path_edge(from, to, [w](EdgeIndex e) {
+          w->same = w->same && w->at < w->edges.size() && w->edges[w->at] == e;
+          ++w->at;
+        });
+        ASSERT_TRUE(walk.same && walk.at == walk.edges.size())
+            << "seed " << seed << ", pair (" << a << ", " << b
+            << "): edge walks differ";
+      }
+    }
+  }
+}
+
+TEST(UnderlayConstruction, ComposedTablesEqualWholeGraphAt64Hosts) {
+  expect_composed_tables_equal_whole_graph(64);
+}
+
+TEST(UnderlayConstruction, ComposedTablesEqualWholeGraphAt448Hosts) {
+  expect_composed_tables_equal_whole_graph(448);
+}
+
+TEST(UnderlayConstruction, ComposedTablesEqualWholeGraphAt1024Hosts) {
+  expect_composed_tables_equal_whole_graph(1024);
+}
+
+TEST(UnderlayConstruction, ComposedTablesEqualWholeGraphAt3040Hosts) {
+  expect_composed_tables_equal_whole_graph(3040);
+}
+
+TEST(UnderlayConstruction, HarnessRoutingTablesArePinned) {
+  // Which of several equal-latency paths a pair takes depends on the tie
+  // rule: settle in (distance, id) order, relax on strict improvement.  Any
+  // rule that reads only distances and ids inside the subgraph composes
+  // consistently, so the comparison above cannot tell one from another;
+  // these digests of every pair's latency, hop count and edge walk on the
+  // harness's seed-42 topologies (1,000 and ~3,000 peers) pin the rule the
+  // per-host whole-graph Dijkstra tables were built with.
+  const std::pair<std::uint32_t, std::uint64_t> kPinned[] = {
+      {1001u, 0xfe9ed941c3fc9706ull}, {3000u, 0xe284da04df7ab285ull}};
+  for (const auto& [nodes, pinned] : kPinned) {
+    Rng rng = Rng{42}.fork(1);
+    const Underlay u{
+        generate_transit_stub(TransitStubParams::for_total_nodes(nodes), rng),
+        rng};
+    ASSERT_EQ(u.routing_mode(), RoutingMode::kDense);
+    Fnv fnv;
+    Fnv* f = &fnv;
+    for (std::uint32_t a = 0; a < u.num_hosts(); ++a) {
+      for (std::uint32_t b = 0; b < u.num_hosts(); ++b) {
+        fnv.add(static_cast<std::uint32_t>(
+            u.latency(HostIndex{a}, HostIndex{b}).as_micros()));
+        fnv.add(u.path_hops(HostIndex{a}, HostIndex{b}));
+        u.for_each_path_edge(HostIndex{a}, HostIndex{b},
+                             [f](EdgeIndex e) { f->add(e); });
+      }
+    }
+    EXPECT_EQ(fnv.h, pinned) << nodes << " nodes: digest 0x" << std::hex
+                             << fnv.h;
+  }
+}
+
+TEST(TransitStub, PaperScaleTopologiesArePinned) {
+  // The topologies of the paper-scale runs (harness seed 42, one host per
+  // peer plus the server) must not drift: every edge with its latency and
+  // id, every role and domain.  Any change to generate_transit_stub or
+  // for_total_nodes at <= 3k hosts moves these.
+  const std::pair<std::uint32_t, std::uint64_t> kPinned[] = {
+      {1001u, 0xf5255657c84853fcull}, {3000u, 0x2c51a7abfc5bc31cull}};
+  for (const auto& [nodes, pinned] : kPinned) {
+    Rng rng = Rng{42}.fork(1);
+    const Topology topo =
+        generate_transit_stub(TransitStubParams::for_total_nodes(nodes), rng);
+    Fnv fnv;
+    fnv.add(topo.num_transit_nodes);
+    fnv.add(static_cast<std::uint32_t>(topo.graph.num_nodes()));
+    fnv.add(static_cast<std::uint32_t>(topo.graph.num_edges()));
+    for (std::uint32_t n = 0; n < topo.graph.num_nodes(); ++n) {
+      fnv.add(static_cast<std::uint32_t>(topo.role[n]));
+      fnv.add(topo.domain[n]);
+      for (const HalfEdge& h : topo.graph.neighbors(n)) {
+        fnv.add(h.to);
+        fnv.add(h.latency_us);
+        fnv.add(h.edge);
+      }
+    }
+    EXPECT_EQ(fnv.h, pinned) << nodes << " nodes: digest 0x" << std::hex
+                             << fnv.h;
+  }
 }
 
 TEST(LinkStress, IntraStubFasterThanInterTransit) {

@@ -54,19 +54,23 @@
 namespace hp2p::exp {
 namespace {
 
-/// Same filtering as repro_test: every exported metric except host wall
-/// times, flattened to "key=value" lines.
+/// Every exported metric except host wall times and the audit counters,
+/// flattened to "key=value" lines.  Debug builds audit every phase
+/// boundary (audit.runs > 0), so the digest leaves the counters out and
+/// the digest test asserts zero violations on its own.
 std::string filtered_dump(const RunConfig& cfg, const RunResult& result) {
   stats::MetricsRegistry reg;
   collect_run_config(reg, "config", cfg);
   collect_run_result(reg, "run", result);
   const std::string_view kWall = ".wall_ms";
+  const std::string_view kAudit = "run.audit.";
   std::string out;
   for (const auto& [key, value] : reg.entries()) {
     if (key.size() >= kWall.size() &&
         key.compare(key.size() - kWall.size(), kWall.size(), kWall) == 0) {
       continue;
     }
+    if (key.compare(0, kAudit.size(), kAudit) == 0) continue;
     out += key;
     out += '=';
     out += value.dump();
@@ -400,8 +404,10 @@ TEST(Scale, PaperScaleDigestIsPinned) {
   // bench builds on.
   RunConfig cfg;
   cfg.seed = 42;
-  const std::string dump = filtered_dump(cfg, run_hybrid_experiment(cfg));
-  const std::uint64_t kPinned = 0x658944b218f7f980ull;
+  const RunResult result = run_hybrid_experiment(cfg);
+  EXPECT_EQ(result.audit_violations, 0u);
+  const std::string dump = filtered_dump(cfg, result);
+  const std::uint64_t kPinned = 0xcb0ee8cc84681520ull;
   const std::uint64_t actual = fnv1a(dump);
   EXPECT_EQ(actual, kPinned)
       << "N=1,000 paper-scale metrics changed (digest 0x" << std::hex << actual

@@ -28,20 +28,23 @@
 namespace hp2p::workload {
 namespace {
 
-/// Same filtering as scale_test / repro_test: every exported metric except
-/// host wall times, flattened to "key=value" lines.
+/// Same filtering as scale_test: every exported metric except host wall
+/// times and the audit counters (non-zero in Debug builds, which audit
+/// every phase boundary), flattened to "key=value" lines.
 std::string filtered_dump(const exp::RunConfig& cfg,
                           const exp::RunResult& result) {
   stats::MetricsRegistry reg;
   exp::collect_run_config(reg, "config", cfg);
   exp::collect_run_result(reg, "run", result);
   const std::string_view kWall = ".wall_ms";
+  const std::string_view kAudit = "run.audit.";
   std::string out;
   for (const auto& [key, value] : reg.entries()) {
     if (key.size() >= kWall.size() &&
         key.compare(key.size() - kWall.size(), kWall.size(), kWall) == 0) {
       continue;
     }
+    if (key.compare(0, kAudit.size(), kAudit) == 0) continue;
     out += key;
     out += '=';
     out += value.dump();
@@ -67,10 +70,12 @@ TEST(ScenarioDormancy, PaperScaleDigestUnchangedWithScenarioLayerLinked) {
 
   exp::RunConfig cfg;
   cfg.seed = 42;
-  const std::string dump = filtered_dump(cfg, exp::run_hybrid_experiment(cfg));
+  const exp::RunResult result = exp::run_hybrid_experiment(cfg);
+  EXPECT_EQ(result.audit_violations, 0u);
+  const std::string dump = filtered_dump(cfg, result);
   // Must match scale_test's PaperScaleDigestIsPinned constant: the workload
   // subsystem is dormant unless a scenario actually runs.
-  const std::uint64_t kPinned = 0x658944b218f7f980ull;
+  const std::uint64_t kPinned = 0xcb0ee8cc84681520ull;
   EXPECT_EQ(fnv1a(dump), kPinned)
       << "linking hp2p_scenario changed the stock N=1,000 run (digest 0x"
       << std::hex << fnv1a(dump) << std::dec << ")";
