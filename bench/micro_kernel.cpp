@@ -125,38 +125,56 @@ void BM_TransportSteadyStateZeroAlloc(benchmark::State& state) {
   const auto params = net::TransitStubParams::for_total_nodes(200);
   const net::Underlay underlay{net::generate_transit_stub(params, rng), rng};
   sim::Simulator sim;
-  // Arg 1: a profiler observes the kernel, so every delivery also takes the
-  // per-class message note -- which must stay allocation-free too.
+  // profiled:1 -- a profiler observes the kernel, so every delivery also
+  // takes the per-class message note, which must stay allocation-free too.
   stats::Profiler profiler;
   if (state.range(0) != 0) sim.add_observer(&profiler);
+  // watched:1 -- every message is a watched send with a ring hop's retry
+  // deadline (2x hop + 500 ms); it is delivered, so its continuation is
+  // dropped unrun and the message still costs exactly one kernel event.
+  const bool watched = state.range(1) != 0;
   proto::OverlayNetwork net{sim, underlay};
   const PeerIndex a = net.add_peer(HostIndex{17});
   const PeerIndex b = net.add_peer(HostIndex{171});
+  const sim::Duration hop = net.hop_latency(a, b, proto::kQueryBytes);
   std::uint64_t sink = 0;
-  for (int i = 0; i < 64; ++i) {  // warm transport + kernel capacities
-    net.send(a, b, proto::TrafficClass::kQuery, proto::kQueryBytes,
-             [&sink] { ++sink; });
+  std::uint64_t late = 0;
+  const auto send_one = [&] {
+    if (watched) {
+      net.send_watched(a, b, proto::TrafficClass::kQuery, proto::kQueryBytes,
+                       {}, [&sink] { ++sink; },
+                       sim.now() + hop + hop + sim::SimTime::millis(500),
+                       [&late] { ++late; });
+    } else {
+      net.send(a, b, proto::TrafficClass::kQuery, proto::kQueryBytes,
+               [&sink] { ++sink; });
+    }
     sim.run();
-  }
+  };
+  for (int i = 0; i < 64; ++i) send_one();  // warm transport + kernel
   const std::uint64_t allocs_before = heap_allocs();
-  for (auto _ : state) {
-    net.send(a, b, proto::TrafficClass::kQuery, proto::kQueryBytes,
-             [&sink] { ++sink; });
-    sim.run();
-  }
+  const std::uint64_t events_before = sim.stats().events_executed;
+  for (auto _ : state) send_one();
   const std::uint64_t allocs = heap_allocs() - allocs_before;
+  const std::uint64_t events = sim.stats().events_executed - events_before;
   benchmark::DoNotOptimize(sink);
   state.counters["heap_allocs"] =
       benchmark::Counter(static_cast<double>(allocs));
+  state.counters["events_per_msg"] = benchmark::Counter(
+      static_cast<double>(events) / static_cast<double>(state.iterations()));
   if (allocs != 0) {
     state.SkipWithError("per-message transport path heap-allocated");
+  } else if (late != 0) {
+    state.SkipWithError("a delivered watched send ran its continuation");
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TransportSteadyStateZeroAlloc)
-    ->ArgName("profiled")
-    ->Arg(0)
-    ->Arg(1);
+    ->ArgNames({"profiled", "watched"})
+    ->Args({0, 0})
+    ->Args({0, 1})
+    ->Args({1, 0})
+    ->Args({1, 1});
 
 void BM_EventQueueProfiled(benchmark::State& state) {
   // Same workload as BM_EventQueueScheduleRun but with the dispatch

@@ -224,12 +224,7 @@ void HybridSystem::ring_forward(const RouteRef& r, PeerIndex at,
     net_.note_drop(at, proto::DropReason::kNoRoute, r->cls(), r->ctx);
     return;
   }
-  const bool watched =
-      params_.ring_retry_limit != 0 && attempt < params_.ring_retry_limit;
-  const auto send = static_cast<std::uint32_t>(r->delivered.size());
-  if (watched) r->delivered.push_back(0);
-  auto deliver = [this, r, next, hops, contacted, send, watched] {
-    if (watched) r->delivered[send] = 1;
+  auto deliver = [this, r, next, hops, contacted] {
     if (spans() != nullptr && r->ctx.valid()) {
       spans()->instant(r->ctx, "ring_hop", next.value(), sim_.now(), "hop",
                        hops + 1);
@@ -238,29 +233,34 @@ void HybridSystem::ring_forward(const RouteRef& r, PeerIndex at,
   };
   static_assert(proto::OverlayNetwork::Delivery::stores_inline<
                 decltype(deliver)>);
-  net_.send(at, next, r->cls(), r->bytes(), r->ctx, std::move(deliver));
-  if (!watched) return;
-  // Retry watchdog: the hop is lost iff the receiver dies while the message
-  // is in flight (delivery closures of dead receivers never run).  After a
-  // conservative 2x hop RTT plus backoff, re-resolve the next hop -- our
-  // successor pointer may have been repaired to the crash heir meanwhile --
-  // and forward again.  On healthy hops the watchdog fires as a no-op.
-  constexpr sim::Duration kRetryCap = sim::SimTime::seconds(4);
-  sim::Duration backoff = params_.ring_retry_base;
-  for (unsigned i = 0; i < attempt && backoff < kRetryCap; ++i) {
-    backoff += backoff;
+  // Retry: a hop is lost when it is never delivered -- lost in transit, or
+  // its receiver dies while it is in flight.  After a conservative 2x hop
+  // RTT plus backoff, re-resolve the next hop -- our successor pointer may
+  // have been repaired to the crash heir meanwhile -- and forward again.
+  // The transport schedules the retry only for a lost hop, so a delivered
+  // one costs no event beyond its delivery.
+  sim::SimTime deadline{};
+  sim::Simulator::Action retry;
+  if (params_.ring_retry_limit != 0 && attempt < params_.ring_retry_limit) {
+    constexpr sim::Duration kRetryCap = sim::SimTime::seconds(4);
+    sim::Duration backoff = params_.ring_retry_base;
+    for (unsigned i = 0; i < attempt && backoff < kRetryCap; ++i) {
+      backoff += backoff;
+    }
+    if (kRetryCap < backoff) backoff = kRetryCap;
+    const sim::Duration hop = net_.hop_latency(at, next, r->bytes());
+    deadline = sim_.now() + hop + hop + backoff;
+    auto resend = [this, r, at, hops, contacted, attempt] {
+      if (!net_.alive(at)) return;
+      const Peer& h = peer(at);
+      if (!h.joined || h.role != Role::kTPeer) return;
+      ring_forward(r, at, hops, contacted, attempt + 1);
+    };
+    static_assert(sim::Simulator::Action::stores_inline<decltype(resend)>);
+    retry = std::move(resend);
   }
-  if (kRetryCap < backoff) backoff = kRetryCap;
-  const sim::Duration hop = net_.hop_latency(at, next, r->bytes());
-  auto watchdog = [this, r, at, hops, contacted, send, attempt] {
-    if (r->delivered[send] != 0) return;
-    if (!net_.alive(at)) return;
-    const Peer& h = peer(at);
-    if (!h.joined || h.role != Role::kTPeer) return;
-    ring_forward(r, at, hops, contacted, attempt + 1);
-  };
-  static_assert(sim::Simulator::Action::stores_inline<decltype(watchdog)>);
-  sim_.schedule_after(hop + hop + backoff, std::move(watchdog));
+  net_.send_watched(at, next, r->cls(), r->bytes(), r->ctx, std::move(deliver),
+                    deadline, std::move(retry));
 }
 
 bool HybridSystem::route_intercept(const Route& r, PeerIndex at,
@@ -1018,11 +1018,11 @@ void HybridSystem::arm_reflood(std::uint64_t qid, PeerIndex at) {
 
 void HybridSystem::arm_reroute(std::uint64_t qid, PeerIndex origin,
                                DataId id) {
-  // End-to-end leg of the ring-retry hardening: the per-hop watchdog in
-  // ring_forward only sees a receiver that dies with the message in
-  // flight.  A carrier that crashes AFTER delivery takes the query with it
-  // and no hop notices, so re-issue the whole climb + ring trip from the
-  // origin once, at half the lookup timeout.
+  // End-to-end leg of the ring-retry hardening: the per-hop retry in
+  // ring_forward only sees a hop that is never delivered.  A carrier that
+  // crashes AFTER delivery takes the query with it and no hop notices, so
+  // re-issue the whole climb + ring trip from the origin once, at half the
+  // lookup timeout.
   if (params_.ring_retry_limit == 0) return;
   sim_.schedule_after(
       sim::SimTime::micros(params_.lookup_timeout.as_micros() / 2),

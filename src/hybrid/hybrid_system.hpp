@@ -281,7 +281,7 @@ class HybridSystem {
   [[nodiscard]] std::size_t pending_lookups() const { return queries_.size(); }
 
   /// Routed requests (climb + ring trips of stores, re-homes and lookups)
-  /// still referenced by an in-flight message or retry watchdog.  Zero once
+  /// still referenced by an in-flight message or pending retry.  Zero once
   /// the event queue has drained; a nonzero count then is a leaked record.
   [[nodiscard]] std::size_t routes_in_flight() const { return routes_.live(); }
 
@@ -606,9 +606,12 @@ class HybridSystem {
   };
 
   /// One routed request: the state all of its hops share.  Records come
-  /// from routes_ and are reference-counted by the message and watchdog
+  /// from routes_ and are reference-counted by the message and retry
   /// closures that carry them, so a hop captures {handle, position,
-  /// counters} and allocates nothing once the pool is warm.
+  /// counters} and allocates nothing once the pool is warm.  A ring hop's
+  /// retry waits in the transport's watch record and is scheduled only if
+  /// the hop is lost (OverlayNetwork::send_watched), so a late original and
+  /// its resend each own their fate without any per-hop flag here.
   struct Route {
     RouteKind kind = RouteKind::kStore;
     std::uint64_t target = 0;  // ring key: the data id being routed to
@@ -617,10 +620,6 @@ class HybridSystem {
     stats::TraceContext ctx;   // causal context of the current phase
     proto::DataItem item;      // kStore / kRehome payload
     StoreCallback done;        // kStore completion
-    /// delivered[s]: watched ring send s reached its receiver.  Read by
-    /// send s's retry watchdog.  A resend takes a fresh index, so a late
-    /// original and its resend are told apart exactly.
-    std::vector<std::uint8_t> delivered;
 
     /// Item-carrying requests travel as data messages, the rest as queries.
     [[nodiscard]] bool carries_item() const {
@@ -640,7 +639,6 @@ class HybridSystem {
       qid = 0;
       item = {};
       done = nullptr;
-      delivered.clear();
     }
   };
   using RouteRef = RefPool<Route>::Ref;

@@ -102,9 +102,12 @@ struct HybridParams {
   /// Ring-forwarding retry: when a hop has not been delivered after
   /// 2x the hop latency plus backoff, the forwarding t-peer re-resolves the
   /// next hop (against its possibly repaired pointers) and resends.  Covers
-  /// hops addressed at t-peers that crash while the message is in flight.
-  /// 0 disables the retry entirely (the chaos regression tests rely on
-  /// this to prove the directed crash-storm schedule catches its absence).
+  /// hops lost in transit or addressed at t-peers that crash while the
+  /// message is in flight.  Each watched hop is a watched send, so the
+  /// retry is scheduled only when its hop is lost; a delivered hop costs no
+  /// timer.  0 disables the retry entirely (the chaos regression tests rely
+  /// on this to prove the directed crash-storm schedule catches its
+  /// absence).
   unsigned ring_retry_limit = 2;
   /// First retry backoff; doubles per attempt up to a fixed 4 s cap.
   sim::Duration ring_retry_base = sim::SimTime::millis(500);

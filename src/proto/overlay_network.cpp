@@ -59,10 +59,18 @@ sim::SimTime OverlayNetwork::hop_latency(PeerIndex from, PeerIndex to,
   return delay;
 }
 
-void OverlayNetwork::send(PeerIndex from, PeerIndex to, TrafficClass cls,
-                          std::uint32_t bytes, stats::TraceContext ctx,
-                          Delivery deliver) {
+void OverlayNetwork::transmit(PeerIndex from, PeerIndex to, TrafficClass cls,
+                              std::uint32_t bytes, stats::TraceContext ctx,
+                              Delivery&& deliver, sim::SimTime deadline,
+                              sim::Simulator::Action* on_late) {
   using Kind = NetTraceEvent::Kind;
+  // A watched message that can no longer be delivered in time has its
+  // continuation scheduled at once, as its watchdog event was.
+  const auto late_now = [&] {
+    if (on_late != nullptr) {
+      simulator_.schedule_at(deadline, std::move(*on_late));
+    }
+  };
   if (!alive(from)) {
     ++stats_.messages_dropped;
     ++stats_.drops_by_reason[static_cast<std::size_t>(DropReason::kDeadSender)];
@@ -70,6 +78,7 @@ void OverlayNetwork::send(PeerIndex from, PeerIndex to, TrafficClass cls,
     if (spans_ != nullptr && ctx.valid()) {
       spans_->instant(ctx, "drop:dead_sender", from.value(), simulator_.now());
     }
+    late_now();
     return;
   }
   sim::Duration fault_delay{};
@@ -88,6 +97,7 @@ void OverlayNetwork::send(PeerIndex from, PeerIndex to, TrafficClass cls,
       spans_->instant(ctx, "drop:loss", from.value(), simulator_.now(), "to",
                       to.value());
     }
+    late_now();
     return;
   }
   ++stats_.messages_sent;
@@ -112,41 +122,97 @@ void OverlayNetwork::send(PeerIndex from, PeerIndex to, TrafficClass cls,
   }
 
   const sim::SimTime delay = hop_latency(from, to, bytes) + fault_delay;
-  // Footprint for the verify/ explorer's independence relation: a heartbeat,
-  // query or data delivery only touches the records of the two endpoints
-  // (note_heard mutates *both* the receiver's liveness and the sender's
-  // tree pointers), so deliveries on disjoint peer pairs commute.  Control
-  // messages restructure the overlay (joins, ring repair, server
-  // competition) and stay wildcard-ordered against everything.
-  const sim::FootprintScope fps{
-      simulator_, cls == TrafficClass::kControl
-                      ? sim::Footprint::wild()
-                      : sim::Footprint::on({from.value(), to.value()})};
-  simulator_.schedule_after(
-      delay, [this, from, to, cls, bytes, msg_span,
-              deliver = std::move(deliver)]() mutable {
-        --stats_.messages_in_flight;
-        if (!alive(to)) {
-          ++stats_.messages_dropped;
-          ++stats_.drops_by_reason[static_cast<std::size_t>(
-              DropReason::kDeadReceiver)];
-          notify({Kind::kDropDeadReceiver, from, to, cls, bytes});
-          if (spans_ != nullptr && msg_span.valid()) {
-            spans_->add_arg(msg_span, "dropped_dead_receiver", 1);
-            spans_->end_span(msg_span, simulator_.now());
-          }
-          return;
-        }
-        ++stats_.messages_delivered;
-        ++received_by_[to.value()];
-        simulator_.note_message(static_cast<std::size_t>(cls),
-                                traffic_class_name(cls), bytes);
-        notify({Kind::kDeliver, from, to, cls, bytes});
-        if (spans_ != nullptr && msg_span.valid()) {
-          spans_->end_span(msg_span, simulator_.now());
-        }
-        deliver();
-      });
+  // A watched message that cannot arrive by its deadline is late whatever
+  // becomes of it, so only one that can is given a watch record.
+  std::uint32_t watch = kNoWatch;
+  if (on_late != nullptr && simulator_.now() + delay <= deadline) {
+    if (free_watch_ == kNoWatch) {
+      watch = static_cast<std::uint32_t>(watches_.size());
+      watches_.emplace_back();
+    } else {
+      watch = free_watch_;
+      free_watch_ = watches_[watch].next_free;
+    }
+    watches_[watch].deadline = deadline;
+    watches_[watch].on_late = std::move(*on_late);
+  }
+  auto arrive = [this, from, to, cls, bytes, watch, msg_span,
+                 deliver = std::move(deliver)]() mutable {
+    --stats_.messages_in_flight;
+    if (!alive(to)) {
+      ++stats_.messages_dropped;
+      ++stats_.drops_by_reason[static_cast<std::size_t>(
+          DropReason::kDeadReceiver)];
+      notify({Kind::kDropDeadReceiver, from, to, cls, bytes});
+      if (spans_ != nullptr && msg_span.valid()) {
+        spans_->add_arg(msg_span, "dropped_dead_receiver", 1);
+        spans_->end_span(msg_span, simulator_.now());
+      }
+      if (watch != kNoWatch) settle_watch(watch, false);
+      return;
+    }
+    if (watch != kNoWatch) settle_watch(watch, true);
+    ++stats_.messages_delivered;
+    ++received_by_[to.value()];
+    simulator_.note_message(static_cast<std::size_t>(cls),
+                            traffic_class_name(cls), bytes);
+    notify({Kind::kDeliver, from, to, cls, bytes});
+    if (spans_ != nullptr && msg_span.valid()) {
+      spans_->end_span(msg_span, simulator_.now());
+    }
+    deliver();
+  };
+  // The watch index sits in the closure's padding: the hottest event of
+  // every run must stay inline in the kernel's slot.
+  static_assert(sim::Simulator::Action::stores_inline<decltype(arrive)>);
+  {
+    // Footprint for the verify/ explorer's independence relation: a
+    // heartbeat, query or data delivery only touches the records of the two
+    // endpoints (note_heard mutates *both* the receiver's liveness and the
+    // sender's tree pointers), so deliveries on disjoint peer pairs commute.
+    // Control messages restructure the overlay (joins, ring repair, server
+    // competition) and stay wildcard-ordered against everything.
+    const sim::FootprintScope fps{
+        simulator_, cls == TrafficClass::kControl
+                        ? sim::Footprint::wild()
+                        : sim::Footprint::on({from.value(), to.value()})};
+    simulator_.schedule_after(delay, std::move(arrive));
+  }
+  // The continuation orders right after the delivery, as an event scheduled
+  // once this send returns would: reserved now, scheduled only if the
+  // receiver is found dead; or scheduled now when the message is too slow.
+  if (watch != kNoWatch) {
+    watches_[watch].late = simulator_.reserve_seq();
+  } else {
+    late_now();
+  }
+}
+
+void OverlayNetwork::send(PeerIndex from, PeerIndex to, TrafficClass cls,
+                          std::uint32_t bytes, stats::TraceContext ctx,
+                          Delivery deliver) {
+  transmit(from, to, cls, bytes, ctx, std::move(deliver), {}, nullptr);
+}
+
+void OverlayNetwork::send_watched(PeerIndex from, PeerIndex to,
+                                  TrafficClass cls, std::uint32_t bytes,
+                                  stats::TraceContext ctx, Delivery deliver,
+                                  sim::SimTime deadline,
+                                  sim::Simulator::Action on_late) {
+  transmit(from, to, cls, bytes, ctx, std::move(deliver), deadline,
+           on_late ? &on_late : nullptr);
+}
+
+void OverlayNetwork::settle_watch(std::uint32_t w, bool delivered) {
+  Watch& watch = watches_[w];
+  if (delivered) {
+    watch.on_late.reset();
+  } else {
+    simulator_.schedule_reserved(watch.deadline, watch.late,
+                                 std::move(watch.on_late));
+  }
+  watch.next_free = free_watch_;
+  free_watch_ = w;
 }
 
 void OverlayNetwork::note_drop(PeerIndex at, DropReason reason,

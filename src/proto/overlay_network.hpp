@@ -201,6 +201,19 @@ class OverlayNetwork {
   void send(PeerIndex from, PeerIndex to, TrafficClass cls,
             std::uint32_t bytes, stats::TraceContext ctx, Delivery deliver);
 
+  /// Watched send: send(), plus `on_late` run at `deadline` iff the
+  /// message has not been delivered by then -- the sender was dead, it was
+  /// lost (randomly or by the fault hook), it arrives after `deadline`, or
+  /// its receiver is dead on arrival.  A delivered message drops `on_late`
+  /// unrun, so a healthy hop costs one kernel event, not two.  `on_late`
+  /// takes the (deadline, seq) order, tag and footprint of an event
+  /// scheduled right after the send returns (DESIGN.md §5.18).  An empty
+  /// `on_late` makes this a plain send().
+  void send_watched(PeerIndex from, PeerIndex to, TrafficClass cls,
+                    std::uint32_t bytes, stats::TraceContext ctx,
+                    Delivery deliver, sim::SimTime deadline,
+                    sim::Simulator::Action on_late);
+
   /// Protocol-level drop report (TTL exhausted, no route): bumps the
   /// per-reason counter, emits a NetTraceEvent, and -- when traced --
   /// records an instant under `ctx`.  Transport-level reasons are counted
@@ -251,6 +264,28 @@ class OverlayNetwork {
   void set_fault(FaultFn fn) { fault_ = std::move(fn); }
 
  private:
+  /// A watched send whose fate is still open: the continuation to schedule
+  /// if the receiver turns out dead, where in the event order it goes, and
+  /// the next free record's index while the record is unused.
+  struct Watch {
+    sim::SimTime deadline{};
+    sim::Simulator::Reservation late{};
+    sim::Simulator::Action on_late;
+    std::uint32_t next_free = 0;
+  };
+  static constexpr std::uint32_t kNoWatch = ~std::uint32_t{0};
+
+  /// send() and send_watched() in one: `on_late` is nullptr for a plain
+  /// send.  Inlined into both: as a call of its own it cost a plain send
+  /// ~15% in BM_TransportSteadyStateZeroAlloc.
+  [[gnu::always_inline]] inline void transmit(PeerIndex from, PeerIndex to, TrafficClass cls,
+                std::uint32_t bytes, stats::TraceContext ctx,
+                Delivery&& deliver, sim::SimTime deadline,
+                sim::Simulator::Action* on_late);
+  /// Ends watch `w` at delivery time: schedules its continuation when the
+  /// receiver is dead, drops it unrun otherwise, and frees the record.
+  void settle_watch(std::uint32_t w, bool delivered);
+
   void notify(const NetTraceEvent& ev) {
     for (NetObserver* o : observers_) o->on_message(ev);
   }
@@ -269,6 +304,11 @@ class OverlayNetwork {
   std::vector<NetObserver*> observers_;  // not owned
   FaultFn fault_;
   stats::SpanRecorder* spans_ = nullptr;
+  /// Watched sends in flight, recycled through an intrusive free list, so
+  /// the steady state allocates nothing.  A delivery closure names its
+  /// record by a 4-byte index that fits in the closure's padding.
+  std::vector<Watch> watches_;
+  std::uint32_t free_watch_ = kNoWatch;
 };
 
 /// The simulation substrate an overlay runs on: the kernel, a transit-stub

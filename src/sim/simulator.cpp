@@ -24,9 +24,10 @@ const char* component_name(Component c) {
   return "invalid";
 }
 
-TimerId Simulator::schedule_at(SimTime when, Action action) {
+TimerId Simulator::schedule_seq(SimTime when, std::uint64_t seq,
+                                Component comp, const Footprint& fp,
+                                Action&& action) {
   if (when < now_) when = now_;  // never schedule into the past
-  const std::uint64_t seq = next_seq_++;
   std::uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -38,8 +39,8 @@ TimerId Simulator::schedule_at(SimTime when, Action action) {
   Slot& s = slots_[slot];
   s.when = when;
   s.seq = seq;
-  s.comp = current_component_;
-  s.fp = current_footprint_;
+  s.comp = comp;
+  s.fp = fp;
   s.action = std::move(action);
   heap_.push(HeapItem{when, seq, slot});
   ++live_events_;

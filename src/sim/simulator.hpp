@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "common/inline_function.hpp"
@@ -196,7 +197,35 @@ class Simulator {
   [[nodiscard]] SimTime now() const { return now_; }
 
   /// Schedules `action` at absolute time `when`; clamps to now() if earlier.
-  TimerId schedule_at(SimTime when, Action action);
+  TimerId schedule_at(SimTime when, Action action) {
+    return schedule_seq(when, next_seq_++, current_component_,
+                        current_footprint_, std::move(action));
+  }
+
+  /// An event's place in the FIFO order taken before the event exists: its
+  /// sequence number, plus the component tag and footprint current when it
+  /// was taken (what schedule_at() would have stamped at that moment).
+  struct Reservation {
+    std::uint64_t seq = 0;
+    Component comp = Component::kKernel;
+    Footprint fp{};
+  };
+
+  /// Takes the next sequence number without scheduling anything.  An event
+  /// scheduled later under it (schedule_reserved) ties exactly like one
+  /// scheduled now, so a maybe-needed event costs nothing until it is
+  /// needed.  A reservation that is never used leaves a gap in the seqs.
+  [[nodiscard]] Reservation reserve_seq() {
+    return Reservation{next_seq_++, current_component_, current_footprint_};
+  }
+
+  /// Schedules `action` at `when` under `r`: the (when, seq) order, tag and
+  /// footprint are those of an event scheduled when `r` was taken.  Clamps
+  /// to now() like schedule_at().
+  TimerId schedule_reserved(SimTime when, const Reservation& r,
+                            Action action) {
+    return schedule_seq(when, r.seq, r.comp, r.fp, std::move(action));
+  }
 
   /// Schedules `action` `delay` after now.
   TimerId schedule_after(Duration delay, Action action) {
@@ -335,6 +364,11 @@ class Simulator {
       return a.seq > b.seq;
     }
   };
+
+  /// The one scheduling path; takes the action by reference so that
+  /// schedule_at() costs no extra move of the closure.
+  TimerId schedule_seq(SimTime when, std::uint64_t seq, Component comp,
+                       const Footprint& fp, Action&& action);
 
   [[nodiscard]] bool slot_live(const HeapItem& item) const {
     return slots_[item.slot].seq == item.seq;

@@ -1974,6 +1974,40 @@ TEST(Hybrid, SystemMayBeDestroyedWithRoutesInFlight) {
   f.reset();
 }
 
+TEST(Hybrid, QuiescentRingLookupSchedulesOneEventPerMessage) {
+  // Retries are armed on every hop, but a hop that is delivered must cost
+  // its delivery and nothing else: no per-hop timer.
+  HybridFixture f{85, ring_only()};
+  f.build(60);
+  const auto keys = f.populate(30);
+  f.world.sim.run();
+  ASSERT_TRUE(f.world.sim.idle()) << "the world must be quiescent";
+  std::uint32_t longest = 0;
+  for (std::size_t i = 0; i < 8; ++i) {
+    const PeerIndex origin = f.peers[(i * 7 + 3) % f.peers.size()];
+    const std::string key = remote_key(f, keys, origin);
+    ASSERT_FALSE(key.empty());
+    const std::uint64_t events_before = f.world.sim.stats().events_scheduled;
+    const std::uint64_t sent_before = f.world.network.stats().messages_sent;
+    proto::LookupResult result;
+    f.system.lookup(origin, key, [&](proto::LookupResult r) { result = r; });
+    f.world.sim.run();
+    ASSERT_TRUE(result.success);
+    longest = std::max(longest, result.request_hops);
+    const std::uint64_t events =
+        f.world.sim.stats().events_scheduled - events_before;
+    const std::uint64_t sent =
+        f.world.network.stats().messages_sent - sent_before;
+    // Plus the lookup's own two timers: its timeout and the end-to-end
+    // reroute at half of it.
+    EXPECT_EQ(events, sent + 2)
+        << "lookup " << i << ": " << sent << " messages, "
+        << result.request_hops << " hops";
+  }
+  EXPECT_EQ(f.world.network.stats().messages_lost, 0u);
+  EXPECT_GT(longest, 10u) << "the walks must be long to mean much";
+}
+
 // --- Per-role peer state ----------------------------------------------------------
 
 /// Counts live s-peers that show any ring state: a link, a finger, or a

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -24,9 +25,24 @@ class OverlayNetworkTest : public ::testing::Test {
     return OverlayNetwork{sim_, *underlay_, opts};
   }
 
+  /// One watched query a -> b whose continuation is due at `deadline`,
+  /// then a marker event at `deadline`.  The continuation must order ahead
+  /// of the marker, as an event scheduled right after the send would.
+  /// Every event appends (d = delivery, l = late, m = marker, time) to log_.
+  void watched_query(OverlayNetwork& net, PeerIndex a, PeerIndex b,
+                     sim::SimTime deadline) {
+    net.send_watched(
+        a, b, TrafficClass::kQuery, kQueryBytes, {},
+        [this] { log_.emplace_back('d', sim_.now()); }, deadline,
+        [this] { log_.emplace_back('l', sim_.now()); });
+    sim_.schedule_at(deadline, [this] { log_.emplace_back('m', sim_.now()); });
+  }
+  using Log = std::vector<std::pair<char, sim::SimTime>>;
+
   Rng rng_;
   sim::Simulator sim_;
   std::optional<net::Underlay> underlay_;
+  Log log_;
 };
 
 TEST_F(OverlayNetworkTest, AddPeerAssignsDenseIndices) {
@@ -238,6 +254,144 @@ TEST_F(OverlayNetworkTest, TraceHookSeesSendDeliverAndDrops) {
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].kind, NetTraceEvent::Kind::kDropDeadSender);
   expect_second_matches();
+}
+
+// --- Watched sends: one test per fate --------------------------------------
+
+TEST_F(OverlayNetworkTest, WatchedSendDeliveredDropsItsContinuation) {
+  auto net = make_network();
+  const PeerIndex a = net.add_peer(HostIndex{0});
+  const PeerIndex b = net.add_peer(HostIndex{50});
+  const sim::SimTime hop = net.hop_latency(a, b, kQueryBytes);
+  const sim::SimTime deadline = hop + hop + sim::SimTime::millis(500);
+  watched_query(net, a, b, deadline);
+  sim_.run();
+  EXPECT_EQ(log_, (Log{{'d', hop}, {'m', deadline}}));
+  // The healthy hop cost its delivery and nothing more.
+  EXPECT_EQ(sim_.stats().events_scheduled, 2u);
+}
+
+TEST_F(OverlayNetworkTest, WatchedSendArrivingAtItsDeadlineCountsAsDelivered) {
+  auto net = make_network();
+  const PeerIndex a = net.add_peer(HostIndex{0});
+  const PeerIndex b = net.add_peer(HostIndex{50});
+  const sim::SimTime hop = net.hop_latency(a, b, kQueryBytes);
+  watched_query(net, a, b, hop);
+  sim_.run();
+  EXPECT_EQ(log_, (Log{{'d', hop}, {'m', hop}}));
+}
+
+TEST_F(OverlayNetworkTest, WatchedSendFromDeadSenderRunsContinuationAtDeadline) {
+  auto net = make_network();
+  const PeerIndex a = net.add_peer(HostIndex{0});
+  const PeerIndex b = net.add_peer(HostIndex{50});
+  net.set_alive(a, false);
+  const sim::SimTime deadline = sim::SimTime::millis(700);
+  watched_query(net, a, b, deadline);
+  sim_.run();
+  EXPECT_EQ(log_, (Log{{'l', deadline}, {'m', deadline}}));
+  EXPECT_EQ(net.stats().reason_drops(DropReason::kDeadSender), 1u);
+}
+
+TEST_F(OverlayNetworkTest, WatchedSendLostRunsContinuationAtDeadline) {
+  auto net = make_network({.loss_rate = 1.0});
+  const PeerIndex a = net.add_peer(HostIndex{0});
+  const PeerIndex b = net.add_peer(HostIndex{50});
+  const sim::SimTime deadline = sim::SimTime::millis(700);
+  watched_query(net, a, b, deadline);
+  sim_.run();
+  EXPECT_EQ(log_, (Log{{'l', deadline}, {'m', deadline}}));
+  EXPECT_EQ(net.stats().messages_lost, 1u);
+}
+
+TEST_F(OverlayNetworkTest, WatchedSendDroppedByFaultRunsContinuationAtDeadline) {
+  auto net = make_network();
+  const PeerIndex a = net.add_peer(HostIndex{0});
+  const PeerIndex b = net.add_peer(HostIndex{50});
+  net.set_fault([](PeerIndex, PeerIndex, TrafficClass, std::uint32_t) {
+    return FaultAction{.drop = true};
+  });
+  const sim::SimTime deadline = sim::SimTime::millis(700);
+  watched_query(net, a, b, deadline);
+  sim_.run();
+  EXPECT_EQ(log_, (Log{{'l', deadline}, {'m', deadline}}));
+  EXPECT_EQ(net.stats().messages_lost, 1u);
+}
+
+TEST_F(OverlayNetworkTest, WatchedSendArrivingLateRunsContinuationThenDelivers) {
+  auto net = make_network();
+  const PeerIndex a = net.add_peer(HostIndex{0});
+  const PeerIndex b = net.add_peer(HostIndex{50});
+  net.set_fault([](PeerIndex, PeerIndex, TrafficClass, std::uint32_t) {
+    return FaultAction{.extra_delay = sim::SimTime::seconds(10)};
+  });
+  const sim::SimTime hop = net.hop_latency(a, b, kQueryBytes);
+  const sim::SimTime deadline = hop + hop + sim::SimTime::millis(500);
+  watched_query(net, a, b, deadline);
+  sim_.run();
+  // The late delivery still runs, after the continuation it made due.
+  EXPECT_EQ(log_, (Log{{'l', deadline},
+                       {'m', deadline},
+                       {'d', hop + sim::SimTime::seconds(10)}}));
+}
+
+TEST_F(OverlayNetworkTest, WatchedSendToReceiverDeadOnArrivalRunsContinuation) {
+  auto net = make_network();
+  const PeerIndex a = net.add_peer(HostIndex{0});
+  const PeerIndex b = net.add_peer(HostIndex{50});
+  const sim::SimTime hop = net.hop_latency(a, b, kQueryBytes);
+  const sim::SimTime deadline = hop + hop + sim::SimTime::millis(500);
+  sim_.schedule_at(deadline, [this] { log_.emplace_back('e', sim_.now()); });
+  watched_query(net, a, b, deadline);
+  net.set_alive(b, false);  // crash while in flight
+  sim_.run();
+  // Scheduled only once the drop is seen, yet ordered between the event
+  // scheduled before the send and the one scheduled after it.
+  EXPECT_EQ(log_, (Log{{'e', deadline}, {'l', deadline}, {'m', deadline}}));
+  EXPECT_EQ(net.stats().reason_drops(DropReason::kDeadReceiver), 1u);
+}
+
+TEST_F(OverlayNetworkTest, WatchedContinuationKeepsTheSendersTagAndFootprint) {
+  // The delivery is stamped with the endpoints' footprint; the continuation
+  // must carry what was current at the send, as a timer set there would.
+  struct Recorder final : sim::TieBreakPolicy {
+    std::vector<sim::CoEnabledEvent> fired;
+    std::size_t choose(const sim::CoEnabledEvent* events,
+                       std::size_t) override {
+      fired.push_back(events[0]);
+      return 0;
+    }
+  };
+  auto net = make_network();
+  const PeerIndex a = net.add_peer(HostIndex{0});
+  const PeerIndex b = net.add_peer(HostIndex{50});
+  Recorder rec;
+  sim_.set_tie_break_policy(&rec);
+  {
+    const sim::ComponentScope scope{sim_, sim::Component::kRing};
+    net.send_watched(a, b, TrafficClass::kQuery, kQueryBytes, {}, [] {},
+                     sim::SimTime::seconds(2), [] {});
+  }
+  net.set_alive(b, false);
+  sim_.run();
+  ASSERT_EQ(rec.fired.size(), 2u);
+  EXPECT_FALSE(rec.fired[0].fp.wildcard) << "the delivery";
+  EXPECT_EQ(rec.fired[1].when, sim::SimTime::seconds(2));
+  EXPECT_EQ(rec.fired[1].comp, sim::Component::kRing);
+  EXPECT_TRUE(rec.fired[1].fp.wildcard);
+}
+
+TEST_F(OverlayNetworkTest, WatchedSendWithoutContinuationIsAPlainSend) {
+  auto net = make_network();
+  const PeerIndex a = net.add_peer(HostIndex{0});
+  const PeerIndex b = net.add_peer(HostIndex{50});
+  net.set_alive(b, false);
+  bool delivered = false;
+  net.send_watched(a, b, TrafficClass::kQuery, kQueryBytes, {},
+                   [&] { delivered = true; }, sim::SimTime::seconds(1), {});
+  sim_.run();
+  EXPECT_FALSE(delivered);
+  EXPECT_EQ(sim_.stats().events_scheduled, 1u);
 }
 
 }  // namespace

@@ -302,5 +302,50 @@ TEST(Simulator, StepSkipsCorpsesLikeRunUntil) {
   EXPECT_FALSE(s.step());
 }
 
+TEST(Simulator, ReservedSeqFiresAheadOfLaterSchedulesForTheSameInstant) {
+  Simulator s;
+  std::vector<int> order;
+  s.schedule_at(SimTime::millis(5), [&] { order.push_back(0); });
+  const Simulator::Reservation r = s.reserve_seq();
+  s.schedule_at(SimTime::millis(5), [&] { order.push_back(2); });
+  // Scheduled from inside a later event, yet it holds the place it took.
+  s.schedule_at(SimTime::millis(1), [&] {
+    s.schedule_reserved(SimTime::millis(5), r, [&] { order.push_back(1); });
+  });
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(s.stats().events_scheduled, 4u);
+  EXPECT_EQ(s.stats().events_executed, 4u);
+}
+
+TEST(Simulator, ReservationCarriesTheTagAndFootprintOfItsMoment) {
+  struct Recorder final : TieBreakPolicy {
+    std::vector<CoEnabledEvent> fired;
+    std::size_t choose(const CoEnabledEvent* events, std::size_t) override {
+      fired.push_back(events[0]);
+      return 0;
+    }
+  };
+  Simulator s;
+  Recorder rec;
+  s.set_tie_break_policy(&rec);
+  Simulator::Reservation r;
+  {
+    const ComponentScope scope{s, Component::kRing};
+    const FootprintScope fps{s, Footprint::on({7})};
+    r = s.reserve_seq();
+  }
+  s.schedule_reserved(SimTime::millis(2), r, [] {});
+  s.schedule_at(SimTime::millis(2), [] {});
+  s.run();
+  ASSERT_EQ(rec.fired.size(), 2u);
+  EXPECT_EQ(rec.fired[0].seq, r.seq);
+  EXPECT_EQ(rec.fired[0].comp, Component::kRing);
+  EXPECT_FALSE(rec.fired[0].fp.wildcard);
+  EXPECT_EQ(rec.fired[0].fp.peers[0], 7u);
+  EXPECT_EQ(rec.fired[1].comp, Component::kKernel);
+  EXPECT_TRUE(rec.fired[1].fp.wildcard);
+}
+
 }  // namespace
 }  // namespace hp2p::sim
