@@ -7,7 +7,9 @@
 // for differential tests.  Test-only: never linked into benches.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "hybrid/hybrid_system.hpp"
@@ -100,6 +102,20 @@ struct FaultInjector {
     sys.add_child(sys.peer(lower), upper);
   }
 
+  /// Swaps two leaf s-peers between their parents' child lists (cp and
+  /// tpeer follow), so two s-networks trade one member each and keep their
+  /// sizes.
+  static void swap_leaves(HybridSystem& sys, PeerIndex a, PeerIndex b) {
+    auto& pa = sys.peer(a);
+    auto& pb = sys.peer(b);
+    sys.drop_child(sys.peer(pa.cp), a);
+    sys.drop_child(sys.peer(pb.cp), b);
+    sys.add_child(sys.peer(pa.cp), b);
+    sys.add_child(sys.peer(pb.cp), a);
+    std::swap(pa.cp, pb.cp);
+    std::swap(pa.tpeer, pb.tpeer);
+  }
+
   /// Whether `p` holds a ring position (RingState) at all.
   static bool holds_ring(const HybridSystem& sys, PeerIndex p) {
     return sys.peer(p).ring != nullptr;
@@ -117,13 +133,11 @@ struct FaultInjector {
     sys.visit_marks_.epoch = epoch;
   }
 
-  /// The anti-entropy sweep's allocation-free test of whether `member` is
-  /// in replica_set(id), over the candidates of id's current owner.
+  /// The anti-entropy sweep's test of whether `member` is in
+  /// replica_set(id), over the memoized seats of id's current owner.
   static bool sweep_in_replica_set(const HybridSystem& sys, PeerIndex member,
                                    DataId id) {
-    const PeerIndex owner = sys.registry_owner(id.value());
-    if (owner == kNoPeer) return false;
-    return sys.in_replica_set(member, id, owner, sys.candidates_of(owner));
+    return sys.in_replica_set(member, id, sys.registry_owner(id.value()));
   }
 
   /// The replication paths' memoized candidate list for `owner`, and a
@@ -136,6 +150,37 @@ struct FaultInjector {
                                                  PeerIndex owner) {
     std::vector<PeerIndex> out;
     sys.replica_candidates(owner, out);
+    return out;
+  }
+
+  /// The tree-walk epoch the candidate memo is stamped with.
+  static std::uint64_t tree_epoch(const HybridSystem& sys) {
+    return sys.tree_epoch_;
+  }
+
+  /// replica_set(id) rebuilt without any memo: the owner, then a fresh
+  /// walk of its candidates fully sorted by replica_key and cut to r - 1,
+  /// then the successor fallback when fewer than r holders were found.
+  static std::vector<PeerIndex> fresh_replica_set(const HybridSystem& sys,
+                                                  DataId id) {
+    const PeerIndex owner = sys.registry_owner(id.value());
+    if (owner == kNoPeer) return {};
+    const unsigned r = sys.params().replication_factor;
+    if (r <= 1) return {owner};
+    std::vector<PeerIndex> ranked = fresh_candidates(sys, owner);
+    std::sort(ranked.begin(), ranked.end(), [id](PeerIndex a, PeerIndex b) {
+      return HybridSystem::replica_key(id, a) <
+             HybridSystem::replica_key(id, b);
+    });
+    std::vector<PeerIndex> out{owner};
+    for (const PeerIndex m : ranked) {
+      if (out.size() == r) break;
+      out.push_back(m);
+    }
+    if (out.size() < r) {
+      const PeerIndex suc = sys.fallback_successor(owner);
+      if (suc != kNoPeer) out.push_back(suc);
+    }
     return out;
   }
 

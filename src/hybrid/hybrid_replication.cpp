@@ -12,6 +12,7 @@
 // Everything here is gated on replication_active(): with r = 1 no message,
 // rng draw, or timer differs from the unreplicated system.
 #include <algorithm>
+#include <cassert>
 #include <memory>
 #include <utility>
 
@@ -21,33 +22,16 @@ namespace hp2p::hybrid {
 
 using proto::TrafficClass;
 
-namespace {
-
-/// Rank of candidate `m` for item `id`, lowest first: a per-id hash, so each
-/// item picks its own holders (spreading replica load) while the choice stays
-/// a pure function of the overlay state.  mix64 is a bijection, so distinct
-/// candidates never tie on the hash; the peer index only completes the key.
-std::pair<std::uint64_t, PeerIndex> replica_key(DataId id, PeerIndex m) {
-  return {mix64(id.value() ^ mix64(m.value())), m};
-}
-
-}  // namespace
-
 std::vector<PeerIndex> HybridSystem::replica_set(DataId id) const {
   std::vector<PeerIndex> out;
   const PeerIndex owner = registry_owner(id.value());
   if (owner == kNoPeer) return out;
-  out.push_back(owner);
   const unsigned r = params_.replication_factor;
+  out.reserve(r + 1);
+  out.push_back(owner);
   if (r <= 1) return out;
-  std::vector<PeerIndex> ranked = candidates_of(owner);
-  std::sort(ranked.begin(), ranked.end(), [id](PeerIndex a, PeerIndex b) {
-    return replica_key(id, a) < replica_key(id, b);
-  });
-  for (const PeerIndex m : ranked) {
-    if (out.size() >= r) break;
-    out.push_back(m);
-  }
+  const std::span<const PeerIndex> seats = seats_of(owner, id);
+  out.insert(out.end(), seats.begin(), seats.end());
   if (out.size() < r) {
     // S-network too small: the successor t-peer stands in as a fallback
     // holder so a lone t-peer's segment still survives its crash.
@@ -57,26 +41,17 @@ std::vector<PeerIndex> HybridSystem::replica_set(DataId id) const {
   return out;
 }
 
-bool HybridSystem::in_replica_set(
-    PeerIndex member, DataId id, PeerIndex owner,
-    const std::vector<PeerIndex>& candidates) const {
+bool HybridSystem::in_replica_set(PeerIndex member, DataId id,
+                                  PeerIndex owner) const {
   if (owner == kNoPeer) return false;
   if (member == owner) return true;
   if (params_.replication_factor <= 1) return false;
-  // replica_set(id) seats the r - 1 best-ranked candidates after the owner.
-  const std::size_t seats = params_.replication_factor - 1;
-  const auto key = replica_key(id, member);
-  bool candidate = false;
-  std::size_t ahead = 0;
-  for (const PeerIndex m : candidates) {
-    if (m == member) {
-      candidate = true;
-    } else if (replica_key(id, m) < key) {
-      ++ahead;
-    }
-  }
-  if (candidate) return ahead < seats;
-  return candidates.size() < seats && member == fallback_successor(owner);
+  const std::span<const PeerIndex> seats = seats_of(owner, id);
+  if (std::ranges::find(seats, member) != seats.end()) return true;
+  // Fewer than r - 1 seats means every candidate is seated: only then does
+  // the successor stand in.
+  return seats.size() + 1 < params_.replication_factor &&
+         member == fallback_successor(owner);
 }
 
 PeerIndex HybridSystem::fallback_successor(PeerIndex owner) const {
@@ -97,17 +72,48 @@ void HybridSystem::replica_candidates(PeerIndex owner,
   });
 }
 
-const std::vector<PeerIndex>& HybridSystem::candidates_of(
+HybridSystem::CandidateMemo& HybridSystem::candidate_memo(
     PeerIndex owner) const {
   auto [it, fresh] = candidate_memo_.try_emplace(owner.value());
   CandidateMemo& memo = it->second;
   if (fresh || memo.tree_epoch != tree_epoch_ ||
       memo.net_epoch != net_.liveness_epoch()) {
     replica_candidates(owner, memo.list);
+    memo.ranked.clear();
+    memo.seats.clear();
     memo.tree_epoch = tree_epoch_;
     memo.net_epoch = net_.liveness_epoch();
   }
-  return memo.list;
+  return memo;
+}
+
+const std::vector<PeerIndex>& HybridSystem::candidates_of(
+    PeerIndex owner) const {
+  return candidate_memo(owner).list;
+}
+
+std::span<const PeerIndex> HybridSystem::seats_of(PeerIndex owner,
+                                                  DataId id) const {
+  assert(params_.replication_factor >= 2);
+  CandidateMemo& memo = candidate_memo(owner);
+  const std::size_t k =
+      std::min<std::size_t>(params_.replication_factor - 1, memo.list.size());
+  const auto at = std::ranges::lower_bound(memo.ranked, id, {},
+                                           &CandidateMemo::Ranked::id);
+  if (at != memo.ranked.end() && at->id == id) {
+    return {memo.seats.data() + at->first, k};
+  }
+  const auto first = static_cast<std::uint32_t>(memo.seats.size());
+  memo.ranked.insert(at, {id, first});
+  memo.seats.resize(first + k);
+  // The k lowest keys, lowest first: exactly the head of a full sort, since
+  // no two candidates tie.
+  std::partial_sort_copy(memo.list.begin(), memo.list.end(),
+                         memo.seats.begin() + first, memo.seats.end(),
+                         [id](PeerIndex a, PeerIndex b) {
+                           return replica_key(id, a) < replica_key(id, b);
+                         });
+  return {memo.seats.data() + first, k};
 }
 
 bool HybridSystem::is_fallback_holder(PeerIndex at, DataId id) const {
@@ -247,7 +253,7 @@ void HybridSystem::sweep_at_member(
     if (m.store.contains(id)) continue;
     const PeerIndex owner = registry_owner(id.value());
     if (owner == kNoPeer) continue;
-    if (in_replica_set(member, id, owner, candidates_of(owner))) {
+    if (in_replica_set(member, id, owner)) {
       want.push_back(id);
     }
   }

@@ -20,6 +20,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -28,6 +29,7 @@
 #include <vector>
 
 #include "chord/finger_table.hpp"
+#include "common/hashing.hpp"
 #include "common/ids.hpp"
 #include "common/ref_pool.hpp"
 #include "common/rng.hpp"
@@ -724,12 +726,27 @@ class HybridSystem {
   /// moves.  The reference stays valid until the next call for `owner`.
   [[nodiscard]] const std::vector<PeerIndex>& candidates_of(
       PeerIndex owner) const;
-  /// Whether `member` is in replica_set(id), given candidates_of(owner) for
-  /// id's owner `owner`.  Counts the candidates ranked ahead of `member`
-  /// instead of sorting them, so it allocates nothing.
-  [[nodiscard]] bool in_replica_set(
-      PeerIndex member, DataId id, PeerIndex owner,
-      const std::vector<PeerIndex>& candidates) const;
+  /// Rank of candidate `m` for item `id`, lowest first: a per-id hash, so
+  /// each item picks its own holders (spreading replica load) while the
+  /// choice stays a pure function of the overlay state.  mix64 is a
+  /// bijection, so distinct candidates never tie on the hash; the peer index
+  /// only completes the key.
+  [[nodiscard]] static std::pair<std::uint64_t, PeerIndex> replica_key(
+      DataId id, PeerIndex m) {
+    return {mix64(id.value() ^ mix64(m.value())), m};
+  }
+  /// The seats of `id` among candidates_of(owner): the min(r - 1,
+  /// candidates) candidates with the lowest replica_key(id, .), lowest
+  /// first.  Ranked once per (owner, id) and memo epoch, then read from the
+  /// memo; the span stays valid until the next call for `owner`.  Needs
+  /// r >= 2.
+  [[nodiscard]] std::span<const PeerIndex> seats_of(PeerIndex owner,
+                                                    DataId id) const;
+  /// Whether `member` is in replica_set(id), where `owner` is id's owner:
+  /// it is the owner, holds one of seats_of(owner, id), or is the live
+  /// successor fallback of an s-network with fewer than r - 1 candidates.
+  [[nodiscard]] bool in_replica_set(PeerIndex member, DataId id,
+                                    PeerIndex owner) const;
   /// Restores the primary copy at the owner after `item` answered a lookup
   /// from a non-primary replica at `at`.
   void maybe_read_repair(PeerIndex at, const proto::DataItem& item);
@@ -834,12 +851,24 @@ class HybridSystem {
   /// liveness epoch it dates everything an s-network walk reads.
   mutable std::uint64_t tree_epoch_ = 0;
   /// candidates_of() memo, one list per owner, stamped with the epochs it
-  /// was walked under.  Lookup-only; never iterated.
+  /// was walked under, and the seats_of() rankings made from that list.
+  /// Re-walking the list empties the rankings but keeps their storage, so a
+  /// warm memo ranks without allocating.  Lookup-only; never iterated.
   struct CandidateMemo {
+    /// One ranked id: its seats are seats[first, first + k), where k is
+    /// min(r - 1, list.size()).
+    struct Ranked {
+      DataId id;
+      std::uint32_t first;
+    };
     std::uint64_t tree_epoch = 0;
     std::uint64_t net_epoch = 0;
     std::vector<PeerIndex> list;
+    std::vector<Ranked> ranked;  // sorted by id
+    std::vector<PeerIndex> seats;
   };
+  /// The memo for `owner`, re-walked first when either epoch moved.
+  CandidateMemo& candidate_memo(PeerIndex owner) const;
   mutable std::unordered_map<std::uint32_t, CandidateMemo> candidate_memo_;
   /// live_peers() cache; rebuilt lazily after membership_changed() or a
   /// transport liveness-epoch bump.

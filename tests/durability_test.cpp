@@ -90,10 +90,11 @@ TEST(Durability, ReplicaSetSelectionIsDeterministic) {
   }
 }
 
-/// Diffs the anti-entropy sweep's allocation-free replica test against
-/// membership in replica_set(id), for every live joined peer and every id in
-/// a live t-peer's digest.  Returns how many of the pairs in a replica set
-/// were seated by the successor fallback.
+/// Diffs the anti-entropy sweep's replica test, and replica_set(id), against
+/// a replica set rebuilt without the seat memo (a fresh s-network walk, fully
+/// sorted), for every live joined peer and every id in a live t-peer's
+/// digest.  Returns how many of the pairs in a replica set were seated by
+/// the successor fallback.
 std::size_t expect_sweep_matches_replica_set(const hybrid::HybridSystem& sys) {
   std::vector<PeerIndex> live;
   std::vector<DataId> digest_ids;
@@ -113,13 +114,17 @@ std::size_t expect_sweep_matches_replica_set(const hybrid::HybridSystem& sys) {
   std::size_t fallbacks = 0;
   std::size_t mismatches = 0;
   for (const DataId id : digest_ids) {
-    const auto rs = sys.replica_set(id);
+    const auto rs = hybrid::FaultInjector::fresh_replica_set(sys, id);
+    if (sys.replica_set(id) != rs && ++mismatches == 1) {
+      ADD_FAILURE() << "id " << id.value()
+                    << ": replica_set differs from a fresh ranking";
+    }
     for (const PeerIndex p : live) {
       const bool in_set = std::find(rs.begin(), rs.end(), p) != rs.end();
       if (hybrid::FaultInjector::sweep_in_replica_set(sys, p, id) != in_set &&
           ++mismatches == 1) {
         ADD_FAILURE() << "peer " << p << ", id " << id.value()
-                      << ": replica_set says " << in_set;
+                      << ": a fresh ranking says " << in_set;
       }
       if (in_set && p != rs.front() && p == sys.successor_of(rs.front())) {
         ++fallbacks;

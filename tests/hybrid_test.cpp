@@ -1906,9 +1906,9 @@ TEST(Hybrid, DelayedRingHopAndItsResendShareOneRoute) {
   const std::string key = remote_key(f, keys, origin);
   ASSERT_FALSE(key.empty());
 
-  // Hold the lookup's first ring hop back far past its retry watchdog: the
-  // watchdog resends, so two copies of the request walk the ring on one
-  // route record, each hop tracked by its own delivery flag.
+  // Hold the lookup's first ring hop back far past its retry deadline: the
+  // transport fires the retry, so two copies of the request walk the ring
+  // on one route record, each hop a watched send with its own deadline.
   bool held = false;
   f.world.network.set_fault([&](PeerIndex, PeerIndex, proto::TrafficClass cls,
                                  std::uint32_t) {
@@ -2230,6 +2230,189 @@ TEST(Replication, CandidateMemoMatchesFreshWalk) {
   f.world.network.set_alive(victim, false);
   compare();
   EXPECT_EQ(stale, 0u) << "after a transport-level death: " << first;
+}
+
+TEST(Replication, SeatMemoMatchesFreshRankingThroughChurn) {
+  // replica_set() and the anti-entropy sweep's seat test read each item's
+  // r - 1 seats from a ranking memoized under the candidate memo's epochs.
+  // Through crashes, graceful leaves and joins, after every event, both
+  // must agree with a replica set rebuilt from a fresh walk fully sorted by
+  // replica_key, for r = 2 and r = 3; so must they after two s-networks
+  // trade a member at equal sizes.  The successor fallback is read live,
+  // so a successor change that moves neither epoch must still move the
+  // fallback seat.
+  for (const unsigned r : {2u, 3u}) {
+    SCOPED_TRACE("replication_factor " + std::to_string(r));
+    auto params = defaults();
+    params.ps = 0.7;
+    params.t_routing = TRouting::kFinger;
+    params.hello_interval = sim::SimTime::millis(500);
+    params.hello_timeout = sim::SimTime::millis(1500);
+    params.replication_factor = r;
+    HybridFixture f{312, params};
+    f.build(60);
+    f.system.refresh_all_fingers();
+    f.populate(60);
+    f.system.start_failure_detection();
+
+    std::vector<DataId> ids;
+    for (std::uint64_t v = 1; v <= 48; ++v) ids.push_back(DataId{mix64(v)});
+    std::size_t checks = 0;
+    std::size_t fallback_seats = 0;
+    std::size_t stale = 0;
+    std::string first;
+    const auto note = [&](const char* what, DataId id) {
+      if (++stale == 1) {
+        first = std::string{what} + ", id " + std::to_string(id.value()) +
+                " at " + std::to_string(f.world.sim.now().as_millis()) +
+                " ms";
+      }
+    };
+    const auto compare_id = [&](DataId id) {
+      const PeerIndex owner = f.system.owner_tpeer(id);
+      if (owner == kNoPeer) return;
+      ++checks;
+      const auto fresh = FaultInjector::fresh_replica_set(f.system, id);
+      if (f.system.replica_set(id) != fresh) note("replica_set", id);
+      auto asked = FaultInjector::fresh_candidates(f.system, owner);
+      const PeerIndex suc = f.system.successor_of(owner);
+      if (fresh.size() > 1 && fresh.back() == suc &&
+          std::ranges::count(asked, suc) == 0) {
+        ++fallback_seats;
+      }
+      asked.push_back(owner);
+      asked.push_back(suc);
+      for (const PeerIndex m : asked) {
+        if (m == kNoPeer) continue;
+        const bool seated = std::ranges::count(fresh, m) != 0;
+        if (FaultInjector::sweep_in_replica_set(f.system, m, id) != seated) {
+          note("seat test", id);
+        }
+      }
+    };
+    const auto compare = [&] {
+      for (const DataId id : ids) compare_id(id);
+    };
+
+    std::vector<PeerIndex> rooted;
+    std::vector<PeerIndex> speers;
+    for (const PeerIndex p : f.peers) {
+      if (f.system.role_of(p) == Role::kSPeer) {
+        speers.push_back(p);
+      } else if (!f.system.children_of(p).empty()) {
+        rooted.push_back(p);
+      }
+    }
+    ASSERT_GE(rooted.size(), 6u);
+    ASSERT_GE(speers.size(), 6u);
+    for (std::size_t i = 0; i < 6; ++i) {
+      const PeerIndex t = rooted[i];
+      const PeerIndex s = speers[i];
+      const bool graceful = i % 2 == 1;
+      f.world.sim.schedule_after(
+          sim::SimTime::millis(static_cast<std::int64_t>(i) * 150),
+          [&f, t, s, graceful] {
+            if (graceful) {
+              f.system.leave(t);
+              f.system.leave(s);
+            } else {
+              f.system.crash(t);
+              f.system.crash(s);
+            }
+            f.peers.push_back(f.system.add_peer(f.world.next_host()));
+          });
+    }
+    // A t-peer that joins last roots no s-network, so its items' seats
+    // beyond the owner fall to its successor.
+    PeerIndex lone = kNoPeer;
+    f.world.sim.schedule_after(sim::SimTime::seconds(3), [&] {
+      lone = f.system.add_peer_with_role(f.world.next_host(), Role::kTPeer);
+      f.peers.push_back(lone);
+    });
+    const auto run_for = [&](sim::Duration span) {
+      const sim::SimTime end = f.world.sim.now() + span;
+      while (f.world.sim.next_event_time() <= end) {
+        f.world.sim.step();
+        compare();
+      }
+    };
+    run_for(sim::SimTime::seconds(15));
+    EXPECT_GT(checks, 0u);
+    EXPECT_GT(fallback_seats, 0u) << "the successor fallback never seated";
+    EXPECT_EQ(stale, 0u) << "first stale seat after churn: " << first;
+
+    // Two s-networks trade a leaf each between two reads, so each owner's
+    // candidate list changes at the same size: the seats must follow the
+    // members, not the list's shape.
+    const auto leaf_of = [&f](PeerIndex owner) {
+      for (const PeerIndex m : FaultInjector::fresh_candidates(f.system,
+                                                               owner)) {
+        if (f.system.children_of(m).empty()) return m;
+      }
+      return kNoPeer;
+    };
+    std::vector<PeerIndex> traders;
+    for (const PeerIndex p : f.peers) {
+      if (traders.size() < 2 && p != lone && f.system.is_alive(p) &&
+          f.system.is_joined(p) && f.system.role_of(p) == Role::kTPeer &&
+          FaultInjector::fresh_candidates(f.system, p).size() >= 2 &&
+          leaf_of(p) != kNoPeer) {
+        traders.push_back(p);
+      }
+    }
+    ASSERT_EQ(traders.size(), 2u);
+    const PeerIndex leaf_a = leaf_of(traders[0]);
+    const PeerIndex leaf_b = leaf_of(traders[1]);
+    std::vector<DataId> traded_ids;
+    std::size_t traded_seats = 0;
+    for (const PeerIndex owner : traders) {
+      const std::uint64_t hi = f.system.pid_of(owner).value();
+      for (std::uint64_t k = 0; k < 16; ++k) {
+        const DataId id{ring::reduce(hi - k)};
+        ASSERT_EQ(f.system.owner_tpeer(id), owner);
+        traded_ids.push_back(id);
+        compare_id(id);  // warms the memo
+        const auto holders = f.system.replica_set(id);
+        traded_seats += static_cast<std::size_t>(
+            std::ranges::count(holders, leaf_a) +
+            std::ranges::count(holders, leaf_b));
+      }
+    }
+    ASSERT_GT(traded_seats, 0u) << "neither traded leaf held a seat";
+    FaultInjector::swap_leaves(f.system, leaf_a, leaf_b);
+    for (const DataId id : traded_ids) compare_id(id);
+    EXPECT_EQ(stale, 0u) << "after two s-networks traded a leaf: " << first;
+
+    // Point the lone t-peer's successor elsewhere: no epoch moves, so the
+    // memoized seats stay, but the fallback seat must follow the pointer.
+    ASSERT_NE(lone, kNoPeer);
+    ASSERT_TRUE(f.system.is_joined(lone));
+    ASSERT_TRUE(FaultInjector::fresh_candidates(f.system, lone).empty());
+    const DataId id{f.system.pid_of(lone).value()};
+    ASSERT_EQ(f.system.owner_tpeer(id), lone);
+    const PeerIndex old_suc = f.system.successor_of(lone);
+    PeerIndex new_suc = kNoPeer;
+    for (const PeerIndex p : f.peers) {
+      if (p != lone && p != old_suc && f.system.is_alive(p) &&
+          f.system.is_joined(p) && f.system.role_of(p) == Role::kTPeer) {
+        new_suc = p;
+        break;
+      }
+    }
+    ASSERT_NE(new_suc, kNoPeer);
+    compare_id(id);  // warms the memo for `lone`
+    const std::uint64_t tree = FaultInjector::tree_epoch(f.system);
+    const std::uint64_t net = f.world.network.liveness_epoch();
+    FaultInjector::corrupt_successor(f.system, lone, new_suc);
+    ASSERT_EQ(FaultInjector::tree_epoch(f.system), tree);
+    ASSERT_EQ(f.world.network.liveness_epoch(), net);
+    EXPECT_EQ(f.system.replica_set(id),
+              (std::vector<PeerIndex>{lone, new_suc}));
+    EXPECT_TRUE(FaultInjector::sweep_in_replica_set(f.system, new_suc, id));
+    EXPECT_FALSE(FaultInjector::sweep_in_replica_set(f.system, old_suc, id));
+    compare_id(id);
+    EXPECT_EQ(stale, 0u) << "after the successor moved: " << first;
+  }
 }
 
 TEST(Hybrid, GracefulPromotionMovesTheWholeRingPosition) {

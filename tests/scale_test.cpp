@@ -396,9 +396,12 @@ TEST(Scale, ChurnRungAllocationsStayWithinMeasuredCounts) {
   const std::uint64_t flood =
       prof.component_total(sim::Component::kFlood).allocs;
   const std::uint64_t ring = prof.component_total(sim::Component::kRing).allocs;
+  const std::uint64_t replication =
+      prof.component_total(sim::Component::kReplication).allocs;
   EXPECT_LE(membership, 5'652u);
   EXPECT_LE(flood, 1'636u);
   EXPECT_LE(ring, 1'091u);
+  EXPECT_LE(replication, 1'180u);
 }
 
 TEST(Scale, PaperScaleDigestIsPinned) {
