@@ -116,6 +116,34 @@ void BM_EventQueueSteadyStateZeroAlloc(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueSteadyStateZeroAlloc);
 
+void BM_EventQueueDeepBacklog(benchmark::State& state) {
+  // A backlog of far-future events under a few near-term ones that churn:
+  // the shape a driver gives the queue when it schedules every op of a
+  // phase up front.  Each pop sifts the heap's last item, a backlog event,
+  // down through every level, and each push sifts up through them, so the
+  // per-event cost grows with the backlog even though the work in flight
+  // stays at kNear events.
+  const auto backlog = state.range(0);
+  sim::Simulator sim;
+  std::uint64_t sink = 0;
+  const auto far = sim::SimTime::seconds(1'000'000);
+  for (std::int64_t i = 0; i < backlog; ++i) {
+    sim.schedule_at(far + sim::SimTime::micros(i), [&sink] { ++sink; });
+  }
+  constexpr std::int64_t kNear = 64;
+  std::int64_t t = 0;
+  for (; t < kNear; ++t) {
+    sim.schedule_at(sim::SimTime::micros(t), [&sink] { ++sink; });
+  }
+  for (auto _ : state) {
+    sim.schedule_at(sim::SimTime::micros(t++), [&sink] { ++sink; });
+    sim.step();
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueDeepBacklog)->Arg(1000)->Arg(100000);
+
 void BM_TransportSteadyStateZeroAlloc(benchmark::State& state) {
   // One overlay message per iteration, delivered before the next: the
   // per-hop path (send -> schedule -> fire -> deliver) must not allocate

@@ -45,6 +45,53 @@ std::vector<Role> role_sequence(std::uint32_t n, double ps, bool tpeers_first,
   return roles;
 }
 
+/// Runs the driver's op(k) for k = 0 .. n-1 at start + k * spacing, start
+/// being now().  The ops take the (time, seq) places of n events scheduled
+/// here and now, but only the next one waits in the kernel's queue: op k
+/// schedules op k + 1, under a seq reserved with the others, as it fires.
+/// So the queue holds the work in flight rather than every driver op of
+/// the phase, and the dispatch order is unchanged (DESIGN.md section 5.20).
+/// Allocates nothing; the chain must outlive the run that fires the ops.
+/// No TieBreakPolicy may be installed: ops not yet queued would be missing
+/// from its co-enabled sets.
+template <typename Op>
+class OpChain {
+ public:
+  OpChain(sim::Simulator& sim, std::size_t n, sim::Duration spacing, Op op)
+      : sim_(sim),
+        n_(n),
+        spacing_us_(spacing.as_micros()),
+        start_(sim.now()),
+        op_(std::move(op)) {
+    // The ops are tagged workload; each re-tags the work it starts (a join
+    // to membership, a store to data), so only the driver's bookkeeping
+    // stays attributed here.
+    const sim::ComponentScope tag{sim, sim::Component::kWorkload};
+    seqs_ = sim.reserve_seq(n);
+    if (n_ > 0) launch(0);
+  }
+  OpChain(const OpChain&) = delete;
+  OpChain& operator=(const OpChain&) = delete;
+
+ private:
+  void launch(std::size_t k) {
+    sim_.schedule_reserved(
+        start_ + sim::SimTime::micros(static_cast<std::int64_t>(k) *
+                                      spacing_us_),
+        seqs_.nth(k), [this, k] {
+          if (k + 1 < n_) launch(k + 1);
+          op_(k);
+        });
+  }
+
+  sim::Simulator& sim_;
+  std::size_t n_;
+  std::int64_t spacing_us_;
+  sim::SimTime start_;
+  sim::Simulator::Reservation seqs_;
+  Op op_;
+};
+
 }  // namespace
 
 RunResult run_hybrid_experiment(const RunConfig& raw_config) {
@@ -56,8 +103,10 @@ RunResult run_hybrid_experiment(const RunConfig& raw_config) {
   // Ring routing keeps the bound over all N peers: the idle re-flood and
   // re-route timers fire at half the deadline, and the pinned N=1,000
   // digest records their sim time.  Finger routing takes ~log N_t hops,
-  // but at 100k peers its lookups queue for transmission for up to ~30 s,
-  // so its bound is sized by N_t rather than by the hop count.
+  // but no rung models transmission delay, so a hop costs its propagation
+  // delay, and past ~3k hosts the transit core's diameter grows with N:
+  // ~1.3 s a hop at 100k peers, ~15 s for a 12-hop lookup.  So its bound
+  // is sized by N_t rather than by the hop count.
   const std::uint32_t bound_peers =
       config.hybrid.t_routing == hybrid::TRouting::kFinger
           ? tpeer_count(config.num_peers, config.hybrid.ps)
@@ -119,6 +168,8 @@ RunResult run_hybrid_experiment(const RunConfig& raw_config) {
     sampler->add_gauge("messages_delivered", [&network] {
       return static_cast<double>(network.stats().messages_delivered);
     });
+    // Work in flight: a phase's driver ops wait outside the queue until the
+    // op before them fires (OpChain), so unlaunched ops are not counted.
     sampler->add_gauge("events_pending", [&sim] {
       return static_cast<double>(sim.pending_events());
     });
@@ -221,43 +272,35 @@ RunResult run_hybrid_experiment(const RunConfig& raw_config) {
     interest = static_cast<std::uint32_t>(
         build_rng.index(config.hybrid.num_interests));
   }
-  const auto schedule_join = [&](std::uint32_t i, std::int64_t slot) {
-    // Tag the driver's events as workload: the join itself re-tags to
-    // membership inside add_peer_with_interest, so only the experiment
-    // bookkeeping stays attributed here.
-    sim::ComponentScope prof{sim, sim::Component::kWorkload};
-    sim.schedule_after(
-        sim::SimTime::micros(slot * config.join_spacing.as_micros()),
-        [&, i] {
-          peers.push_back(system.add_peer_with_interest(
-              hosts[i], roles[i], interests[i],
-              [&result](proto::JoinResult r) {
-                ++result.joins_completed;
-                result.join_latency_ms.add(r.latency.as_millis());
-                result.join_hops.add(static_cast<double>(r.request_hops));
-              }));
-        });
+  const auto join = [&](std::uint32_t i) {
+    peers.push_back(system.add_peer_with_interest(
+        hosts[i], roles[i], interests[i], [&result](proto::JoinResult r) {
+          ++result.joins_completed;
+          result.join_latency_ms.add(r.latency.as_millis());
+          result.join_hops.add(static_cast<double>(r.request_hops));
+        }));
+  };
+  // Joins every peer of `role`, in peer order, one per join_spacing.
+  const auto join_all = [&](Role role) {
+    const auto n = static_cast<std::size_t>(
+        std::count(roles.begin(), roles.end(), role));
+    std::uint32_t next = 0;  // the ops fire in order: a cursor finds each
+    OpChain chain{sim, n, config.join_spacing, [&](std::size_t) {
+      while (roles[next] != role) ++next;
+      join(next++);
+    }};
+    arm_sampler();
+    sim.run();
   };
   if (config.tpeers_first) {
     // Two-phase build: the whole t-network settles (ring walks included)
     // before the first s-peer consults the server, so segment boundaries
     // and interest anchors are final.
-    std::int64_t slot = 0;
-    for (std::uint32_t i = 0; i < config.num_peers; ++i) {
-      if (roles[i] == Role::kTPeer) schedule_join(i, slot++);
-    }
-    arm_sampler();
-    sim.run();
-    slot = 0;
-    for (std::uint32_t i = 0; i < config.num_peers; ++i) {
-      if (roles[i] == Role::kSPeer) schedule_join(i, slot++);
-    }
-    arm_sampler();
-    sim.run();
+    join_all(Role::kTPeer);
+    join_all(Role::kSPeer);
   } else {
-    for (std::uint32_t i = 0; i < config.num_peers; ++i) {
-      schedule_join(i, static_cast<std::int64_t>(i));
-    }
+    OpChain chain{sim, config.num_peers, config.join_spacing,
+                  [&](std::size_t i) { join(static_cast<std::uint32_t>(i)); }};
     arm_sampler();
     sim.run();
   }
@@ -277,12 +320,9 @@ RunResult run_hybrid_experiment(const RunConfig& raw_config) {
   // lookups can target own-interest items (Section 5.3 workload).
   std::vector<std::vector<DataId>> by_interest(config.hybrid.num_interests);
   const auto corpus = workload::uniform_corpus(config.num_items, config.seed);
-  for (std::size_t i = 0; i < config.num_items; ++i) {
-    sim::ComponentScope prof{sim, sim::Component::kWorkload};
-    sim.schedule_after(
-        sim::SimTime::micros(static_cast<std::int64_t>(i) *
-                             config.op_spacing.as_micros()),
-        [&, i] {
+  {
+    OpChain chain{
+        sim, config.num_items, config.op_spacing, [&](std::size_t i) {
           const auto& live = system.live_peers();
           if (live.empty()) return;
           const PeerIndex origin = live[op_rng.index(live.size())];
@@ -298,10 +338,10 @@ RunResult run_hybrid_experiment(const RunConfig& raw_config) {
           }
           stored_ids.push_back(id);
           system.store_id(origin, id, corpus[i].key, corpus[i].value);
-        });
+        }};
+    arm_sampler();
+    sim.run();
   }
-  arm_sampler();
-  sim.run();
   end_phase("populate");
 
   // ---- Optional crash / maintenance phase ---------------------------------------
@@ -356,32 +396,26 @@ RunResult run_hybrid_experiment(const RunConfig& raw_config) {
     --outstanding;
     stop_when_answered();
   };
-  for (std::size_t i = 0; i < config.num_lookups; ++i) {
-    sim::ComponentScope prof{sim, sim::Component::kWorkload};
-    sim.schedule_after(
-        sim::SimTime::micros(static_cast<std::int64_t>(i) *
-                             config.op_spacing.as_micros()),
-        [&] {
-          --unlaunched;
-          const auto& live = system.live_peers();
-          if (live.empty() || stored_ids.empty()) return;
-          const std::size_t pool =
-              config.lookup_origin_pool > 0
-                  ? std::min(config.lookup_origin_pool, live.size())
-                  : live.size();
-          const PeerIndex origin = live[op_rng.index(pool)];
-          DataId target =
-              zipf ? stored_ids[zipf->sample(op_rng)]
-                   : stored_ids[op_rng.index(stored_ids.size())];
-          if (config.interest_locality > 0.0 &&
-              op_rng.chance(config.interest_locality)) {
-            const auto& mine = by_interest[system.interest_of(origin)];
-            if (!mine.empty()) target = mine[op_rng.index(mine.size())];
-          }
-          ++outstanding;
-          system.lookup_id(origin, target, std::ref(report));
-        });
-  }
+  OpChain chain{
+      sim, config.num_lookups, config.op_spacing, [&](std::size_t) {
+        --unlaunched;
+        const auto& live = system.live_peers();
+        if (live.empty() || stored_ids.empty()) return;
+        const std::size_t pool =
+            config.lookup_origin_pool > 0
+                ? std::min(config.lookup_origin_pool, live.size())
+                : live.size();
+        const PeerIndex origin = live[op_rng.index(pool)];
+        DataId target = zipf ? stored_ids[zipf->sample(op_rng)]
+                             : stored_ids[op_rng.index(stored_ids.size())];
+        if (config.interest_locality > 0.0 &&
+            op_rng.chance(config.interest_locality)) {
+          const auto& mine = by_interest[system.interest_of(origin)];
+          if (!mine.empty()) target = mine[op_rng.index(mine.size())];
+        }
+        ++outstanding;
+        system.lookup_id(origin, target, std::ref(report));
+      }};
   // With heartbeats, stop_when_answered() ends the phase; the deadline
   // (ops + timeout + slack) caps it should a launch find no one to ask.
   const auto phase_span = sim::SimTime::micros(
@@ -400,6 +434,7 @@ RunResult run_hybrid_experiment(const RunConfig& raw_config) {
   result.items_per_peer = system.items_per_peer();
   result.network = network.stats();
   result.sim_stats = sim.stats();
+  result.arena_slots = sim.arena_slots();
   result.num_tpeers = system.num_tpeers();
   result.num_speers = system.num_speers();
   result.bypass_installs = system.bypass_installs();

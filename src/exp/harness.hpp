@@ -166,6 +166,10 @@ struct RunResult {
   std::vector<PhaseTiming> phases;
   /// Event-kernel counters for the whole replica.
   sim::SimulatorStats sim_stats;
+  /// The kernel's slot-arena high-water mark (Simulator::arena_slots()):
+  /// the most events ever pending at once.  Left out of
+  /// collect_run_result, whose dump the pinned digests hash.
+  std::size_t arena_slots = 0;
   /// Gauge samples, present when RunConfig::sample_period > 0.
   std::optional<stats::TimeSeries> timeseries;
   /// Invariant-audit passes executed and total violations found (0 runs

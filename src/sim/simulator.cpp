@@ -34,7 +34,14 @@ TimerId Simulator::schedule_seq(SimTime when, std::uint64_t seq,
     free_slots_.pop_back();
   } else {
     slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
+    if (slots_.size() < slots_.capacity()) {
+      slots_.emplace_back();
+    } else {
+      kernel_growth([this] {
+        slots_.emplace_back();
+        free_slots_.reserve(slots_.capacity());
+      });
+    }
   }
   Slot& s = slots_[slot];
   s.when = when;
@@ -42,18 +49,58 @@ TimerId Simulator::schedule_seq(SimTime when, std::uint64_t seq,
   s.comp = comp;
   s.fp = fp;
   s.action = std::move(action);
-  heap_.push(HeapItem{when, seq, slot});
+  heap_push(HeapItem{when, seq, slot});
   ++live_events_;
   ++stats_.events_scheduled;
   notify(TraceEvent{TraceEvent::Kind::kSchedule, seq, when});
   return TimerId{seq, slot};
 }
 
+void Simulator::heap_push(const HeapItem& item) {
+  std::size_t i = heap_.size();
+  if (i < heap_.capacity()) {
+    heap_.push_back(item);
+  } else {
+    kernel_growth([&] { heap_.push_back(item); });
+  }
+  // Sift up: move each parent that comes later down into the hole.
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 4;
+    if (!before(item, heap_[parent])) break;
+    heap_[i] = heap_[parent];
+    i = parent;
+  }
+  heap_[i] = item;
+}
+
+void Simulator::heap_pop() {
+  const HeapItem last = heap_.back();
+  heap_.pop_back();
+  const std::size_t n = heap_.size();
+  if (n == 0) return;
+  // Sift the former last item down from the root: each step moves the
+  // earliest of up to four children up into the hole.
+  std::size_t i = 0;
+  for (;;) {
+    const std::size_t first = 4 * i + 1;
+    if (first >= n) break;
+    const std::size_t end = first + 4 < n ? first + 4 : n;
+    std::size_t best = first;
+    for (std::size_t c = first + 1; c < end; ++c) {
+      if (before(heap_[c], heap_[best])) best = c;
+    }
+    if (!before(heap_[best], last)) break;
+    heap_[i] = heap_[best];
+    i = best;
+  }
+  heap_[i] = last;
+}
+
 void Simulator::free_slot(std::uint32_t slot) {
   Slot& s = slots_[slot];
   s.seq = 0;
   s.action.reset();
-  free_slots_.push_back(slot);
+  free_slots_.push_back(slot);  // within the capacity reserved with slots_
   --live_events_;
 }
 
@@ -70,26 +117,26 @@ bool Simulator::cancel(TimerId id) {
 }
 
 const Simulator::HeapItem* Simulator::peek_live() {
-  while (!heap_.empty() && !slot_live(heap_.top())) {
-    heap_.pop();  // cancelled; discard the corpse
+  while (!heap_.empty() && !slot_live(heap_.front())) {
+    heap_pop();  // cancelled; discard the corpse
     ++stats_.corpses_skipped;
   }
-  return heap_.empty() ? nullptr : &heap_.top();
+  return heap_.empty() ? nullptr : &heap_.front();
 }
 
 bool Simulator::pop_live(HeapItem& out, Action& action, Component& comp) {
   while (!heap_.empty()) {
-    const HeapItem top = heap_.top();
+    const HeapItem top = heap_.front();
+    heap_pop();
     if (!slot_live(top)) {
-      heap_.pop();  // cancelled; discard the corpse
-      ++stats_.corpses_skipped;
+      ++stats_.corpses_skipped;  // cancelled; the corpse is discarded
       continue;
     }
-    heap_.pop();
     out = top;
     comp = slots_[top.slot].comp;
     action = std::move(slots_[top.slot].action);
     free_slot(top.slot);
+    if (!heap_.empty()) prefetch_slot(heap_.front().slot);
     return true;
   }
   return false;
@@ -138,14 +185,14 @@ bool Simulator::step_choice() {
   staged_.clear();
   cands_.clear();
   while (!heap_.empty()) {
-    const HeapItem top = heap_.top();
+    const HeapItem top = heap_.front();
     if (!slot_live(top)) {
-      heap_.pop();  // cancelled; discard the corpse
+      heap_pop();  // cancelled; discard the corpse
       ++stats_.corpses_skipped;
       continue;
     }
     if (top.when > limit) break;
-    heap_.pop();
+    heap_pop();
     staged_.push_back(top);
   }
   for (const HeapItem& it : staged_) {
@@ -156,7 +203,7 @@ bool Simulator::step_choice() {
   if (pick >= staged_.size()) pick = 0;
   const HeapItem item = staged_[pick];
   for (std::size_t i = 0; i < staged_.size(); ++i) {
-    if (i != pick) heap_.push(staged_[i]);
+    if (i != pick) heap_push(staged_[i]);
   }
   Action action = std::move(slots_[item.slot].action);
   const Component comp = slots_[item.slot].comp;

@@ -10,6 +10,10 @@
 // The protocols cancel timers constantly (every HELLO reset), so this
 // matters.
 //
+// The queue is a 4-ary min-heap of (when, seq, slot) items: a pop sifts
+// down half as many levels as a binary heap's, and (when, seq) is a total
+// order, so the pop order is the same as any other heap's.
+//
 // Storage is an index-based slot arena: actions live in a flat vector of
 // reusable slots (free-list recycling) instead of a node-allocating hash
 // map, and the action type is an InlineFunction, so the steady-state
@@ -20,7 +24,6 @@
 
 #include <cstdint>
 #include <initializer_list>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -209,14 +212,23 @@ class Simulator {
     std::uint64_t seq = 0;
     Component comp = Component::kKernel;
     Footprint fp{};
+
+    /// The k-th seq of a block taken by reserve_seq(n), k < n.
+    [[nodiscard]] Reservation nth(std::uint64_t k) const {
+      return Reservation{seq + k, comp, fp};
+    }
   };
 
-  /// Takes the next sequence number without scheduling anything.  An event
-  /// scheduled later under it (schedule_reserved) ties exactly like one
-  /// scheduled now, so a maybe-needed event costs nothing until it is
-  /// needed.  A reservation that is never used leaves a gap in the seqs.
-  [[nodiscard]] Reservation reserve_seq() {
-    return Reservation{next_seq_++, current_component_, current_footprint_};
+  /// Takes the next `n` sequence numbers without scheduling anything.  An
+  /// event scheduled later under `r.nth(k)` (schedule_reserved) ties
+  /// exactly like the k-th of n events scheduled now, so a maybe-needed
+  /// event costs nothing until it is needed, and a batch of future events
+  /// can wait outside the queue until the one before it fires.  A
+  /// reservation that is never used leaves a gap in the seqs.
+  [[nodiscard]] Reservation reserve_seq(std::uint64_t n = 1) {
+    const Reservation r{next_seq_, current_component_, current_footprint_};
+    next_seq_ += n;
+    return r;
   }
 
   /// Schedules `action` at `when` under `r`: the (when, seq) order, tag and
@@ -358,22 +370,51 @@ class Simulator {
     Footprint fp{};                       // footprint current at schedule time
     Action action;
   };
-  struct Later {
-    bool operator()(const HeapItem& a, const HeapItem& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
+  [[nodiscard]] static bool before(const HeapItem& a, const HeapItem& b) {
+    if (a.when != b.when) return a.when < b.when;
+    return a.seq < b.seq;
+  }
 
   /// The one scheduling path; takes the action by reference so that
   /// schedule_at() costs no extra move of the closure.
   TimerId schedule_seq(SimTime when, std::uint64_t seq, Component comp,
                        const Footprint& fp, Action&& action);
 
+  /// 4-ary heap operations on heap_, ordered by before().
+  void heap_push(const HeapItem& item);
+  void heap_pop();
+
+  /// Runs `grow`, an append that reallocates one of the kernel's own
+  /// vectors, inside a kKernel frame.  The growth belongs to the kernel,
+  /// not to whichever component is scheduling (an event's or a host
+  /// ComponentScope's), so observers must not charge it to that frame.
+  /// With no tag set (host code outside any scope, or an untagged event)
+  /// the kernel's frame is the current one already, and no frame opens.
+  template <typename Grow>
+  void kernel_growth(Grow&& grow) {
+    if (current_component_ == Component::kKernel) {
+      grow();
+      return;
+    }
+    const Component prev = begin_component(Component::kKernel);
+    grow();
+    end_component(prev);
+  }
+
   [[nodiscard]] bool slot_live(const HeapItem& item) const {
     return slots_[item.slot].seq == item.seq;
   }
   void free_slot(std::uint32_t slot);
+  /// Asks the cache for every line of `slot`.  pop_live() calls it for the
+  /// next top, so that event's liveness check and action move hit cache
+  /// while the current event runs.
+  void prefetch_slot(std::uint32_t slot) const {
+    const auto* p = reinterpret_cast<const char*>(&slots_[slot]);
+    for (std::size_t off = 0; off < sizeof(Slot); off += 64) {
+      __builtin_prefetch(p + off);
+    }
+    __builtin_prefetch(p + sizeof(Slot) - 1);
+  }
   void notify(const TraceEvent& ev) {
     for (Observer* o : trace_observers_) o->on_event(ev);
   }
@@ -401,9 +442,11 @@ class Simulator {
   std::uint64_t next_seq_ = 1;
   std::size_t daemon_events_ = 0;
   std::size_t live_events_ = 0;
-  std::priority_queue<HeapItem, std::vector<HeapItem>, Later> heap_;
+  std::vector<HeapItem> heap_;            // 4-ary min-heap (heap_push/pop)
   std::vector<Slot> slots_;               // arena of live events
-  std::vector<std::uint32_t> free_slots_; // recycled slot indices
+  // Recycled slot indices; its capacity is kept at the arena's, so freeing
+  // a slot (between events, outside any frame) never allocates.
+  std::vector<std::uint32_t> free_slots_;
   SimulatorStats stats_;
   // Not owned; an observer sits in each list whose hooks it takes.
   std::vector<Observer*> trace_observers_;

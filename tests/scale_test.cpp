@@ -25,6 +25,8 @@
 //    join stay small and flat from 5k to 20k peers.
 // 5. The 1,000-peer churn rung (5% crashes, 30 s of failure detection,
 //    r = 2) allocates no more in membership and flood than when measured.
+// 6. The event queue holds the work in flight: the kernel's slot arena
+//    grows far slower than N from 5k to 20k peers.
 #include <gtest/gtest.h>
 
 #include <time.h>
@@ -359,6 +361,26 @@ TEST(Scale, MembershipAllocatesConstantBytesPerJoin) {
   EXPECT_LE(per_join[1], 1.25 * per_join[0])
       << "membership bytes per join grew from " << per_join[0] << " B at 5k to "
       << per_join[1] << " B at 20k peers";
+}
+
+TEST(Scale, EventQueueHoldsTheWorkInFlightNotEveryDriverOp) {
+  // The driver keeps one pending op per phase (OpChain), so the kernel's
+  // slot arena peaks at the work in flight, which grows far slower than N.
+  // At seed 42 the high-water mark read 2,683 slots at 5k peers and 5,452
+  // at 20k (x2.03).  Queuing every op of a phase up front gave 4,950 and
+  // 19,800 (x4.0): every s-peer join pending at once.
+  std::size_t slots[2] = {};
+  const std::uint32_t sizes[2] = {5'000, 20'000};
+  for (int i = 0; i < 2; ++i) {
+    auto cfg = profiled_rung_config();
+    cfg.num_peers = sizes[i];
+    const RunResult r = run_hybrid_experiment(cfg);
+    ASSERT_EQ(r.joins_completed, sizes[i]);
+    slots[i] = r.arena_slots;
+  }
+  EXPECT_LE(static_cast<double>(slots[1]), 2.5 * static_cast<double>(slots[0]))
+      << "the arena's high-water mark grew from " << slots[0]
+      << " slots at 5k to " << slots[1] << " at 20k peers";
 }
 
 TEST(Scale, ChurnRungAllocationsStayWithinMeasuredCounts) {

@@ -1,8 +1,13 @@
 // Unit tests for the discrete-event simulation kernel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <set>
+#include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
@@ -345,6 +350,199 @@ TEST(Simulator, ReservationCarriesTheTagAndFootprintOfItsMoment) {
   EXPECT_EQ(rec.fired[0].fp.peers[0], 7u);
   EXPECT_EQ(rec.fired[1].comp, Component::kKernel);
   EXPECT_TRUE(rec.fired[1].fp.wildcard);
+}
+
+/// Drives a Simulator with a seeded random interleaving of schedule_at,
+/// cancel, reserve_seq / schedule_reserved, step, run_until and
+/// next_event_time, many of them at exactly tied times, and checks every
+/// dispatch against a reference: the pending set ordered by (when, seq),
+/// with the seqs mirrored from the kernel's numbering (one per
+/// schedule_at, n per reserve_seq(n)).  Fired events schedule, reserve
+/// and cancel too.  As a TieBreakPolicy it can also pick a random member
+/// of each co-enabled set, checking that the set is exactly the
+/// reference's earliest tied events, which covers step_choice's push-back
+/// of the members it did not pick.
+class KernelDifferential final : public TieBreakPolicy {
+ public:
+  KernelDifferential(std::uint64_t seed, bool choose)
+      : rng_(seed), choose_(choose) {
+    if (choose_) sim_.set_tie_break_policy(this);
+  }
+
+  /// One random operation, then the counts must agree.
+  void random_op() {
+    const std::size_t op = rng_.index(10);
+    if (op < 3) {
+      schedule_one();
+    } else if (op == 3) {
+      reserve_block();
+    } else if (op == 4) {
+      use_reservation();
+    } else if (op == 5) {
+      cancel_one();
+    } else if (op < 8) {
+      const bool any = !pending_.empty();
+      EXPECT_EQ(sim_.step(), any);
+    } else if (op == 8) {
+      const SimTime deadline =
+          sim_.now() +
+          SimTime::millis(static_cast<std::int64_t>(rng_.index(3)));
+      sim_.run_until(deadline);
+      EXPECT_EQ(sim_.now(), deadline);
+      if (!pending_.empty()) {
+        EXPECT_GT(pending_.begin()->first, deadline);
+      }
+    } else {
+      EXPECT_EQ(sim_.next_event_time(), pending_.empty()
+                                            ? SimTime::never()
+                                            : pending_.begin()->first);
+    }
+    EXPECT_EQ(sim_.pending_events(), pending_.size());
+  }
+
+  /// Runs the queue dry; every event still fires in reference order.
+  void drain() {
+    sim_.run();
+    EXPECT_TRUE(pending_.empty());
+    EXPECT_TRUE(sim_.idle());
+    const SimulatorStats& st = sim_.stats();
+    EXPECT_EQ(st.events_executed, fired_);
+    EXPECT_EQ(st.events_scheduled, st.events_executed + st.events_cancelled);
+  }
+
+  std::size_t choose(const CoEnabledEvent* events, std::size_t n) override {
+    auto it = pending_.begin();
+    for (std::size_t i = 0; i < n; ++i, ++it) {
+      EXPECT_TRUE(it != pending_.end());
+      if (it == pending_.end()) return 0;
+      EXPECT_EQ(events[i].when, it->first);
+      EXPECT_EQ(events[i].seq, it->second);
+    }
+    // The set is complete: the next pending event is strictly later.
+    if (it != pending_.end()) {
+      EXPECT_GT(it->first, events[0].when);
+    }
+    if (n > 1) ++multi_choices_;
+    const std::size_t pick = rng_.index(n);
+    picked_ = events[pick].seq;
+    return pick;
+  }
+
+  [[nodiscard]] std::uint64_t fired() const { return fired_; }
+  [[nodiscard]] std::uint64_t tied_fires() const { return tied_fires_; }
+  [[nodiscard]] std::uint64_t multi_choices() const { return multi_choices_; }
+
+ private:
+  struct Handle {
+    TimerId id;
+    SimTime when;
+    std::uint64_t seq;
+  };
+
+  /// Mostly now + 0..3 ms (ties), sometimes the past (clamped to now) or
+  /// far ahead.
+  SimTime pick_time() {
+    const std::size_t r = rng_.index(10);
+    if (r == 0) return sim_.now() - SimTime::millis(1);
+    if (r == 1) return sim_.now() + SimTime::seconds(1);
+    return sim_.now() + SimTime::millis(static_cast<std::int64_t>(r % 4));
+  }
+
+  Simulator::Action fire_action(SimTime when, std::uint64_t seq) {
+    return [this, when, seq] {
+      if (pending_.empty()) {
+        ADD_FAILURE() << "seq " << seq << " fired with nothing pending";
+        return;
+      }
+      const std::uint64_t expected =
+          choose_ ? picked_ : pending_.begin()->second;
+      EXPECT_EQ(seq, expected);
+      EXPECT_EQ(sim_.now(), when);
+      pending_.erase({when, seq});
+      if (fired_++ > 0 && when == last_fire_) ++tied_fires_;
+      last_fire_ = when;
+      if (rng_.chance(0.3)) schedule_one();
+      if (rng_.chance(0.2)) use_reservation();
+      if (rng_.chance(0.1)) reserve_block();
+      if (rng_.chance(0.1)) cancel_one();
+    };
+  }
+
+  void track(TimerId id, SimTime when, std::uint64_t seq) {
+    pending_.emplace(when, seq);
+    handles_.push_back(Handle{id, when, seq});
+  }
+
+  void schedule_one() {
+    const SimTime at = pick_time();  // may lie in the past: the kernel clamps
+    const SimTime when = std::max(at, sim_.now());
+    const std::uint64_t seq = next_seq_++;
+    track(sim_.schedule_at(at, fire_action(when, seq)), when, seq);
+  }
+
+  void reserve_block() {
+    const std::uint64_t n = 1 + rng_.index(4);
+    const Simulator::Reservation r = sim_.reserve_seq(n);
+    EXPECT_EQ(r.seq, next_seq_);
+    next_seq_ += n;
+    for (std::uint64_t k = 0; k < n; ++k) unused_.push_back(r.nth(k));
+  }
+
+  void use_reservation() {
+    if (unused_.empty()) return;
+    const std::size_t i = rng_.index(unused_.size());
+    const Simulator::Reservation r = unused_[i];
+    unused_[i] = unused_.back();
+    unused_.pop_back();
+    const SimTime at = pick_time();
+    const SimTime when = std::max(at, sim_.now());
+    track(sim_.schedule_reserved(at, r, fire_action(when, r.seq)), when,
+          r.seq);
+  }
+
+  void cancel_one() {
+    if (handles_.empty()) return;
+    const Handle h = handles_[rng_.index(handles_.size())];
+    const bool live = pending_.erase({h.when, h.seq}) == 1;
+    EXPECT_EQ(sim_.cancel(h.id), live);
+  }
+
+  Simulator sim_;
+  Rng rng_;
+  bool choose_;
+  std::set<std::pair<SimTime, std::uint64_t>> pending_;  // the reference
+  std::vector<Handle> handles_;  // every event ever scheduled
+  std::vector<Simulator::Reservation> unused_;
+  std::uint64_t next_seq_ = 1;  // mirrors the kernel's numbering
+  std::uint64_t picked_ = 0;    // the policy's last pick
+  std::uint64_t fired_ = 0;
+  std::uint64_t tied_fires_ = 0;
+  std::uint64_t multi_choices_ = 0;
+  SimTime last_fire_{};
+};
+
+TEST(Simulator, RandomInterleavingsFireInWhenSeqOrder) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    KernelDifferential k{seed, /*choose=*/false};
+    for (int i = 0; i < 2000; ++i) k.random_op();
+    k.drain();
+    EXPECT_GT(k.fired(), 1000u);
+    EXPECT_GT(k.tied_fires(), k.fired() / 4) << "too few exact-time ties";
+  }
+}
+
+TEST(Simulator, RandomInterleavingsOfferExactTieSetsToThePolicy) {
+  std::uint64_t multi = 0;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE(seed);
+    KernelDifferential k{seed, /*choose=*/true};
+    for (int i = 0; i < 2000; ++i) k.random_op();
+    k.drain();
+    EXPECT_GT(k.fired(), 1000u);
+    multi += k.multi_choices();
+  }
+  EXPECT_GT(multi, 1000u) << "the push-back path was barely exercised";
 }
 
 }  // namespace
