@@ -2,8 +2,9 @@
 // routing, slot-arena event kernel, inline-closure transport -- far past the
 // paper's 1,000-node runs and reports the numbers that prove the million-peer
 // trajectory: peers, events/sec, peak RSS, bytes/peer, wall-clock, and the
-// underlay routing-table footprint (O(V), where the old all-pairs tables
-// were O(V^2)).
+// underlay routing-table footprint (O(V + T^2) plus the stub-domain tables
+// the run queried, where all-pairs tables would be O(V^2)), and the one-way
+// latency of sampled host pairs, so underlay growth shows per rung.
 //
 // The default run climbs a quick three-rung ladder; pin a single rung (e.g.
 // the 100k soak) with HP2P_PEERS:
@@ -28,20 +29,38 @@
 #include "bench_util.hpp"
 #include "common/proc_stats.hpp"
 #include "exp/metrics_collect.hpp"
+#include "net/transit_stub.hpp"
 #include "net/underlay.hpp"
+#include "stats/summary.hpp"
 #include "stats/table.hpp"
 
 using namespace hp2p;
 
 namespace {
 
-const char* mode_name(net::RoutingMode mode) {
-  switch (mode) {
-    case net::RoutingMode::kDense: return "dense";
-    case net::RoutingMode::kHierarchical: return "hierarchical";
-    case net::RoutingMode::kAuto: break;
+constexpr std::size_t kLatencyPairs = 20'000;
+
+/// One-way latency (ms) of kLatencyPairs host pairs of the rung's underlay,
+/// rebuilt as the harness builds it (Rng{seed}.fork(1), peers + 1 hosts).
+/// The pairs come from a stream of their own, so no world stream shifts.
+stats::Samples sample_latency_ms(const exp::RunConfig& cfg) {
+  Rng topo_rng = Rng{cfg.seed}.fork(1);
+  const net::Underlay underlay{
+      net::generate_transit_stub(
+          net::TransitStubParams::for_total_nodes(cfg.num_peers + 1),
+          topo_rng),
+      topo_rng};
+  Rng pair_rng{cfg.seed ^ 0x1a7e9c11u};
+  stats::Samples ms;
+  ms.reserve(kLatencyPairs);
+  for (std::size_t i = 0; i < kLatencyPairs; ++i) {
+    const HostIndex a{static_cast<std::uint32_t>(
+        pair_rng.index(underlay.num_hosts()))};
+    const HostIndex b{static_cast<std::uint32_t>(
+        pair_rng.index(underlay.num_hosts()))};
+    ms.add(static_cast<double>(underlay.latency(a, b).as_micros()) / 1000.0);
   }
-  return "auto";
+  return ms;
 }
 
 exp::RunConfig rung_config(const bench::Scale& scale, std::uint32_t peers) {
@@ -86,13 +105,15 @@ int main() {
       "throughput flat past 10k peers",
       scale);
 
-  stats::Table table{{"peers", "mode", "routing", "routing_MB", "events",
-                      "Mev/s", "wall_s", "peak_rss_MB", "B/peer",
-                      "lookup_ok"}};
+  stats::Table table{{"peers", "mode", "routing_MB", "events", "Mev/s",
+                      "wall_s", "peak_rss_MB", "B/peer", "lat_p50_ms",
+                      "lat_p99_ms", "lookup_ok"}};
   // Ascending rungs: VmHWM is a process-wide high-water mark, so each rung's
   // reading is dominated by its own (largest-so-far) run.
   const bool profiling = bench::profile_from_env();
   for (const std::uint32_t peers : ladder) {
+    double lat_p50 = 0;  // both rungs of a peer count share one underlay
+    double lat_p99 = 0;
     for (const bool churn : {false, true}) {
       auto cfg = rung_config(scale, peers);
       if (churn) add_churn(cfg);
@@ -125,11 +146,16 @@ int main() {
           r.lookups.issued > 0 ? static_cast<double>(r.lookups.succeeded) /
                                      static_cast<double>(r.lookups.issued)
                                : 0;
+      if (!churn) {
+        // After the peak-RSS read, so the probe's underlay is not counted.
+        const stats::Samples latency_ms = sample_latency_ms(cfg);
+        lat_p50 = latency_ms.percentile(50);
+        lat_p99 = latency_ms.percentile(99);
+      }
 
       table.row()
           .cell(std::uint64_t{peers})
           .cell(churn ? "churn" : "quiet")
-          .cell(mode_name(r.routing_mode))
           .cell(static_cast<double>(r.routing_table_bytes) / (1024.0 * 1024.0),
                 2)
           .cell(r.sim_stats.events_executed)
@@ -137,14 +163,14 @@ int main() {
           .cell(wall_ms / 1000.0, 2)
           .cell(static_cast<double>(peak_rss) / (1024.0 * 1024.0), 1)
           .cell(bytes_per_peer, 0)
+          .cell(lat_p50, 1)
+          .cell(lat_p99, 1)
           .cell(lookup_ok, 3);
 
       const std::string key =
           "n" + std::to_string(peers) + (churn ? "_churn" : "");
       exp::collect_run_result(reporter.metrics(), key, r);
       auto& m = reporter.metrics();
-      m.set(key + ".routing_mode",
-            stats::JsonValue{std::string{mode_name(r.routing_mode)}});
       m.set(key + ".routing_table_bytes",
             stats::JsonValue{
                 static_cast<std::uint64_t>(r.routing_table_bytes)});
@@ -154,6 +180,8 @@ int main() {
       m.set(key + ".sim_ms_total", stats::JsonValue{sim_ms});
       m.set(key + ".peak_rss_bytes", stats::JsonValue{peak_rss});
       m.set(key + ".bytes_per_peer", stats::JsonValue{bytes_per_peer});
+      m.set(key + ".latency_ms.p50", stats::JsonValue{lat_p50});
+      m.set(key + ".latency_ms.p99", stats::JsonValue{lat_p99});
       if (profile_rung) {
         if (r.timeseries) reporter.add_timeseries(*r.timeseries);
         bench::report_profile(reporter, profiler);

@@ -11,6 +11,7 @@
 #endif
 
 #include <deque>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -474,8 +475,10 @@ void BM_UnderlayApsp(benchmark::State& state) {
 }
 BENCHMARK(BM_UnderlayApsp)->Arg(200)->Arg(500);
 
-// Underlay construction alone (the topology copy is untimed): dense at the
-// paper's 1,024 hosts, hierarchical at ~100k (kAuto picks both).
+// Underlay construction alone (the topology copy is untimed): the
+// decomposition -- core tables and gateway distances -- at the paper's
+// 1,024 hosts and at ~100k.  Stub-domain tables are built on first use
+// (BM_UnderlayDomainTableBuild).
 void BM_UnderlayBuild(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   Rng topo_rng{4};
@@ -496,11 +499,11 @@ BENCHMARK(BM_UnderlayBuild)
     ->Arg(100'000)
     ->Unit(benchmark::kMillisecond);
 
-/// One latency() query per iteration, cycling over 4,096 seeded pairs.
-/// Arg 0: dense (1,024 hosts).  Arg 1: hierarchical, hosts in different
-/// domains.  Arg 2: hierarchical, both hosts in one stub domain with the
-/// destination changing every query, so each one misses the thread-local
-/// tree cache and runs the intra-domain Dijkstra.
+/// One latency() query per iteration, cycling over 4,096 seeded pairs of
+/// stub hosts.  Arg 0: hosts in different domains at 1,024 hosts.  Arg 1:
+/// the same at ~100k.  Arg 2: both hosts in one stub domain at ~100k, with
+/// the destination changing every query; the domain tables are warmed
+/// before timing, so each query is one table read.
 void BM_UnderlayLatency(benchmark::State& state) {
   const auto kind = state.range(0);
   Rng rng{6};
@@ -516,14 +519,9 @@ void BM_UnderlayLatency(benchmark::State& state) {
   pairs.reserve(4096);
   while (pairs.size() < 4096) {
     const auto a = static_cast<std::uint32_t>(rng.index(v));
-    if (kind == 0) {
-      const auto b = static_cast<std::uint32_t>(rng.index(v));
-      pairs.emplace_back(HostIndex{a}, HostIndex{b});
-      continue;
-    }
     if (a < t) continue;  // stub sources only
     const std::uint32_t domain = topo.domain[a];
-    if (kind == 1) {
+    if (kind != 2) {
       const auto b = static_cast<std::uint32_t>(rng.index(v));
       if (b >= t && topo.domain[b] != domain) {
         pairs.emplace_back(HostIndex{a}, HostIndex{b});
@@ -538,17 +536,49 @@ void BM_UnderlayLatency(benchmark::State& state) {
       }
     }
   }
+  for (const auto& [from, to] : pairs) {
+    benchmark::DoNotOptimize(underlay.latency(from, to));
+  }
   std::size_t i = 0;
   for (auto _ : state) {
     const auto& [from, to] = pairs[i];
     benchmark::DoNotOptimize(underlay.latency(from, to));
     i = (i + 1) % pairs.size();
   }
-  state.SetLabel(kind == 0   ? "dense"
-                 : kind == 1 ? "hier_inter"
-                             : "hier_intra_miss");
+  state.SetLabel(kind == 0   ? "inter_1k"
+                 : kind == 1 ? "inter_100k"
+                             : "intra_warm");
 }
 BENCHMARK(BM_UnderlayLatency)->Arg(0)->Arg(1)->Arg(2);
+
+/// The first same-domain query into a cold 64-host stub domain: builds its
+/// table (one intra-domain Dijkstra per member).  A fresh Underlay per
+/// iteration (untimed) keeps every table cold.
+void BM_UnderlayDomainTableBuild(benchmark::State& state) {
+  Rng topo_rng{6};
+  const net::Topology topo = net::generate_transit_stub(
+      net::TransitStubParams::for_total_nodes(5'000), topo_rng);
+  const std::uint32_t t = topo.num_transit_nodes;
+  std::uint32_t members = 0;
+  while (t + members < topo.graph.num_nodes() &&
+         topo.domain[t + members] == topo.domain[t]) {
+    ++members;
+  }
+  const HostIndex from{t};
+  const HostIndex to{t + members - 1};
+  std::optional<net::Underlay> underlay;
+  for (auto _ : state) {
+    state.PauseTiming();
+    underlay.reset();  // the previous one's destruction is untimed too
+    net::Topology copy = topo;
+    Rng cap{5};
+    underlay.emplace(std::move(copy), cap);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(underlay->latency(from, to));
+  }
+  state.counters["domain_hosts"] = members;
+}
+BENCHMARK(BM_UnderlayDomainTableBuild)->Unit(benchmark::kMicrosecond);
 
 void BM_HistogramAdd(benchmark::State& state) {
   stats::Histogram hist{0.0, 1000.0, 64};

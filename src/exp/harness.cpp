@@ -135,8 +135,6 @@ RunResult run_hybrid_experiment(const RunConfig& raw_config) {
   HybridSystem& system = world.system;
 
   RunResult result;
-  result.routing_mode = underlay.routing_mode();
-  result.routing_table_bytes = underlay.routing_memory_bytes();
   result.hosts = underlay.num_hosts();
 
   // ---- Observability wiring -------------------------------------------------
@@ -435,6 +433,7 @@ RunResult run_hybrid_experiment(const RunConfig& raw_config) {
   result.network = network.stats();
   result.sim_stats = sim.stats();
   result.arena_slots = sim.arena_slots();
+  result.routing_table_bytes = underlay.routing_memory_bytes();
   result.num_tpeers = system.num_tpeers();
   result.num_speers = system.num_speers();
   result.bypass_installs = system.bypass_installs();

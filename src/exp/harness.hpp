@@ -180,9 +180,8 @@ struct RunResult {
   /// many of them some live joined peer still holds at the end of the run.
   std::size_t items_stored = 0;
   std::size_t items_recoverable = 0;
-  /// The underlay the replica ran on: routing backend, routing-table
-  /// bytes, host count.
-  net::RoutingMode routing_mode = net::RoutingMode::kAuto;
+  /// The underlay the replica ran on: routing-table bytes at the end of
+  /// the run (stub-domain tables included once queried), host count.
   std::size_t routing_table_bytes = 0;
   std::uint32_t hosts = 0;
   /// Replication machinery counters (all 0 with replication_factor = 1).

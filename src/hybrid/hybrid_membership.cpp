@@ -139,7 +139,7 @@ std::uint64_t HybridSystem::coordinate_of(HostIndex host) const {
   std::int64_t best_dist = std::numeric_limits<std::int64_t>::max();
   for (std::size_t i = 0; i < landmarks_.size(); ++i) {
     const std::int64_t d =
-        net_.underlay().latency(host, landmarks_[i]).as_micros();
+        net_.host_latency(host, landmarks_[i]).as_micros();
     if (d < best_dist) {
       best_dist = d;
       best = i;

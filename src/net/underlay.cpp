@@ -1,10 +1,9 @@
 #include "net/underlay.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <limits>
 #include <functional>
+#include <limits>
 #include <utility>
 
 namespace hp2p::net {
@@ -13,21 +12,11 @@ namespace {
 constexpr std::uint64_t kInf64 = std::numeric_limits<std::uint64_t>::max();
 constexpr std::uint32_t kNoNode = std::numeric_limits<std::uint32_t>::max();
 
-/// Monotone instance ids for the thread-local intra-tree cache.
-std::atomic<std::uint64_t> g_next_underlay_id{1};
-
 std::uint32_t narrow_latency(std::uint64_t us) {
   // Path latencies are bounded by diameter * max link latency (~seconds in
   // microseconds); anything near 2^32 us (~71 min) is a topology bug.
   assert(us < std::numeric_limits<std::uint32_t>::max());
   return static_cast<std::uint32_t>(us);
-}
-
-/// Frees a vector's storage (clear() keeps the capacity, which
-/// routing_memory_bytes() counts).
-template <typename T>
-void release(std::vector<T>& vec) {
-  std::vector<T>().swap(vec);
 }
 
 }  // namespace
@@ -44,31 +33,18 @@ double LinkStress::mean_stress() const {
   return static_cast<double>(total_) / static_cast<double>(num_edges_);
 }
 
-Underlay::Underlay(Topology topology, Rng& capacity_rng, RoutingMode mode)
-    : topology_(std::move(topology)),
-      instance_id_(g_next_underlay_id.fetch_add(1)) {
+Underlay::Underlay(Topology topology, Rng& capacity_rng)
+    : topology_(std::move(topology)) {
   const std::size_t v = topology_.graph.num_nodes();
-  RoutingMode want = mode;
-  if (want == RoutingMode::kAuto) {
-    want = v <= kDenseRoutingThreshold ? RoutingMode::kDense
-                                       : RoutingMode::kHierarchical;
-  }
-  if (!find_stub_domains()) {
-    // No transit-stub shape: the whole graph is one core.
-    build_core(static_cast<std::uint32_t>(v), dense_latency_us_,
-               dense_first_hop_, dense_first_edge_);
-    mode_ = RoutingMode::kDense;
-  } else {
-    build_core(topology_.num_transit_nodes, core_latency_us_, core_next_,
-               core_next_edge_);
-    mode_ = want == RoutingMode::kHierarchical ? RoutingMode::kHierarchical
-                                               : RoutingMode::kDense;
-    if (mode_ == RoutingMode::kDense) build_dense();
-  }
+  // No transit-stub shape: the whole graph is one core.
+  core_size_ = find_stub_domains() ? topology_.num_transit_nodes
+                                   : static_cast<std::uint32_t>(v);
+  build_core();
+  tables_ = std::make_unique<DomainTable[]>(stub_domains_.size());
 
   // Deal capacity classes exactly 1/3 : 1/3 : 1/3 (paper Section 6),
-  // shuffled so classes are uncorrelated with topology position.  The draw
-  // sequence is mode-independent (routing construction consumes no RNG).
+  // shuffled so classes are uncorrelated with topology position.  Routing
+  // construction consumes no RNG.
   capacity_.resize(v);
   std::vector<std::uint32_t> order(v);
   for (std::uint32_t i = 0; i < v; ++i) order[i] = i;
@@ -83,10 +59,17 @@ std::size_t Underlay::routing_memory_bytes() const {
   auto bytes = [](const auto& vec) {
     return vec.capacity() * sizeof(vec[0]);
   };
-  return bytes(dense_latency_us_) + bytes(dense_first_hop_) +
-         bytes(dense_first_edge_) + bytes(stub_domains_) + bytes(gw_dist_us_) +
-         bytes(gw_parent_) + bytes(gw_parent_edge_) + bytes(gw_hops_) +
-         bytes(core_latency_us_) + bytes(core_next_) + bytes(core_next_edge_);
+  std::size_t total = bytes(stub_domains_) + bytes(gw_dist_us_) +
+                      bytes(core_latency_us_) + bytes(core_next_) +
+                      bytes(core_next_edge_) +
+                      stub_domains_.size() * sizeof(DomainTable);
+  for (std::size_t d = 0; d < stub_domains_.size(); ++d) {
+    if (tables_[d].cells.load(std::memory_order_acquire) != nullptr) {
+      const std::size_t n = stub_domains_[d].num_nodes;
+      total += n * n * sizeof(DomainCell);
+    }
+  }
+  return total;
 }
 
 // --------------------------------------------------------------------------
@@ -97,9 +80,6 @@ void Underlay::shortest_paths(std::uint32_t lo, std::uint32_t hi,
                               std::uint32_t source, PathTree& tree) const {
   const std::uint32_t n = hi - lo;
   tree.dist_us.assign(n, kInf64);
-  tree.parent.assign(n, kNoNode);
-  tree.parent_edge.assign(n, kNoEdge);
-  tree.hops.assign(n, 0);
   tree.first_hop.assign(n, kNoNode);
   tree.first_edge.assign(n, kNoEdge);
   // Min-heap on (dist, node): equal distances settle the lowest id first.
@@ -121,9 +101,6 @@ void Underlay::shortest_paths(std::uint32_t lo, std::uint32_t hi,
       // the node, and u is settled, so its first hop is already final.
       if (nd < tree.dist_us[vi]) {
         tree.dist_us[vi] = nd;
-        tree.parent[vi] = u;
-        tree.parent_edge[vi] = h.edge;
-        tree.hops[vi] = tree.hops[ui] + 1;
         tree.first_hop[vi] = u == source ? h.to : tree.first_hop[ui];
         tree.first_edge[vi] = u == source ? h.edge : tree.first_edge[ui];
         heap.emplace_back(nd, h.to);
@@ -135,7 +112,7 @@ void Underlay::shortest_paths(std::uint32_t lo, std::uint32_t hi,
 
 bool Underlay::find_stub_domains() {
   const auto fail = [this] {
-    release(stub_domains_);
+    stub_domains_ = {};
     return false;
   };
 
@@ -193,11 +170,8 @@ bool Underlay::find_stub_domains() {
     stub_domains_[d].num_nodes = count[d];
   }
 
-  // Per-domain gateway shortest-path trees (O(V) state total).
+  // Per-node distances to the domain gateway (O(V) state total).
   gw_dist_us_.assign(v, 0);
-  gw_parent_.assign(v, kNoNode);
-  gw_parent_edge_.assign(v, kNoEdge);
-  gw_hops_.assign(v, 0);
   PathTree tree;
   for (const StubDomain& dom : stub_domains_) {
     if (dom.num_nodes == 0) continue;
@@ -206,179 +180,120 @@ bool Underlay::find_stub_domains() {
     for (std::uint32_t i = 0; i < dom.num_nodes; ++i) {
       const std::uint32_t n = dom.first_node + i;
       gw_dist_us_[n] = narrow_latency(tree.dist_us[i]);
-      gw_parent_[n] = tree.parent[i];
-      gw_parent_edge_[n] = tree.parent_edge[i];
-      gw_hops_[n] = tree.hops[i];
     }
   }
   return true;
 }
 
-void Underlay::build_core(std::uint32_t core,
-                          std::vector<std::uint32_t>& latency_us,
-                          std::vector<std::uint32_t>& first_hop,
-                          std::vector<EdgeIndex>& first_edge) const {
+void Underlay::build_core() {
   // In a transit-stub topology core paths never cross a stub domain --
   // doing so would use that domain's single gateway edge twice -- so
   // restricting Dijkstra to the transit nodes is exact.
+  const std::uint32_t core = core_size_;
   const std::size_t cells = static_cast<std::size_t>(core) * core;
-  latency_us.resize(cells);
-  first_hop.resize(cells);
-  first_edge.resize(cells);
+  core_latency_us_.resize(cells);
+  core_next_.resize(cells);
+  core_next_edge_.resize(cells);
   PathTree tree;
   for (std::uint32_t s = 0; s < core; ++s) {
     shortest_paths(0, core, s, tree);
     const std::size_t row = static_cast<std::size_t>(s) * core;
     for (std::uint32_t e = 0; e < core; ++e) {
-      latency_us[row + e] = narrow_latency(tree.dist_us[e]);
+      core_latency_us_[row + e] = narrow_latency(tree.dist_us[e]);
     }
     std::copy(tree.first_hop.begin(), tree.first_hop.end(),
-              first_hop.begin() + static_cast<std::ptrdiff_t>(row));
+              core_next_.begin() + static_cast<std::ptrdiff_t>(row));
     std::copy(tree.first_edge.begin(), tree.first_edge.end(),
-              first_edge.begin() + static_cast<std::ptrdiff_t>(row));
+              core_next_edge_.begin() + static_cast<std::ptrdiff_t>(row));
   }
 }
 
-void Underlay::build_dense() {
-  const std::uint32_t v =
-      static_cast<std::uint32_t>(topology_.graph.num_nodes());
-  const std::uint32_t t = topology_.num_transit_nodes;
-  const std::size_t cells = static_cast<std::size_t>(v) * v;
-  dense_latency_us_.resize(cells);
-  dense_first_hop_.resize(cells);
-  dense_first_edge_.resize(cells);
-
-  // Transit rows: the core row, then each stub domain reached through its
-  // anchor, the gateway edge and the gateway tree.
-  for (std::uint32_t s = 0; s < t; ++s) {
-    std::uint32_t* lat = &dense_latency_us_[dense_index(s, 0)];
-    std::uint32_t* hop = &dense_first_hop_[dense_index(s, 0)];
-    EdgeIndex* edge = &dense_first_edge_[dense_index(s, 0)];
-    for (std::uint32_t e = 0; e < t; ++e) {
-      lat[e] = core_latency_us_[core_index(s, e)];
-      hop[e] = core_next_[core_index(s, e)];
-      edge[e] = core_next_edge_[core_index(s, e)];
-    }
-    for (const StubDomain& dom : stub_domains_) {
-      if (dom.num_nodes == 0) continue;
-      const std::uint64_t up =
-          core_latency_us_[core_index(s, dom.anchor)] + dom.gateway_latency_us;
-      const bool at_anchor = s == dom.anchor;
-      const std::uint32_t h =
-          at_anchor ? dom.gateway : core_next_[core_index(s, dom.anchor)];
-      const EdgeIndex eg =
-          at_anchor ? dom.gateway_edge : core_next_edge_[core_index(s, dom.anchor)];
-      const std::uint32_t first = dom.first_node;
-      const std::uint32_t last = first + dom.num_nodes;
-      for (std::uint32_t x = first; x < last; ++x) {
-        lat[x] = narrow_latency(up + gw_dist_us_[x]);
-      }
-      std::fill(hop + first, hop + last, h);
-      std::fill(edge + first, edge + last, eg);
-    }
-  }
-
-  // Stub rows: every target outside the source's domain lies beyond the
-  // gateway edge, so it is the anchor's row plus a constant and shares the
-  // first step toward the gateway; the domain itself is one intra run.
+const Underlay::DomainCell* Underlay::domain_cells(std::uint32_t d) const {
+  std::atomic<DomainCell*>& slot = tables_[d].cells;
+  DomainCell* cells = slot.load(std::memory_order_acquire);
+  if (cells != nullptr) return cells;
+  // One Dijkstra per member inside the domain: a row per source.
+  const StubDomain& dom = stub_domains_[d];
+  const std::uint32_t n = dom.num_nodes;
+  const std::uint32_t first = dom.first_node;
+  auto fresh = std::make_unique<DomainCell[]>(static_cast<std::size_t>(n) * n);
   PathTree tree;
-  for (const StubDomain& dom : stub_domains_) {
-    if (dom.num_nodes == 0) continue;
-    const std::uint32_t first = dom.first_node;
-    const std::uint32_t last = first + dom.num_nodes;
-    const std::uint32_t* anchor_lat =
-        &dense_latency_us_[dense_index(dom.anchor, 0)];
-    for (std::uint32_t s = first; s < last; ++s) {
-      shortest_paths(first, last, s, tree);
-      const std::uint32_t g = dom.gateway - first;
-      const std::uint64_t up = tree.dist_us[g] + dom.gateway_latency_us;
-      const bool at_gateway = s == dom.gateway;
-      const std::uint32_t h = at_gateway ? dom.anchor : tree.first_hop[g];
-      const EdgeIndex eg = at_gateway ? dom.gateway_edge : tree.first_edge[g];
-      std::uint32_t* lat = &dense_latency_us_[dense_index(s, 0)];
-      std::uint32_t* hop = &dense_first_hop_[dense_index(s, 0)];
-      EdgeIndex* edge = &dense_first_edge_[dense_index(s, 0)];
-      for (std::uint32_t x = 0; x < v; ++x) {
-        lat[x] = narrow_latency(up + anchor_lat[x]);
-      }
-      std::fill(hop, hop + v, h);
-      std::fill(edge, edge + v, eg);
-      for (std::uint32_t i = 0; i < dom.num_nodes; ++i) {
-        lat[first + i] = narrow_latency(tree.dist_us[i]);
-        hop[first + i] = tree.first_hop[i];
-        edge[first + i] = tree.first_edge[i];
-      }
+  for (std::uint32_t i = 0; i < n; ++i) {
+    shortest_paths(first, first + n, first + i, tree);
+    DomainCell* row = &fresh[static_cast<std::size_t>(i) * n];
+    for (std::uint32_t j = 0; j < n; ++j) {
+      row[j] = {narrow_latency(tree.dist_us[j]), tree.first_hop[j],
+                tree.first_edge[j]};
     }
   }
-
-  // Dense queries read only the V*V tables.
-  release(stub_domains_);
-  release(gw_dist_us_);
-  release(gw_parent_);
-  release(gw_parent_edge_);
-  release(gw_hops_);
-  release(core_latency_us_);
-  release(core_next_);
-  release(core_next_edge_);
-}
-
-const Underlay::PathTree& Underlay::intra_tree(std::uint32_t root) const {
-  thread_local IntraTree cache;
-  if (cache.owner_id == instance_id_ && cache.root == root) return cache.tree;
-  const StubDomain& dom = stub_of(root);
-  cache.owner_id = instance_id_;
-  cache.root = root;
-  shortest_paths(dom.first_node, dom.first_node + dom.num_nodes, root,
-                 cache.tree);
-  return cache.tree;
-}
-
-// --------------------------------------------------------------------------
-// Queries (mode dispatch).
-// --------------------------------------------------------------------------
-
-std::uint64_t Underlay::latency_us(std::uint32_t from, std::uint32_t to) const {
-  if (mode_ == RoutingMode::kDense) {
-    return dense_latency_us_[dense_index(from, to)];
+  // Publish; a builder that lost the race keeps the winner's equal copy.
+  if (slot.compare_exchange_strong(cells, fresh.get(),
+                                   std::memory_order_acq_rel,
+                                   std::memory_order_acquire)) {
+    return fresh.release();
   }
+  return cells;
+}
+
+const Underlay::DomainCell& Underlay::cell(std::uint32_t from,
+                                           std::uint32_t to) const {
+  const std::uint32_t d = topology_.domain[from];
+  const StubDomain& dom = stub_domains_[d];
+  const std::size_t row = static_cast<std::size_t>(from - dom.first_node);
+  return domain_cells(d)[row * dom.num_nodes + (to - dom.first_node)];
+}
+
+void Underlay::build_tables(HostIndex from, HostIndex to, bool walk) const {
+  const std::uint32_t a = from.value();
+  const std::uint32_t b = to.value();
+  if (walk) {
+    if (cold(a)) (void)domain_cells(topology_.domain[a]);
+    if (cold(b)) (void)domain_cells(topology_.domain[b]);
+  } else if (a != b && !is_core(a) && !is_core(b) &&
+             topology_.domain[a] == topology_.domain[b]) {
+    (void)domain_cells(topology_.domain[a]);
+  }
+}
+
+// --------------------------------------------------------------------------
+// Queries.
+// --------------------------------------------------------------------------
+
+std::uint64_t Underlay::latency_us(std::uint32_t from, std::uint32_t to,
+                                   bool build) const {
   if (from == to) return 0;
-  if (!is_transit(from) && !is_transit(to) &&
+  if (!is_core(from) && !is_core(to) &&
       topology_.domain[from] == topology_.domain[to]) {
-    // Same stub domain: bounded on-demand Dijkstra, rooted at the
-    // destination so latency/hops/edge-walk all read one tree.
-    const PathTree& tree = intra_tree(to);
-    return tree.dist_us[from - stub_of(to).first_node];
+    if (!build && cold(from)) return kUnbuilt;
+    return cell(from, to).latency_us;
   }
   return uplink_us(from) +
          core_latency_us_[core_index(anchor_of(from), anchor_of(to))] +
          uplink_us(to);
 }
 
+Underlay::Hop Underlay::next_hop(std::uint32_t u, std::uint32_t t) const {
+  if (is_core(u)) {
+    const std::uint32_t a = anchor_of(t);
+    if (u != a) return {core_next_[core_index(u, a)],
+                        core_next_edge_[core_index(u, a)]};
+    const StubDomain& dst = stub_of(t);  // u anchors t's domain
+    return {dst.gateway, dst.gateway_edge};
+  }
+  std::uint32_t toward = t;
+  if (is_core(t) || topology_.domain[t] != topology_.domain[u]) {
+    const StubDomain& dom = stub_of(u);
+    if (u == dom.gateway) return {dom.anchor, dom.gateway_edge};
+    toward = dom.gateway;
+  }
+  const DomainCell& c = cell(u, toward);
+  return {c.next, c.edge};
+}
+
 std::uint32_t Underlay::path_hops(HostIndex from, HostIndex to) const {
-  std::uint32_t u = from.value();
-  const std::uint32_t t = to.value();
-  if (mode_ == RoutingMode::kDense) {
-    std::uint32_t hops = 0;
-    while (u != t) {
-      u = dense_first_hop_[dense_index(u, t)];
-      ++hops;
-    }
-    return hops;
-  }
-  if (u == t) return 0;
-  if (!is_transit(u) && !is_transit(t) &&
-      topology_.domain[u] == topology_.domain[t]) {
-    const PathTree& tree = intra_tree(t);
-    return tree.hops[u - stub_of(t).first_node];
-  }
   std::uint32_t hops = 0;
-  if (!is_transit(u)) hops += gw_hops_[u] + 1;  // walk to gateway + up-link
-  if (!is_transit(t)) hops += gw_hops_[t] + 1;
-  std::uint32_t a = anchor_of(u);
-  const std::uint32_t b = anchor_of(t);
-  while (a != b) {
-    a = core_next_[core_index(a, b)];
-    ++hops;
+  for (std::uint32_t u = from.value(); u != to.value(); ++hops) {
+    u = next_hop(u, to.value()).node;
   }
   return hops;
 }
@@ -386,53 +301,10 @@ std::uint32_t Underlay::path_hops(HostIndex from, HostIndex to) const {
 void Underlay::for_each_path_edge(
     HostIndex from, HostIndex to,
     const std::function<void(EdgeIndex)>& fn) const {
-  std::uint32_t u = from.value();
-  const std::uint32_t t = to.value();
-  if (mode_ == RoutingMode::kDense) {
-    while (u != t) {
-      fn(dense_first_edge_[dense_index(u, t)]);
-      u = dense_first_hop_[dense_index(u, t)];
-    }
-    return;
-  }
-  if (u == t) return;
-  if (!is_transit(u) && !is_transit(t) &&
-      topology_.domain[u] == topology_.domain[t]) {
-    const PathTree& tree = intra_tree(t);
-    const std::uint32_t first = stub_of(t).first_node;
-    while (u != t) {
-      fn(tree.parent_edge[u - first]);
-      u = tree.parent[u - first];
-    }
-    return;
-  }
-  // Source stub segment: walk up the gateway tree (already in path order).
-  if (!is_transit(u)) {
-    const StubDomain& dom = stub_of(u);
-    while (u != dom.gateway) {
-      fn(gw_parent_edge_[u]);
-      u = gw_parent_[u];
-    }
-    fn(dom.gateway_edge);
-  }
-  // Transit core segment.
-  std::uint32_t a = anchor_of(from.value());
-  const std::uint32_t b = anchor_of(t);
-  while (a != b) {
-    fn(core_next_edge_[core_index(a, b)]);
-    a = core_next_[core_index(a, b)];
-  }
-  // Destination stub segment: the gateway tree points toward the gateway,
-  // so collect the walk and emit it reversed to keep from->to edge order.
-  if (!is_transit(t)) {
-    const StubDomain& dom = stub_of(t);
-    fn(dom.gateway_edge);
-    thread_local std::vector<EdgeIndex> down;
-    down.clear();
-    for (std::uint32_t w = t; w != dom.gateway; w = gw_parent_[w]) {
-      down.push_back(gw_parent_edge_[w]);
-    }
-    for (auto it = down.rbegin(); it != down.rend(); ++it) fn(*it);
+  for (std::uint32_t u = from.value(); u != to.value();) {
+    const Hop hop = next_hop(u, to.value());
+    fn(hop.edge);
+    u = hop.node;
   }
 }
 

@@ -6,44 +6,43 @@
 // and link-stress accounting walks the physical edges of that path (the
 // paper's Section 5.2 metric).
 //
-// Every Underlay is built through one decomposition.  In a transit-stub
-// topology each stub domain hangs off the transit core by exactly ONE
-// gateway edge, so every cross-domain shortest path splits exactly as
+// One backend routes every size, through the transit-stub decomposition.
+// Each stub domain hangs off the transit core by exactly ONE gateway edge,
+// so every cross-domain shortest path splits exactly as
 //     intra(u, gw_A) + gate_A + core(t_A, t_B) + gate_B + intra(gw_B, v).
-// The build keeps O(V) per-node gateway trees plus an all-pairs table over
-// the (tiny) transit core.  A topology without that shape becomes one core
-// of all V nodes.  One range-restricted Dijkstra (shortest_paths) computes
-// every piece: the core rows, the gateway trees and the intra-domain trees.
+// Construction keeps the pieces every query needs: an all-pairs table over
+// the (tiny) transit core and each stub node's distance to its gateway,
+// O(V + T^2) memory.  Each stub domain (n <= 64 nodes) also gets an n*n
+// table of latency, first hop and first edge, built on the first query
+// that needs it and published through an atomic pointer, so an Underlay
+// shared by const reference across threads needs no lock.  Runs touch few
+// domains: a lazy table costs only what is queried.  A topology without
+// the transit-stub shape becomes one core of all V nodes, answered by the
+// same code with every node a core node.  One range-restricted Dijkstra
+// (shortest_paths) computes every table.
 //
-// Two routing backends share one query interface:
-//
-//   kDense         Materialises the V*V tables (latency, first hop, first
-//                  edge) from the decomposition: a transit row is its core
-//                  row plus per-domain offsets, a stub row is one
-//                  intra-domain Dijkstra plus its anchor's row shifted by a
-//                  constant.  O(V^2) memory and time, O(1) queries.  Fine
-//                  to ~4k hosts, impossible at 100k (120 GB).
-//   kHierarchical  Keeps the decomposition itself: O(V + T^2) memory;
-//                  same-domain queries run a bounded intra-domain Dijkstra
-//                  on demand, cached per thread for the last root.
-//
-// Both are exact.  Paths settle in (distance, node id) order and relax only
-// on strict improvement, so a node's parent is its lowest (distance, id)
-// predecessor in any subgraph that holds every shortest path to it; a path
-// leaving a stub domain must cross its single gateway edge, and re-entering
-// any domain would reuse such an edge.  The composed dense tables therefore
-// equal whole-graph per-source Dijkstra tables bit for bit (net_test strips
-// the structure off generated topologies and compares every pair), and
-// hierarchical latencies equal the dense ones.
-//
-// kAuto picks kDense below kDenseRoutingThreshold hosts (preserving the
-// historical byte-identical behaviour of every paper-scale experiment) and
-// kHierarchical above it.  A topology without the expected structure routes
-// densely; routing_mode() reports what was chosen.
+// Paths are chased one first hop at a time, exactly as per-source
+// whole-graph tables would be.  The next hop from u toward t is
+//   u a core node:             core_next(u, anchor(t)), or at that anchor
+//                              the gateway of t's domain;
+//   u a stub node, t inside:   the domain table's first hop;
+//   u a stub node, t outside:  the gateway edge at the gateway, else the
+//                              domain table's first hop toward the gateway.
+// Paths settle in (distance, node id) order and relax only on strict
+// improvement, so a node's parent is its lowest (distance, id) predecessor
+// in any subgraph that holds every shortest path to it; a path leaving a
+// stub domain must cross its single gateway edge, and re-entering any
+// domain would reuse such an edge.  Every latency, hop count and edge walk
+// therefore equals that of whole-graph per-source Dijkstra bit for bit
+// (net_test strips the structure off generated topologies and compares
+// every pair; DESIGN.md §5.21).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -122,45 +121,44 @@ class LinkStress {
   std::uint64_t max_ = 0;
 };
 
-/// Which shortest-path backend an Underlay uses.
-enum class RoutingMode : std::uint8_t { kAuto, kDense, kHierarchical };
-
 /// The routed underlay: topology + shortest-path state + host capacities.
-/// Immutable after construction, so replicas running on different threads
-/// can share one instance by const reference (hierarchical on-demand
-/// queries use thread-local scratch only).
+/// Logically immutable after construction: the stub-domain tables fill in
+/// on first use, published atomically, so replicas running on different
+/// threads can share one instance by const reference.
 class Underlay {
  public:
-  /// Host count at or below which kAuto routes densely.
-  static constexpr std::uint32_t kDenseRoutingThreshold = 4096;
-
-  /// Builds routing state.  Decomposition: one Dijkstra per transit node
-  /// over the core and one per stub domain from its gateway, O(T * E_core
-  /// log T + E log n) time (n = nodes per stub domain).  Dense adds one
-  /// intra-domain Dijkstra per stub host and the V*V fill, O(V^2) time and
-  /// memory.  Hierarchical keeps O(V + T^2) memory.  An unstructured
-  /// topology costs one whole-graph Dijkstra per host.
-  /// `capacity_rng` deals the 1/3:1/3:1/3 capacity classes; the draw
-  /// sequence is identical in every mode.
-  Underlay(Topology topology, Rng& capacity_rng,
-           RoutingMode mode = RoutingMode::kAuto);
+  /// Builds routing state: one Dijkstra per core node over the core and
+  /// one per stub domain from its gateway, O(T * E_core log T + E log n)
+  /// time (n = nodes per stub domain) and O(V + T^2) memory.  An
+  /// unstructured topology is one core: one whole-graph Dijkstra per host
+  /// and V^2 tables.  `capacity_rng` deals the 1/3:1/3:1/3 capacity
+  /// classes.
+  Underlay(Topology topology, Rng& capacity_rng);
 
   [[nodiscard]] std::uint32_t num_hosts() const {
     return static_cast<std::uint32_t>(topology_.graph.num_nodes());
   }
   [[nodiscard]] const Topology& topology() const { return topology_; }
 
-  /// Backend actually in use (kAuto and structure fallbacks resolved).
-  [[nodiscard]] RoutingMode routing_mode() const { return mode_; }
-
-  /// Bytes held by routing tables (the O(V^2) vs O(V) story in one number;
-  /// excludes the topology itself, which both modes share).
+  /// Bytes held by routing tables (excludes the topology itself).  The
+  /// figure grows with the stub domains queried so far: each one's table
+  /// is counted once it is built.
   [[nodiscard]] std::size_t routing_memory_bytes() const;
 
   /// Propagation delay of the shortest path between two hosts.
   [[nodiscard]] sim::SimTime latency(HostIndex from, HostIndex to) const {
-    return sim::SimTime::micros(
-        static_cast<std::int64_t>(latency_us(from.value(), to.value())));
+    return sim::SimTime::micros(static_cast<std::int64_t>(
+        latency_us(from.value(), to.value(), true)));
+  }
+
+  /// latency(), or nullopt when answering would first build the table of
+  /// the stub domain both hosts share.  Lets a caller charge the one-off
+  /// build to a frame of its own (build_tables).
+  [[nodiscard]] std::optional<sim::SimTime> built_latency(HostIndex from,
+                                                          HostIndex to) const {
+    const std::uint64_t us = latency_us(from.value(), to.value(), false);
+    if (us == kUnbuilt) return std::nullopt;
+    return sim::SimTime::micros(static_cast<std::int64_t>(us));
   }
 
   /// Number of physical hops on the shortest path.
@@ -170,6 +168,15 @@ class Underlay {
   /// order from `from` to `to`.
   void for_each_path_edge(HostIndex from, HostIndex to,
                           const std::function<void(EdgeIndex)>& fn) const;
+
+  /// Whether walking the path between two hosts would first build a stub
+  /// domain's table (one per stub endpoint).
+  [[nodiscard]] bool walk_cold(HostIndex from, HostIndex to) const {
+    return from != to && (cold(from.value()) || cold(to.value()));
+  }
+  /// Builds the tables latency() between two hosts needs, or with `walk`
+  /// the ones a path walk needs.
+  void build_tables(HostIndex from, HostIndex to, bool walk) const;
 
   /// Access-link capacity class of a host.
   [[nodiscard]] CapacityClass capacity(HostIndex host) const {
@@ -197,16 +204,32 @@ class Underlay {
     std::uint32_t gateway_latency_us = 0;
   };
 
+  /// One (source, destination) entry of a stub domain's table.
+  struct DomainCell {
+    std::uint32_t latency_us = 0;
+    std::uint32_t next = 0;  // first node of the path (global id)
+    EdgeIndex edge = kNoEdge;  // edge of that first hop
+  };
+
+  /// A stub domain's n*n cells, row = source, column = destination (both
+  /// as offsets from first_node); null until first use.  Owns the cells.
+  struct DomainTable {
+    std::atomic<DomainCell*> cells{nullptr};
+    ~DomainTable() { delete[] cells.load(std::memory_order_relaxed); }
+  };
+
+  /// One step of a path: the next node and the edge that reaches it.
+  struct Hop {
+    std::uint32_t node;
+    EdgeIndex edge;
+  };
+
   /// Shortest-path tree from one source over the nodes [lo, hi); arrays
-  /// are indexed by (node - lo).  `parent` is the previous node on the path
-  /// from the source (the next node toward it); `first_hop`/`first_edge`
-  /// are the source's first step toward each node (kNoNode/kNoEdge at the
-  /// source).  The heap is scratch, kept here so reuse allocates nothing.
+  /// are indexed by (node - lo).  `first_hop`/`first_edge` are the
+  /// source's first step toward each node (kNoNode/kNoEdge at the source).
+  /// The heap is scratch, kept here so reuse allocates nothing.
   struct PathTree {
     std::vector<std::uint64_t> dist_us;
-    std::vector<std::uint32_t> parent;
-    std::vector<EdgeIndex> parent_edge;
-    std::vector<std::uint32_t> hops;
     std::vector<std::uint32_t> first_hop;
     std::vector<EdgeIndex> first_edge;
     std::vector<std::pair<std::uint64_t, std::uint32_t>> heap;
@@ -219,81 +242,66 @@ class Underlay {
   void shortest_paths(std::uint32_t lo, std::uint32_t hi,
                       std::uint32_t source, PathTree& tree) const;
 
-  /// Thread-local cache entry for on-demand intra-domain queries: the
-  /// tree of `root`'s stub domain rooted at `root`, so repeated queries
-  /// against the same (underlay, root) are free.
-  struct IntraTree {
-    std::uint64_t owner_id = 0;  // Underlay instance id (0 = empty cache)
-    std::uint32_t root = UINT32_MAX;
-    PathTree tree;
-  };
+  /// latency_us() of a pair whose stub-domain table is not built yet and
+  /// `build` is false.
+  static constexpr std::uint64_t kUnbuilt = ~std::uint64_t{0};
 
-  [[nodiscard]] std::uint64_t latency_us(std::uint32_t from,
-                                         std::uint32_t to) const;
-  [[nodiscard]] std::size_t dense_index(std::uint32_t from,
-                                        std::uint32_t to) const {
-    // 64-bit product: from * V overflows 32 bits past ~65k hosts.
-    return static_cast<std::size_t>(from) * topology_.graph.num_nodes() + to;
-  }
-  /// Fills stub_domains_ and the gateway trees.  Returns false (state
-  /// left empty) when the topology lacks the single-gateway transit-stub
+  [[nodiscard]] std::uint64_t latency_us(std::uint32_t from, std::uint32_t to,
+                                         bool build) const;
+  /// First step of the shortest path from `u` toward `t` (u != t).
+  [[nodiscard]] Hop next_hop(std::uint32_t u, std::uint32_t t) const;
+  /// Fills stub_domains_ and gw_dist_us_.  Returns false (state left
+  /// empty) when the topology lacks the single-gateway transit-stub
   /// structure the decomposition needs.
   [[nodiscard]] bool find_stub_domains();
-  /// All-pairs tables over the core nodes [0, core), written row by row
-  /// (stride `core`) into the three given tables.
-  void build_core(std::uint32_t core, std::vector<std::uint32_t>& latency_us,
-                  std::vector<std::uint32_t>& first_hop,
-                  std::vector<EdgeIndex>& first_edge) const;
-  /// V*V tables composed from the core and the stub domains; releases the
-  /// decomposition afterwards.
-  void build_dense();
+  /// All-pairs tables over the core nodes [0, core_size_).
+  void build_core();
 
-  [[nodiscard]] bool is_transit(std::uint32_t node) const {
-    return node < topology_.num_transit_nodes;
+  [[nodiscard]] bool is_core(std::uint32_t node) const {
+    return node < core_size_;
   }
   [[nodiscard]] const StubDomain& stub_of(std::uint32_t node) const {
     return stub_domains_[topology_.domain[node]];
   }
   [[nodiscard]] std::size_t core_index(std::uint32_t a, std::uint32_t b) const {
-    return static_cast<std::size_t>(a) * topology_.num_transit_nodes + b;
+    return static_cast<std::size_t>(a) * core_size_ + b;
   }
-  /// Transit node anchoring `node`'s domain (or `node` itself if transit).
+  /// Core node anchoring `node`'s domain (or `node` itself if core).
   [[nodiscard]] std::uint32_t anchor_of(std::uint32_t node) const {
-    return is_transit(node) ? node : stub_of(node).anchor;
+    return is_core(node) ? node : stub_of(node).anchor;
   }
-  /// (gateway-walk latency + gateway edge), 0 for transit nodes.
+  /// (gateway-walk latency + gateway edge), 0 for core nodes.
   [[nodiscard]] std::uint64_t uplink_us(std::uint32_t node) const {
-    if (is_transit(node)) return 0;
+    if (is_core(node)) return 0;
     return gw_dist_us_[node] + stub_of(node).gateway_latency_us;
   }
-  /// Shortest-path tree of `root`'s stub domain rooted at `root`, from the
-  /// thread-local cache (recomputed only when (owner, root) changes).
-  [[nodiscard]] const PathTree& intra_tree(std::uint32_t root) const;
+  /// True when `node` is a stub node whose domain table is not built yet.
+  [[nodiscard]] bool cold(std::uint32_t node) const {
+    return !is_core(node) &&
+           tables_[topology_.domain[node]].cells.load(
+               std::memory_order_acquire) == nullptr;
+  }
+  /// Cell (from, to) of their common stub domain's table, built on demand.
+  [[nodiscard]] const DomainCell& cell(std::uint32_t from,
+                                       std::uint32_t to) const;
+  /// Domain `d`'s cells: built and published by the first caller; a racing
+  /// builder discards its copy and reads the winner's.
+  [[nodiscard]] const DomainCell* domain_cells(std::uint32_t d) const;
 
   Topology topology_;
-  RoutingMode mode_ = RoutingMode::kDense;
-  /// Process-unique id; distinguishes this instance from a destroyed one
-  /// that happened to reuse its address (thread-local tree cache validity).
-  std::uint64_t instance_id_;
   std::vector<CapacityClass> capacity_;  // per host
-
-  // --- dense backend (V*V tables) ---
-  std::vector<std::uint32_t> dense_latency_us_;
-  std::vector<std::uint32_t> dense_first_hop_;  // next node from->to
-  std::vector<EdgeIndex> dense_first_edge_;     // edge of that hop
-
-  // --- decomposition (kept by the hierarchical backend) ---
+  /// Nodes [0, core_size_) form the core: the transit nodes of a
+  /// transit-stub topology, every node of an unstructured one.
+  std::uint32_t core_size_ = 0;
   std::vector<StubDomain> stub_domains_;  // indexed by domain id
-  // Per stub node: shortest path to its domain gateway (tree rooted at the
-  // gateway); zeros/kNoEdge for transit nodes.
+  // Per stub node: shortest-path latency to its domain gateway; 0 for core
+  // nodes.
   std::vector<std::uint32_t> gw_dist_us_;
-  std::vector<std::uint32_t> gw_parent_;  // next node toward the gateway
-  std::vector<EdgeIndex> gw_parent_edge_;
-  std::vector<std::uint32_t> gw_hops_;
-  // All-pairs over the transit core only (T*T, T = num_transit_nodes).
+  // All-pairs over the core only (core_size_^2).
   std::vector<std::uint32_t> core_latency_us_;
-  std::vector<std::uint32_t> core_next_;  // next transit node on the path
+  std::vector<std::uint32_t> core_next_;  // next core node on the path
   std::vector<EdgeIndex> core_next_edge_;
+  std::unique_ptr<DomainTable[]> tables_;  // one per stub_domains_ entry
 };
 
 }  // namespace hp2p::net

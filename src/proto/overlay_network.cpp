@@ -52,11 +52,17 @@ sim::SimTime OverlayNetwork::hop_latency(PeerIndex from, PeerIndex to,
                                          std::uint32_t bytes) const {
   const HostIndex src = host_of(from);
   const HostIndex dst = host_of(to);
-  sim::SimTime delay = underlay_.latency(src, dst);
+  sim::SimTime delay = host_latency(src, dst);
   if (options_.model_transmission_delay) {
     delay += underlay_.transmission_delay(src, dst, bytes);
   }
   return delay;
+}
+
+void OverlayNetwork::build_routes(HostIndex from, HostIndex to,
+                                  bool walk) const {
+  sim::ComponentScope frame{simulator_, sim::Component::kTransport};
+  underlay_.build_tables(from, to, walk);
 }
 
 void OverlayNetwork::transmit(PeerIndex from, PeerIndex to, TrafficClass cls,
@@ -109,6 +115,9 @@ void OverlayNetwork::transmit(PeerIndex from, PeerIndex to, TrafficClass cls,
   notify({Kind::kSend, from, to, cls, bytes});
 
   if (link_stress_) {
+    if (underlay_.walk_cold(host_of(from), host_of(to))) [[unlikely]] {
+      build_routes(host_of(from), host_of(to), true);
+    }
     underlay_.for_each_path_edge(host_of(from), host_of(to),
                                  [&](net::EdgeIndex e) { link_stress_->bump(e); });
   }

@@ -225,6 +225,16 @@ class OverlayNetwork {
   [[nodiscard]] sim::SimTime hop_latency(PeerIndex from, PeerIndex to,
                                          std::uint32_t bytes) const;
 
+  /// Propagation delay between two hosts (Underlay::latency), for probes
+  /// such as landmark binning that simulated code makes outside send().
+  [[nodiscard]] sim::SimTime host_latency(HostIndex from, HostIndex to) const {
+    if (const auto t = underlay_.built_latency(from, to)) [[likely]] {
+      return *t;
+    }
+    build_routes(from, to, false);
+    return underlay_.latency(from, to);
+  }
+
   /// Messages this peer has sent / had delivered to it -- the raw material
   /// of the paper's t-peer vs s-peer load-imbalance argument (Section 5.1).
   [[nodiscard]] std::uint64_t messages_sent_by(PeerIndex peer) const {
@@ -289,6 +299,13 @@ class OverlayNetwork {
   void notify(const NetTraceEvent& ev) {
     for (NetObserver* o : observers_) o->on_message(ev);
   }
+
+  /// Builds the stub-domain tables a latency query between two hosts (or,
+  /// with `walk`, a path walk) needs, out of line: it runs once per domain.
+  /// The build is net-layer work, so it runs in a kTransport frame of its
+  /// own instead of the frame of whichever protocol queried first.
+  [[gnu::cold]] void build_routes(HostIndex from, HostIndex to,
+                                  bool walk) const;
 
   sim::Simulator& simulator_;
   const net::Underlay& underlay_;

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -266,30 +267,44 @@ TEST(TransitStub, ForTotalNodesGrowsTransitSkeletonAtScale) {
   }
 }
 
-TEST(HierarchicalRouting, LatenciesMatchDenseExactly) {
+/// Textbook Dijkstra over the whole graph from `source`: distances only,
+/// written independently of Underlay::shortest_paths.
+std::vector<std::uint64_t> whole_graph_distances(const Graph& g,
+                                                 std::uint32_t source) {
+  std::vector<std::uint64_t> dist(g.num_nodes(), UINT64_MAX);
+  std::set<std::pair<std::uint64_t, std::uint32_t>> open{{0, source}};
+  dist[source] = 0;
+  while (!open.empty()) {
+    const auto [d, u] = *open.begin();
+    open.erase(open.begin());
+    for (const HalfEdge& h : g.neighbors(u)) {
+      if (d + h.latency_us < dist[h.to]) {
+        open.erase({dist[h.to], h.to});
+        dist[h.to] = d + h.latency_us;
+        open.insert({dist[h.to], h.to});
+      }
+    }
+  }
+  return dist;
+}
+
+TEST(HierarchicalRouting, LatenciesMatchWholeGraphDijkstra) {
   // The transit-stub decomposition is exact (single gateway edge per stub
-  // domain), so on-demand answers must equal the all-pairs Dijkstra table
+  // domain), so its answers must equal a plain whole-graph Dijkstra
   // bit-for-bit -- every pair, not a sample.
   Rng topo_rng{41};
   const auto p = TransitStubParams::for_total_nodes(300);
-  const Topology topo = generate_transit_stub(p, topo_rng);
-  Rng cap_a{7};
-  Rng cap_b{7};
-  const Underlay dense{topo, cap_a, RoutingMode::kDense};
-  const Underlay hier{topo, cap_b, RoutingMode::kHierarchical};
-  ASSERT_EQ(dense.routing_mode(), RoutingMode::kDense);
-  ASSERT_EQ(hier.routing_mode(), RoutingMode::kHierarchical);
-  const std::uint32_t n = dense.num_hosts();
+  Rng cap{7};
+  const Underlay u{generate_transit_stub(p, topo_rng), cap};
+  const std::uint32_t n = u.num_hosts();
   for (std::uint32_t a = 0; a < n; ++a) {
+    const auto dist = whole_graph_distances(u.topology().graph, a);
     for (std::uint32_t b = 0; b < n; ++b) {
-      ASSERT_EQ(dense.latency(HostIndex{a}, HostIndex{b}),
-                hier.latency(HostIndex{a}, HostIndex{b}))
+      ASSERT_EQ(static_cast<std::uint64_t>(
+                    u.latency(HostIndex{a}, HostIndex{b}).as_micros()),
+                dist[b])
           << "pair (" << a << ", " << b << ")";
     }
-  }
-  // Capacity dealing consumed the same RNG stream in both modes.
-  for (std::uint32_t h = 0; h < n; ++h) {
-    EXPECT_EQ(dense.capacity(HostIndex{h}), hier.capacity(HostIndex{h}));
   }
 }
 
@@ -299,9 +314,7 @@ TEST(HierarchicalRouting, PathWalksAreSelfConsistent) {
   Rng topo_rng{43};
   const auto p = TransitStubParams::for_total_nodes(400);
   Rng cap{3};
-  const Underlay u{generate_transit_stub(p, topo_rng), cap,
-                   RoutingMode::kHierarchical};
-  ASSERT_EQ(u.routing_mode(), RoutingMode::kHierarchical);
+  const Underlay u{generate_transit_stub(p, topo_rng), cap};
   const auto& g = u.topology().graph;
   Rng pair_rng{6};
   auto check_pair = [&](HostIndex a, HostIndex b) {
@@ -336,23 +349,32 @@ TEST(HierarchicalRouting, PathWalksAreSelfConsistent) {
 TEST(HierarchicalRouting, RoutingMemoryIsLinearNotQuadratic) {
   Rng topo_rng{47};
   const auto p = TransitStubParams::for_total_nodes(2000);
-  const Topology topo = generate_transit_stub(p, topo_rng);
-  Rng cap_a{5};
-  Rng cap_b{5};
-  const Underlay dense{topo, cap_a, RoutingMode::kDense};
-  const Underlay hier{topo, cap_b, RoutingMode::kHierarchical};
-  const std::size_t v = dense.num_hosts();
-  // Dense holds three V*V tables; hierarchical holds O(V) per-node state
-  // plus the tiny transit-core tables.
-  EXPECT_GE(dense.routing_memory_bytes(), v * v * 12);
-  EXPECT_LT(hier.routing_memory_bytes(), v * 64 + 16u * 1024u);
-  EXPECT_LT(hier.routing_memory_bytes() * 20,
-            dense.routing_memory_bytes());
+  Rng cap{5};
+  const Underlay u{generate_transit_stub(p, topo_rng), cap};
+  const std::size_t v = u.num_hosts();
+  const std::size_t t = u.topology().num_transit_nodes;
+  const std::size_t n = p.stub_nodes_per_domain;
+  // Built: O(V) per-host and per-domain state plus the T*T core tables
+  // (12 B a pair).  The three V*V tables would be 12 B a pair of hosts.
+  const std::size_t built = u.routing_memory_bytes();
+  EXPECT_LE(built, v * 16 + t * t * 12);
+  EXPECT_GT(v * v * 12, built * 100);
+  // Each stub domain queried adds its n*n table, 12 B a pair: O(V * n) for
+  // every domain at once, still far below V^2.
+  const auto first = static_cast<std::uint32_t>(t);
+  (void)u.latency(HostIndex{first}, HostIndex{first + 1});
+  const std::size_t one = u.routing_memory_bytes();
+  EXPECT_EQ(one - built, n * n * 12);
+  for (std::uint32_t h = first; h + 1 < v; ++h) {
+    (void)u.latency(HostIndex{h}, HostIndex{h + 1});
+  }
+  EXPECT_LE(u.routing_memory_bytes(), v * 16 + t * t * 12 + v * n * 12);
+  EXPECT_GT(v * v * 12, u.routing_memory_bytes() * 10);
 }
 
-TEST(HierarchicalRouting, FallsBackToDenseOnUnstructuredTopology) {
+TEST(HierarchicalRouting, RoutesUnstructuredTopologyAsOneCore) {
   // A topology without the single-gateway transit-stub shape cannot use the
-  // decomposition; the Underlay must quietly route densely instead.
+  // decomposition; the Underlay routes it as one core of all V nodes.
   Topology topo;
   topo.graph = Graph{4};
   topo.graph.add_edge(0, 1, 10);
@@ -363,9 +385,77 @@ TEST(HierarchicalRouting, FallsBackToDenseOnUnstructuredTopology) {
   topo.domain.assign(4, 0);
   topo.num_transit_nodes = 0;
   Rng cap{1};
-  const Underlay u{std::move(topo), cap, RoutingMode::kHierarchical};
-  EXPECT_EQ(u.routing_mode(), RoutingMode::kDense);
+  const Underlay u{std::move(topo), cap};
+  EXPECT_EQ(u.routing_memory_bytes(), 4u * 4u * 12u);  // core tables only
   EXPECT_EQ(u.latency(HostIndex{0}, HostIndex{2}).as_micros(), 20);
+  EXPECT_EQ(u.path_hops(HostIndex{0}, HostIndex{2}), 2u);
+  EXPECT_EQ(u.path_hops(HostIndex{3}, HostIndex{0}), 1u);
+  // Ties settle by (distance, id): 0 -> 2 goes through 1, not 3.
+  std::vector<EdgeIndex> walk;
+  u.for_each_path_edge(HostIndex{0}, HostIndex{2},
+                       [&walk](EdgeIndex e) { walk.push_back(e); });
+  EXPECT_EQ(walk, (std::vector<EdgeIndex>{0, 1}));
+}
+
+/// One pair's full answer: latency, hop count and edge walk.
+struct Route {
+  std::int64_t latency_us = 0;
+  std::uint32_t hops = 0;
+  std::vector<EdgeIndex> edges;
+  bool operator==(const Route&) const = default;
+};
+
+Route route_of(const Underlay& u, HostIndex a, HostIndex b) {
+  Route r;
+  r.latency_us = u.latency(a, b).as_micros();
+  r.hops = u.path_hops(a, b);
+  u.for_each_path_edge(a, b, [&r](EdgeIndex e) { r.edges.push_back(e); });
+  return r;
+}
+
+TEST(HierarchicalRouting, SharedUnderlayAnswersAlikeOnEveryThread) {
+  // Four threads query the same-domain pairs of one Underlay whose domain
+  // tables are all cold, so they race to build and publish them.  Every
+  // answer must equal the one a single thread gets from its own instance.
+  Rng topo_rng{53};
+  const Topology topo =
+      generate_transit_stub(TransitStubParams::for_total_nodes(600), topo_rng);
+  std::vector<std::pair<HostIndex, HostIndex>> pairs;
+  for (std::uint32_t a = topo.num_transit_nodes; a < topo.graph.num_nodes();
+       ++a) {
+    for (std::uint32_t b = a; b < topo.graph.num_nodes() &&
+                              topo.domain[b] == topo.domain[a];
+         b += 3) {
+      pairs.emplace_back(HostIndex{a}, HostIndex{b});
+      pairs.emplace_back(HostIndex{b}, HostIndex{a});
+    }
+  }
+  Rng cap_a{9};
+  Rng cap_b{9};
+  const Underlay reference{topo, cap_a};
+  std::vector<Route> expected;
+  expected.reserve(pairs.size());
+  for (const auto& [a, b] : pairs) expected.push_back(route_of(reference, a, b));
+
+  const Underlay shared{topo, cap_b};
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::size_t> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t k = 0; k < kThreads; ++k) {
+    threads.emplace_back([&, k] {
+      // Each thread starts a quarter further along, so first uses collide.
+      for (std::size_t i = 0; i < pairs.size(); ++i) {
+        const std::size_t j = (i + k * pairs.size() / kThreads) % pairs.size();
+        const auto& [a, b] = pairs[j];
+        if (!(route_of(shared, a, b) == expected[j])) ++mismatches[k];
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (std::size_t k = 0; k < kThreads; ++k) {
+    EXPECT_EQ(mismatches[k], 0u) << "thread " << k;
+  }
+  EXPECT_EQ(shared.routing_memory_bytes(), reference.routing_memory_bytes());
 }
 
 /// FNV-1a over 32-bit words.
@@ -379,9 +469,9 @@ struct Fnv {
   }
 };
 
-/// The dense tables are composed from the transit-stub decomposition.  The
-/// same topology with its structure stripped (num_transit_nodes = 0) is one
-/// core of V nodes, routed by one whole-graph Dijkstra per host.  Every pair
+/// The underlay routes through the transit-stub decomposition.  The same
+/// topology with its structure stripped (num_transit_nodes = 0) is one core
+/// of V nodes, routed by one whole-graph Dijkstra per host.  Every pair
 /// must agree on latency, hop count and the full edge walk.  The first
 /// seed's topology is the harness's (Rng{seed}.fork(1)).
 void expect_composed_tables_equal_whole_graph(std::uint32_t hosts) {
@@ -401,10 +491,8 @@ void expect_composed_tables_equal_whole_graph(std::uint32_t hosts) {
     stripped.num_transit_nodes = 0;
     Rng cap_a{seed};
     Rng cap_b{seed};
-    const Underlay composed{topo, cap_a, RoutingMode::kDense};
-    const Underlay whole{std::move(stripped), cap_b, RoutingMode::kDense};
-    ASSERT_EQ(composed.routing_mode(), RoutingMode::kDense);
-    ASSERT_EQ(composed.routing_memory_bytes(), whole.routing_memory_bytes());
+    const Underlay composed{topo, cap_a};
+    const Underlay whole{std::move(stripped), cap_b};
     for (std::uint32_t a = 0; a < hosts; ++a) {
       for (std::uint32_t b = 0; b < hosts; ++b) {
         const HostIndex from{a};
@@ -461,7 +549,6 @@ TEST(UnderlayConstruction, HarnessRoutingTablesArePinned) {
     const Underlay u{
         generate_transit_stub(TransitStubParams::for_total_nodes(nodes), rng),
         rng};
-    ASSERT_EQ(u.routing_mode(), RoutingMode::kDense);
     Fnv fnv;
     Fnv* f = &fnv;
     for (std::uint32_t a = 0; a < u.num_hosts(); ++a) {

@@ -4,10 +4,10 @@
 // 1. A 50,000-peer replica must complete correctly under a peak-RSS ceiling
 //    the old all-pairs routing tables alone would blow through: dense
 //    storage at 50k hosts is V^2 * 12 bytes ~ 31 GB, so staying under 4 GB
-//    for the *whole process* proves the hierarchical O(V) path carried the
-//    run.
+//    for the *whole process* proves the O(V + T^2) decomposition carried
+//    the run.
 // 2. The N=1,000 paper-scale configuration keeps a pinned metrics digest:
-//    any change to RNG streams, event ordering, dense routing, or metric
+//    any change to RNG streams, event ordering, underlay routing, or metric
 //    accounting at paper scale trips this test.  If a change is intentional,
 //    re-pin the constant from the failure message -- that is an explicit
 //    statement that the paper benches moved.
@@ -111,8 +111,8 @@ TEST(Scale, FiftyThousandPeersFitUnderRssCeiling) {
   if (peak != 0) {  // procfs available
     EXPECT_LT(peak, std::uint64_t{4} << 30)
         << "50k-peer run peaked at " << (peak >> 20)
-        << " MiB; dense all-pairs routing alone would need ~31 GB, so the "
-           "hierarchical path has regressed";
+        << " MiB; all-pairs routing tables alone would need ~31 GB, so the "
+           "decomposed routing has regressed";
   }
 }
 
@@ -122,10 +122,10 @@ TEST(Scale, UnderlayMemoryStaysLinearAtFiftyThousandHosts) {
   const auto params = net::TransitStubParams::for_total_nodes(50'001);
   const net::Underlay underlay{net::generate_transit_stub(params, topo_rng),
                                topo_rng};
-  ASSERT_EQ(underlay.routing_mode(), net::RoutingMode::kHierarchical);
-  // Per-host uplink state is ~16 B/host; the transit-core tables add a
-  // V-independent few MB.  200 B/host is an order-of-magnitude cushion that
-  // any O(V^2) structure bursts immediately.
+  // Per-host uplink state is ~5 B/host and no stub-domain table is built
+  // before its first query; the transit-core tables add a V-independent
+  // few MB.  200 B/host is an order-of-magnitude cushion that any O(V^2)
+  // structure bursts immediately.
   EXPECT_LT(underlay.routing_memory_bytes(),
             std::size_t{underlay.num_hosts()} * 200);
 }
@@ -427,9 +427,9 @@ TEST(Scale, ChurnRungAllocationsStayWithinMeasuredCounts) {
 }
 
 TEST(Scale, PaperScaleDigestIsPinned) {
-  // The stock N=1,000 configuration (RunConfig defaults, seed 42): dense
-  // routing, ring t-network, interleaved joins -- the shape every fig/table
-  // bench builds on.
+  // The stock N=1,000 configuration (RunConfig defaults, seed 42): ring
+  // t-network, interleaved joins -- the shape every fig/table bench builds
+  // on.
   RunConfig cfg;
   cfg.seed = 42;
   const RunResult result = run_hybrid_experiment(cfg);
