@@ -1,11 +1,11 @@
-// Experiment harnesses for the two pure baselines the paper positions the
-// hybrid against: a Chord ring (structured) and a Gnutella mesh
-// (unstructured).  Same three phases and the same metrics as
+// Experiment runs of the two pure baselines the paper positions the hybrid
+// against: a Chord ring (structured, the p_s = 0 end) and a Gnutella mesh
+// (unstructured, the p_s = 1 end).  They go through the hybrid harness's
+// driver (driver.hpp): the same substrate, op pacing, lookup phase and
+// result collection, and the same phases and metrics as
 // run_hybrid_experiment, so the comparison bench prints all three systems
 // on one table.
 #pragma once
-
-#include <cstdint>
 
 #include "chord/chord.hpp"
 #include "exp/harness.hpp"
@@ -14,26 +14,15 @@
 namespace hp2p::exp {
 
 /// Chord replica configuration.
-struct ChordRunConfig {
-  std::uint64_t seed = 1;
-  std::uint32_t num_peers = 1000;
-  std::size_t num_items = 2000;
-  std::size_t num_lookups = 2000;
+struct ChordRunConfig : ExperimentConfig {
   chord::ChordParams chord;
   /// Run stabilization + fix_fingers during the measurement phases.
   bool maintenance = false;
-  sim::Duration join_spacing = sim::SimTime::millis(25);
-  sim::Duration op_spacing = sim::SimTime::millis(5);
 };
 
 /// Gnutella replica configuration.
-struct GnutellaRunConfig {
-  std::uint64_t seed = 1;
-  std::uint32_t num_peers = 1000;
-  std::size_t num_items = 2000;
-  std::size_t num_lookups = 2000;
+struct GnutellaRunConfig : ExperimentConfig {
   gnutella::GnutellaParams gnutella;
-  sim::Duration op_spacing = sim::SimTime::millis(5);
 };
 
 /// Runs a full Chord replica (build -> populate -> lookups).

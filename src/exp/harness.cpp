@@ -1,11 +1,8 @@
 #include "exp/harness.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <functional>
 #include <iostream>
 #include <optional>
-#include <set>
 
 #include "audit/overlay_auditor.hpp"
 #include "chaos/world.hpp"
@@ -13,6 +10,7 @@
 #include "common/env.hpp"
 #include "common/proc_stats.hpp"
 #include "common/rng.hpp"
+#include "exp/driver.hpp"
 #include "hybrid/hybrid_system.hpp"
 #include "workload/workload.hpp"
 
@@ -22,19 +20,12 @@ namespace {
 using hybrid::HybridSystem;
 using hybrid::Role;
 
-/// N_t: round((1-ps) n) t-peers, at least one and at most n.
-std::uint32_t tpeer_count(std::uint32_t n, double ps) {
-  const auto n_t = static_cast<std::uint32_t>(
-      std::max(1.0, (1.0 - ps) * static_cast<double>(n) + 0.5));
-  return std::min(n_t, n);
-}
-
-/// Role sequence with exactly tpeer_count(n, ps) t-peers, first peer always
-/// a t-peer.  With capacity sorting, t-roles are paired with the fastest
-/// hosts by construction in the caller.
+/// Role sequence with exactly chaos::tpeer_count(n, ps) t-peers, first peer
+/// always a t-peer.  With capacity sorting, t-roles are paired with the
+/// fastest hosts by construction in the caller.
 std::vector<Role> role_sequence(std::uint32_t n, double ps, bool tpeers_first,
                                 Rng& rng) {
-  const std::uint32_t n_t = tpeer_count(n, ps);
+  const std::uint32_t n_t = chaos::tpeer_count(n, ps);
   std::vector<Role> roles(n, Role::kSPeer);
   for (std::uint32_t i = 0; i < n_t; ++i) roles[i] = Role::kTPeer;
   if (!tpeers_first) {
@@ -45,77 +36,23 @@ std::vector<Role> role_sequence(std::uint32_t n, double ps, bool tpeers_first,
   return roles;
 }
 
-/// Runs the driver's op(k) for k = 0 .. n-1 at start + k * spacing, start
-/// being now().  The ops take the (time, seq) places of n events scheduled
-/// here and now, but only the next one waits in the kernel's queue: op k
-/// schedules op k + 1, under a seq reserved with the others, as it fires.
-/// So the queue holds the work in flight rather than every driver op of
-/// the phase, and the dispatch order is unchanged (DESIGN.md section 5.20).
-/// Allocates nothing; the chain must outlive the run that fires the ops.
-/// No TieBreakPolicy may be installed: ops not yet queued would be missing
-/// from its co-enabled sets.
-template <typename Op>
-class OpChain {
- public:
-  OpChain(sim::Simulator& sim, std::size_t n, sim::Duration spacing, Op op)
-      : sim_(sim),
-        n_(n),
-        spacing_us_(spacing.as_micros()),
-        start_(sim.now()),
-        op_(std::move(op)) {
-    // The ops are tagged workload; each re-tags the work it starts (a join
-    // to membership, a store to data), so only the driver's bookkeeping
-    // stays attributed here.
-    const sim::ComponentScope tag{sim, sim::Component::kWorkload};
-    seqs_ = sim.reserve_seq(n);
-    if (n_ > 0) launch(0);
-  }
-  OpChain(const OpChain&) = delete;
-  OpChain& operator=(const OpChain&) = delete;
-
- private:
-  void launch(std::size_t k) {
-    sim_.schedule_reserved(
-        start_ + sim::SimTime::micros(static_cast<std::int64_t>(k) *
-                                      spacing_us_),
-        seqs_.nth(k), [this, k] {
-          if (k + 1 < n_) launch(k + 1);
-          op_(k);
-        });
-  }
-
-  sim::Simulator& sim_;
-  std::size_t n_;
-  std::int64_t spacing_us_;
-  sim::SimTime start_;
-  sim::Simulator::Reservation seqs_;
-  Op op_;
-};
-
 }  // namespace
 
 RunResult run_hybrid_experiment(const RunConfig& raw_config) {
   RunConfig config = raw_config;
-  // A ring-mode lookup can legitimately walk ~N_t hops at ~100 ms per hop
-  // on a transit-stub underlay; a fixed timeout would misclassify long
-  // walks as failures (the paper's Table 2 counts full walks).  Scale the
-  // deadline with the worst-case walk, never below the configured value.
-  // Ring routing keeps the bound over all N peers: the idle re-flood and
-  // re-route timers fire at half the deadline, and the pinned N=1,000
-  // digest records their sim time.  Finger routing takes ~log N_t hops,
-  // but no rung models transmission delay, so a hop costs its propagation
-  // delay, and past ~3k hosts the transit core's diameter grows with N:
-  // ~1.3 s a hop at 100k peers, ~15 s for a 12-hop lookup.  So its bound
-  // is sized by N_t rather than by the hop count.
+  // Ring routing sizes the lookup deadline by all N peers: the idle
+  // re-flood and re-route timers fire at half the deadline, and the pinned
+  // N=1,000 digest records their sim time.  Finger routing takes ~log N_t
+  // hops, but no rung models transmission delay, so a hop costs its
+  // propagation delay, and past ~3k hosts the transit core's diameter grows
+  // with N: ~1.3 s a hop at 100k peers, ~15 s for a 12-hop lookup.  So its
+  // bound is sized by N_t rather than by the hop count.
   const std::uint32_t bound_peers =
       config.hybrid.t_routing == hybrid::TRouting::kFinger
-          ? tpeer_count(config.num_peers, config.hybrid.ps)
+          ? chaos::tpeer_count(config.num_peers, config.hybrid.ps)
           : config.num_peers;
-  const auto walk_bound = sim::SimTime::millis(
-      static_cast<std::int64_t>(bound_peers) * 250 + 15'000);
-  if (config.hybrid.lookup_timeout < walk_bound) {
-    config.hybrid.lookup_timeout = walk_bound;
-  }
+  config.hybrid.lookup_timeout =
+      lookup_deadline(config.hybrid.lookup_timeout, bound_peers);
 
   Rng rng{config.seed};
   Rng topo_rng = rng.fork(1);
@@ -133,9 +70,6 @@ RunResult run_hybrid_experiment(const RunConfig& raw_config) {
   const net::Underlay& underlay = world.underlay;
   proto::OverlayNetwork& network = world.network;
   HybridSystem& system = world.system;
-
-  RunResult result;
-  result.hosts = underlay.num_hosts();
 
   // ---- Observability wiring -------------------------------------------------
   network.set_span_recorder(config.tracer);
@@ -217,25 +151,12 @@ RunResult run_hybrid_experiment(const RunConfig& raw_config) {
     if (auditor) auditor->ensure_running();
   };
 
-  // Phase timing: host wall clock + simulated span since the last mark.
-  // Wall time is measurement output only -- it never feeds back into the
-  // simulation, so determinism is preserved.
-  // lint:allow(wallclock)
-  auto wall_mark = std::chrono::steady_clock::now();
-  sim::SimTime sim_mark = sim.now();
+  // Phase timing starts here: the wiring above counts as setup.
+  RunDriver driver{world, config.flight};
+  RunResult& result = driver.result;
   const auto end_phase = [&](const char* name) {
     if (auditor) auditor->run();  // quiescent(ish) audit at the boundary
-    // lint:allow(wallclock)
-    const auto wall_now = std::chrono::steady_clock::now();
-    PhaseTiming timing;
-    timing.name = name;
-    timing.wall_ms =
-        std::chrono::duration<double, std::milli>(wall_now - wall_mark)
-            .count();
-    timing.sim_ms = (sim.now() - sim_mark).as_millis();
-    result.phases.push_back(std::move(timing));
-    wall_mark = wall_now;
-    sim_mark = sim.now();
+    driver.end_phase(name);
   };
 
   // ---- Build phase ----------------------------------------------------------
@@ -272,11 +193,7 @@ RunResult run_hybrid_experiment(const RunConfig& raw_config) {
   }
   const auto join = [&](std::uint32_t i) {
     peers.push_back(system.add_peer_with_interest(
-        hosts[i], roles[i], interests[i], [&result](proto::JoinResult r) {
-          ++result.joins_completed;
-          result.join_latency_ms.add(r.latency.as_millis());
-          result.join_hops.add(static_cast<double>(r.request_hops));
-        }));
+        hosts[i], roles[i], interests[i], driver.on_join()));
   };
   // Joins every peer of `role`, in peer order, one per join_spacing.
   const auto join_all = [&](Role role) {
@@ -371,34 +288,14 @@ RunResult run_hybrid_experiment(const RunConfig& raw_config) {
   if (config.zipf_exponent > 0.0 && !stored_ids.empty()) {
     zipf.emplace(stored_ids.size(), config.zipf_exponent);
   }
-  const sim::SimTime lookup_phase_start = sim.now();
   // With heartbeats running the queue never drains, so the phase ends at
-  // the last answer: once every lookup has been launched and answered.
-  // Without them the queue drains by itself, idle timers included.
-  std::size_t unlaunched = config.num_lookups;
-  std::size_t outstanding = 0;
-  const auto stop_when_answered = [&] {
-    if (heartbeats && unlaunched == 0 && outstanding == 0) sim.stop();
-  };
-  // Passed by std::ref, which a LookupCallback stores without allocating.
-  const auto report = [&](const proto::LookupResult& r) {
-    result.lookups.record(r);
-    if (r.success) {
-      result.lookup_latency_ms.add(r.latency.as_millis());
-      result.lookup_hops.add(static_cast<double>(r.request_hops));
-    } else if (config.flight != nullptr && result.lookups.failed == 1) {
-      // First failure of the run: dump the tail so the final moments are
-      // inspectable.
-      config.flight->dump(std::cerr, "first lookup failure");
-    }
-    --outstanding;
-    stop_when_answered();
-  };
-  OpChain chain{
-      sim, config.num_lookups, config.op_spacing, [&](std::size_t) {
-        --unlaunched;
+  // the last answer.
+  driver.run_lookups(
+      config.num_lookups, config.op_spacing, heartbeats,
+      config.hybrid.lookup_timeout,
+      [&](const auto& report) {
         const auto& live = system.live_peers();
-        if (live.empty() || stored_ids.empty()) return;
+        if (live.empty() || stored_ids.empty()) return false;
         const std::size_t pool =
             config.lookup_origin_pool > 0
                 ? std::min(config.lookup_origin_pool, live.size())
@@ -411,29 +308,16 @@ RunResult run_hybrid_experiment(const RunConfig& raw_config) {
           const auto& mine = by_interest[system.interest_of(origin)];
           if (!mine.empty()) target = mine[op_rng.index(mine.size())];
         }
-        ++outstanding;
-        system.lookup_id(origin, target, std::ref(report));
-      }};
-  // With heartbeats, stop_when_answered() ends the phase; the deadline
-  // (ops + timeout + slack) caps it should a launch find no one to ask.
-  const auto phase_span = sim::SimTime::micros(
-      static_cast<std::int64_t>(config.num_lookups) *
-      config.op_spacing.as_micros());
-  arm_sampler();
-  if (heartbeats) {
-    sim.run_until(lookup_phase_start + phase_span +
-                  config.hybrid.lookup_timeout + sim::SimTime::seconds(5));
-  } else {
-    sim.run();
-  }
+        system.lookup_id(origin, target, report);
+        return true;
+      },
+      arm_sampler);
   end_phase("lookup");
 
   // ---- Collection ----------------------------------------------------------------
-  result.items_per_peer = system.items_per_peer();
-  result.network = network.stats();
-  result.sim_stats = sim.stats();
-  result.arena_slots = sim.arena_slots();
-  result.routing_table_bytes = underlay.routing_memory_bytes();
+  driver.collect(
+      stored_ids, system.live_peers(),
+      [&](PeerIndex p) -> const auto& { return system.store_of(p); });
   result.num_tpeers = system.num_tpeers();
   result.num_speers = system.num_speers();
   result.bypass_installs = system.bypass_installs();
@@ -444,55 +328,27 @@ RunResult run_hybrid_experiment(const RunConfig& raw_config) {
   result.re_replication_pushes = system.re_replication_pushes();
   result.anti_entropy_repairs = system.anti_entropy_repairs();
   result.read_repairs = system.read_repairs();
-  {
-    // Durability census: which stored ids does some live joined peer still
-    // hold?  Ordered set keeps the scan deterministic and dedups the corpus
-    // (interest-band collisions can store one id twice).
-    std::set<std::uint64_t> stored;
-    for (const DataId id : stored_ids) stored.insert(id.value());
-    std::set<std::uint64_t> recoverable;
-    for (const PeerIndex p : system.live_peers()) {
-      if (!system.is_joined(p)) continue;
-      system.store_of(p).for_each([&](const proto::DataItem& item) {
-        if (stored.count(item.id.value()) > 0) {
-          recoverable.insert(item.id.value());
-        }
-      });
-    }
-    result.items_stored = stored.size();
-    result.items_recoverable = recoverable.size();
-  }
   if (network.link_stress() != nullptr) {
     result.mean_link_stress = network.link_stress()->mean_stress();
-  }
-  for (const PeerIndex p : system.live_peers()) {
-    std::size_t degree = system.children_of(p).size();
-    if (system.role_of(p) == hybrid::Role::kSPeer) ++degree;
-    result.max_tree_degree = std::max(result.max_tree_degree, degree);
-  }
-  {
-    double t_traffic = 0;
-    double s_traffic = 0;
-    std::size_t t_n = 0;
-    std::size_t s_n = 0;
-    for (const PeerIndex p : system.live_peers()) {
-      const double traffic =
-          static_cast<double>(network.messages_sent_by(p) +
-                              network.messages_received_by(p));
-      if (system.role_of(p) == hybrid::Role::kTPeer) {
-        t_traffic += traffic;
-        ++t_n;
-      } else {
-        s_traffic += traffic;
-        ++s_n;
-      }
-    }
-    result.mean_tpeer_traffic = t_n > 0 ? t_traffic / static_cast<double>(t_n) : 0;
-    result.mean_speer_traffic = s_n > 0 ? s_traffic / static_cast<double>(s_n) : 0;
-  }
-  if (network.link_stress() != nullptr) {
     result.max_link_stress = network.link_stress()->max_stress();
   }
+  // Tree degree, and the mean messages handled (sent + received) per t-peer
+  // and per s-peer: Section 5.1's load imbalance.
+  double traffic[2] = {0, 0};  // t-peers, s-peers
+  std::size_t count[2] = {0, 0};
+  for (const PeerIndex p : system.live_peers()) {
+    const std::size_t s = system.role_of(p) == Role::kSPeer ? 1 : 0;
+    // An s-peer's parent link counts towards its degree.
+    result.max_tree_degree =
+        std::max(result.max_tree_degree, system.children_of(p).size() + s);
+    traffic[s] += static_cast<double>(network.messages_sent_by(p) +
+                                      network.messages_received_by(p));
+    ++count[s];
+  }
+  result.mean_tpeer_traffic =
+      count[0] > 0 ? traffic[0] / static_cast<double>(count[0]) : 0;
+  result.mean_speer_traffic =
+      count[1] > 0 ? traffic[1] / static_cast<double>(count[1]) : 0;
   if (sampler) {
     sampler->sample_now();  // closing sample at the final sim time
     result.timeseries = sampler->take();
@@ -508,7 +364,7 @@ RunResult run_hybrid_experiment(const RunConfig& raw_config) {
                 << auditor->last_failing_report().to_json().dump() << "\n";
     }
   }
-  return result;
+  return std::move(driver.result);
 }
 
 void FlightRecorderTap::on_event(const sim::TraceEvent& e) {

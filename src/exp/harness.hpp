@@ -32,14 +32,20 @@
 
 namespace hp2p::exp {
 
-/// Everything one replica needs.  Defaults mirror Section 6: 1,000-node
-/// GT-ITM-style underlay, one peer per node, delta = 3.
-struct RunConfig {
+/// What every experiment run is configured with: the hybrid (RunConfig) and
+/// the Chord and Gnutella baselines (baselines.hpp).  Defaults mirror
+/// Section 6; one store or lookup every 5 ms of simulated time.
+struct ExperimentConfig {
   std::uint64_t seed = 1;
   std::uint32_t num_peers = 1000;
   std::size_t num_items = 2000;
   std::size_t num_lookups = 2000;
+  sim::Duration op_spacing = sim::SimTime::millis(5);
+};
 
+/// Everything one hybrid replica needs.  Defaults mirror Section 6:
+/// 1,000-node GT-ITM-style underlay, one peer per node, delta = 3.
+struct RunConfig : ExperimentConfig {
   hybrid::HybridParams hybrid;
 
   /// Crash this fraction of peers (no load transfer) after the populate
@@ -83,9 +89,8 @@ struct RunConfig {
   /// interleaved default stresses the concurrent-join machinery instead.
   bool tpeers_first = false;
 
-  /// Build/operation pacing (simulated time).
+  /// Build pacing (simulated time).
   sim::Duration join_spacing = sim::SimTime::millis(25);
-  sim::Duration op_spacing = sim::SimTime::millis(5);
 
   // --- Observability (all optional, none owned) -----------------------------
 

@@ -7,8 +7,6 @@ std::string joined(const std::string& prefix, const char* leaf) {
   return prefix.empty() ? leaf : prefix + "." + leaf;
 }
 
-}  // namespace
-
 void collect_sim_stats(stats::MetricsRegistry& reg, const std::string& prefix,
                        const sim::SimulatorStats& s) {
   reg.set(joined(prefix, "events_scheduled"), s.events_scheduled);
@@ -53,6 +51,8 @@ void collect_lookup_stats(stats::MetricsRegistry& reg,
           s.mean_success_latency_ms());
   reg.set(joined(prefix, "mean_success_hops"), s.mean_success_hops());
 }
+
+}  // namespace
 
 void collect_run_config(stats::MetricsRegistry& reg, const std::string& prefix,
                         const RunConfig& c) {

@@ -1,12 +1,10 @@
 // Collectors that flatten the harness's counter structs into a
 // stats::MetricsRegistry under conventional dotted prefixes:
 //
-//   sim.*     SimulatorStats        (collect_sim_stats)
-//   net.*     NetworkStats          (collect_network_stats, incl. per-class)
-//   lookup.*  LookupStats           (collect_lookup_stats)
-//   config.*  RunConfig             (collect_run_config)
-//   <all>     RunResult             (collect_run_result: lookup/net/sim/
-//                                    phase/summaries/counters in one call)
+//   config.*  RunConfig  (collect_run_config)
+//   <all>     RunResult  (collect_run_result: lookup.* LookupStats, net.*
+//                         NetworkStats incl. per-class, sim.* SimulatorStats,
+//                         phase.*, summaries and counters in one call)
 //
 // Benches hand the resulting registry to bench::Reporter, which nests it
 // into the "metrics" object of BENCH_<name>.json.
@@ -19,14 +17,6 @@
 
 namespace hp2p::exp {
 
-void collect_sim_stats(stats::MetricsRegistry& reg, const std::string& prefix,
-                       const sim::SimulatorStats& s);
-void collect_network_stats(stats::MetricsRegistry& reg,
-                           const std::string& prefix,
-                           const proto::NetworkStats& s);
-void collect_lookup_stats(stats::MetricsRegistry& reg,
-                          const std::string& prefix,
-                          const proto::LookupStats& s);
 void collect_run_config(stats::MetricsRegistry& reg, const std::string& prefix,
                         const RunConfig& c);
 

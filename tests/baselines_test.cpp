@@ -1,6 +1,9 @@
 // Integration tests for the Chord/Gnutella experiment harnesses.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "exp/baselines.hpp"
 
 namespace hp2p::exp {
@@ -89,6 +92,104 @@ TEST(Baselines, ChordJoinsSlowerThanGnutella) {
   const auto gnutella = run_gnutella_experiment(gnutella_config(9));
   EXPECT_GT(chord.join_latency_ms.mean(), gnutella.join_latency_ms.mean());
   EXPECT_EQ(chord.lookups.failed, 0u);
+}
+
+// The three baseline rows of baseline_comparison, at 200 peers and seed 42:
+// any change to a pinned outcome below must be one a change states.
+ChordRunConfig pinned_chord(chord::RoutingMode routing, bool maintenance) {
+  ChordRunConfig c;
+  c.seed = 42;
+  c.num_peers = 200;
+  c.num_items = 400;
+  c.num_lookups = 400;
+  c.chord.routing = routing;
+  c.maintenance = maintenance;
+  return c;
+}
+
+GnutellaRunConfig pinned_gnutella() {
+  GnutellaRunConfig c;
+  c.seed = 42;
+  c.num_peers = 200;
+  c.num_items = 400;
+  c.num_lookups = 400;
+  c.gnutella.ttl = 5;
+  c.gnutella.neighbors_per_join = 3;
+  return c;
+}
+
+struct Outcome {
+  std::uint64_t messages_sent;
+  std::uint64_t bytes_sent;
+  std::uint64_t connum;
+  std::uint64_t lookups_failed;
+  double join_latency_ms_sum;
+  double lookup_latency_ms_sum;
+};
+
+void expect_outcome(const RunResult& r, const Outcome& want) {
+  EXPECT_EQ(r.network.messages_sent, want.messages_sent);
+  EXPECT_EQ(r.network.bytes_sent, want.bytes_sent);
+  EXPECT_EQ(r.connum(), want.connum);
+  EXPECT_EQ(r.lookups.failed, want.lookups_failed);
+  EXPECT_DOUBLE_EQ(r.join_latency_ms.sum(), want.join_latency_ms_sum);
+  EXPECT_DOUBLE_EQ(r.lookup_latency_ms.sum(), want.lookup_latency_ms_sum);
+}
+
+TEST(Baselines, SeedOutcomesArePinned) {
+  {
+    SCOPED_TRACE("chord, ring routing");
+    expect_outcome(
+        run_chord_experiment(pinned_chord(chord::RoutingMode::kRing, false)),
+        {91062, 329622272, 40011, 0, 1286225.9630000002, 4856894.9659999991});
+  }
+  {
+    // The lookup phase ends at the last answer, as a hybrid run with
+    // heartbeats does; running stabilization on to the lookup deadline
+    // instead sent 484,589 messages (292,429,696 bytes), all else equal.
+    SCOPED_TRACE("chord, finger routing with maintenance");
+    expect_outcome(
+        run_chord_experiment(pinned_chord(chord::RoutingMode::kFinger, true)),
+        {326387, 282304768, 2229, 0, 1286225.9630000002, 273198.76699999999});
+  }
+  {
+    SCOPED_TRACE("gnutella, flood TTL 5");
+    expect_outcome(run_gnutella_experiment(pinned_gnutella()),
+                   {267262, 37419008, 67050, 1, 0.0, 162378.76500000019});
+  }
+}
+
+// The baselines fill the same result fields the hybrid harness does.
+void expect_collected(const RunResult& r, std::size_t num_peers,
+                      std::size_t num_items) {
+  EXPECT_GT(r.sim_stats.events_executed, 0u);
+  std::vector<std::string> phases;
+  for (const PhaseTiming& t : r.phases) phases.push_back(t.name);
+  EXPECT_EQ(phases,
+            (std::vector<std::string>{"build", "populate", "lookup"}));
+  EXPECT_GE(r.hosts, num_peers);
+  EXPECT_EQ(r.items_per_peer.size(), num_peers);
+  EXPECT_EQ(r.items_stored, num_items);  // the corpus keys are distinct
+  EXPECT_EQ(r.items_recoverable, r.items_stored);  // nothing crashed
+}
+
+TEST(Baselines, ResultsCarryKernelStatsPhasesAndCensus) {
+  {
+    SCOPED_TRACE("chord, ring routing");
+    auto cfg = chord_config(10);
+    cfg.chord.routing = chord::RoutingMode::kRing;
+    expect_collected(run_chord_experiment(cfg), 40, 80);
+  }
+  {
+    SCOPED_TRACE("chord, finger routing with maintenance");
+    auto cfg = chord_config(10);
+    cfg.maintenance = true;
+    expect_collected(run_chord_experiment(cfg), 40, 80);
+  }
+  {
+    SCOPED_TRACE("gnutella");
+    expect_collected(run_gnutella_experiment(gnutella_config(10)), 40, 80);
+  }
 }
 
 }  // namespace

@@ -43,7 +43,7 @@ Escapes are themselves audited:
 
 The wallclock escape is additionally gated by an audited allowlist: only the
 files in WALLCLOCK_ALLOWED_FILES may carry // lint:allow(wallclock) at all
-(the profiler's tick calibration and the harness's phase-timing measurement).
+(the profiler's tick calibration and the experiment driver's phase timing).
 A wallclock escape anywhere else is itself a finding -- extending the
 allowlist is a reviewed change to this file, not a drive-by comment.
 
@@ -108,7 +108,7 @@ ESCAPABLE_RULES = set(PATTERN_RULES) | {"unordered-iter"}
 # event scheduling); anything new must be audited into this list.
 WALLCLOCK_ALLOWED_FILES = (
     "src/stats/profiler.cpp",
-    "src/exp/harness.cpp",
+    "src/exp/driver.hpp",
 )
 
 
