@@ -7,8 +7,10 @@
 #include <iostream>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "common/env.hpp"
 #include "exp/harness.hpp"
@@ -196,6 +198,32 @@ class Reporter {
   /// (workload::ScenarioReport::to_json()) to the v5 `scenarios` array.
   void add_scenario(stats::JsonValue scenario) {
     scenarios_.push_back(std::move(scenario));
+  }
+
+  /// Folds in a report another process of the same bench wrote (its own
+  /// Reporter's to_json()): the metrics, tables, timeseries, scenarios and
+  /// profile.  False when `report` carries no metrics object.
+  bool merge(const stats::JsonValue& report) {
+    const stats::JsonValue* metrics = report.find("metrics");
+    if (metrics == nullptr || !metrics->is_object()) return false;
+    const auto merged = stats::MetricsRegistry::from_json(*metrics);
+    for (const auto& [name, value] : merged.entries()) {
+      metrics_.set(name, value);
+    }
+    const auto append = [&report](std::string_view key,
+                                  std::vector<stats::JsonValue>& to) {
+      const stats::JsonValue* list = report.find(key);
+      if (list != nullptr && list->is_array()) {
+        to.insert(to.end(), list->items().begin(), list->items().end());
+      }
+    };
+    append("tables", tables_);
+    append("timeseries", timeseries_);
+    append("scenarios", scenarios_);
+    if (const stats::JsonValue* profile = report.find("profile")) {
+      profile_ = *profile;
+    }
+    return true;
   }
 
   [[nodiscard]] stats::JsonValue to_json() const {

@@ -121,6 +121,11 @@ struct FaultInjector {
     return sys.peer(p).ring != nullptr;
   }
 
+  /// Whether `p` holds mesh, bypass or cache state (PeerExtras) at all.
+  static bool holds_extras(const HybridSystem& sys, PeerIndex p) {
+    return sys.peer(p).extras != nullptr;
+  }
+
   /// How many neighbours `p` holds liveness stamps for.
   static std::size_t liveness_entries(const HybridSystem& sys, PeerIndex p) {
     return sys.peer(p).liveness.size();

@@ -463,36 +463,39 @@ void HybridSystem::maybe_add_bypass(PeerIndex a, PeerIndex b) {
   // make the mechanism vacuous.  Expired links free their budget slot.
   prune_bypass(pa);
   prune_bypass(pb);
-  if (pa.bypass.size() >= params_.delta || pb.bypass.size() >= params_.delta) {
-    return;
-  }
+  const auto full = [this](const Peer& p) {
+    return p.extras != nullptr && p.extras->bypass.size() >= params_.delta;
+  };
+  if (full(pa) || full(pb)) return;
   const sim::SimTime expiry = sim_.now() + params_.bypass_lifetime;
   ++bypass_installs_;
   auto install = [this, expiry](Peer& from, const Peer& to) {
     const Peer& remote_root = peer(to.tpeer);
-    for (BypassLink& l : from.bypass) {
+    std::vector<BypassLink>& links = extras_of(from).bypass;
+    for (BypassLink& l : links) {
       if (l.to == to.self) {
         l.expires = expiry;  // refresh
         return;
       }
     }
-    from.bypass.push_back(BypassLink{to.self,
-                                     ring_view(remote_root).predecessor.id,
-                                     remote_root.pid, expiry});
+    links.push_back(BypassLink{to.self, ring_view(remote_root).predecessor.id,
+                               remote_root.pid, expiry});
   };
   install(pa, pb);
   install(pb, pa);
 }
 
 void HybridSystem::prune_bypass(Peer& p) {
-  std::erase_if(p.bypass, [this](const BypassLink& l) {
+  if (p.extras == nullptr) return;
+  std::erase_if(p.extras->bypass, [this](const BypassLink& l) {
     return sim::expired(l.expires, sim_.now()) || !net_.alive(l.to) ||
            !peer(l.to).joined;
   });
 }
 
 HybridSystem::BypassLink* HybridSystem::find_bypass(Peer& p, DataId id) {
-  for (BypassLink& l : p.bypass) {
+  if (p.extras == nullptr) return nullptr;
+  for (BypassLink& l : p.extras->bypass) {
     if (sim::expired(l.expires, sim_.now())) continue;
     if (!net_.alive(l.to) || !peer(l.to).joined) continue;
     if (ring::in_arc_open_closed(id.value(), l.segment_lo.value(),
@@ -792,9 +795,10 @@ const proto::DataItem* HybridSystem::answer_source(Peer& p, DataId id,
   if (const proto::DataItem* item = p.store.find(id); item != nullptr) {
     return item;
   }
-  if (!params_.enable_caching) return nullptr;
-  const auto it = p.cache.find(id);
-  if (it != p.cache.end() && !sim::expired(it->second.expires, sim_.now())) {
+  if (!params_.enable_caching || p.extras == nullptr) return nullptr;
+  const auto& cache = p.extras->cache;
+  const auto it = cache.find(id);
+  if (it != cache.end() && !sim::expired(it->second.expires, sim_.now())) {
     from_cache = true;
     return &it->second.item;
   }
@@ -805,21 +809,22 @@ void HybridSystem::cache_put(PeerIndex at, const proto::DataItem& item) {
   if (!params_.enable_caching || params_.cache_capacity == 0) return;
   Peer& p = peer(at);
   if (p.store.find(item.id) != nullptr) return;  // authoritative copy held
-  if (const auto it = p.cache.find(item.id); it != p.cache.end()) {
+  PeerExtras& x = extras_of(p);
+  if (const auto it = x.cache.find(item.id); it != x.cache.end()) {
     it->second.expires = sim_.now() + params_.cache_ttl;  // refresh
     return;
   }
-  if (p.cache_fifo.size() >= params_.cache_capacity) {
+  if (x.cache_fifo.size() >= params_.cache_capacity) {
     // Full: the newest id takes the oldest one's slot.
-    DataId& oldest = p.cache_fifo[p.cache_oldest];
-    p.cache.erase(oldest);
+    DataId& oldest = x.cache_fifo[x.cache_oldest];
+    x.cache.erase(oldest);
     oldest = item.id;
-    p.cache_oldest = (p.cache_oldest + 1) % p.cache_fifo.size();
+    x.cache_oldest = (x.cache_oldest + 1) % x.cache_fifo.size();
   } else {
-    p.cache_fifo.push_back(item.id);
+    x.cache_fifo.push_back(item.id);
   }
-  p.cache.emplace(item.id,
-                  Peer::CacheEntry{item, sim_.now() + params_.cache_ttl});
+  x.cache.emplace(item.id, PeerExtras::CacheEntry{
+                               item, sim_.now() + params_.cache_ttl});
 }
 
 std::uint64_t HybridSystem::max_answers_served() const {

@@ -589,8 +589,8 @@ void HybridSystem::descend_sjoin(PeerIndex at, PeerIndex joiner,
                 for (PeerIndex m : members) {
                   if (added >= params_.mesh_links) break;
                   if (m == joiner || m == at) continue;
-                  peer(joiner).mesh_links.push_back(m);
-                  peer(m).mesh_links.push_back(joiner);
+                  extras_of(peer(joiner)).mesh_links.push_back(m);
+                  extras_of(peer(m)).mesh_links.push_back(joiner);
                   ++added;
                 }
               }
@@ -709,14 +709,22 @@ void HybridSystem::detach_from_tree(PeerIndex p_idx, bool notify_children) {
                 [this, child] { rejoin_subtree(child); });
     }
   }
-  for (PeerIndex m : p.mesh_links) {
-    net_.send(p_idx, m, TrafficClass::kControl, proto::kControlBytes,
-              [this, m, p_idx] { std::erase(peer(m).mesh_links, p_idx); });
+  if (p.extras != nullptr) {
+    for (PeerIndex m : p.extras->mesh_links) {
+      net_.send(p_idx, m, TrafficClass::kControl, proto::kControlBytes,
+                [this, m, p_idx] {
+                  if (Peer& pm = peer(m); pm.extras != nullptr) {
+                    std::erase(pm.extras->mesh_links, p_idx);
+                  }
+                });
+    }
   }
   clear_children(p);
-  p.mesh_links.clear();
   p.cp = kNoPeer;
-  p.bypass.clear();
+  if (p.extras != nullptr) {
+    p.extras->mesh_links.clear();
+    p.extras->bypass.clear();
+  }
 }
 
 void HybridSystem::rejoin_subtree(PeerIndex child) {
@@ -1336,7 +1344,9 @@ void HybridSystem::on_neighbor_dead(PeerIndex at, PeerIndex dead) {
     }
     return;
   }
-  if (std::erase(p.mesh_links, dead) != 0) return;
+  if (p.extras != nullptr && std::erase(p.extras->mesh_links, dead) != 0) {
+    return;
+  }
   if (p.cp == dead) {
     p.cp = kNoPeer;
     if (dead == p.tpeer) {
@@ -1543,7 +1553,9 @@ const std::vector<PeerIndex>& HybridSystem::live_peers() const {
 
 std::size_t HybridSystem::num_bypass_links() const {
   std::size_t n = 0;
-  for (const Peer& p : peers_) n += p.bypass.size();
+  for (const Peer& p : peers_) {
+    if (p.extras != nullptr) n += p.extras->bypass.size();
+  }
   return n;
 }
 

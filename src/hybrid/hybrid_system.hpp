@@ -349,6 +349,26 @@ class HybridSystem {
     sim::SimTime sent = kUnset;
   };
 
+  /// State only the optional features write: kMesh-style extra links,
+  /// Section 5.4 bypass links and the Section 7 cache.  A peer gets one on
+  /// its first such write (extras_of); until then Peer::extras is null,
+  /// which every reader takes as empty.
+  struct PeerExtras {
+    std::vector<PeerIndex> mesh_links;  // kMesh style extra links
+    std::vector<BypassLink> bypass;
+    // Section 7 caching scheme: recently fetched items.  The map gives O(1)
+    // hits on the lookup fast path; cache_fifo is a ring buffer of the cached
+    // ids in insertion order, its oldest at cache_oldest once it is full
+    // (each cached id appears in it exactly once).
+    struct CacheEntry {
+      proto::DataItem item;
+      sim::SimTime expires{};
+    };
+    std::unordered_map<DataId, CacheEntry> cache;
+    std::vector<DataId> cache_fifo;
+    std::size_t cache_oldest = 0;
+  };
+
   struct Peer {
     PeerIndex self = kNoPeer;
     HostIndex host = kNoHost;
@@ -365,24 +385,13 @@ class HybridSystem {
     PeerIndex tpeer = kNoPeer;  // root of my s-network (self for t-peers)
     PeerIndex cp = kNoPeer;     // connect point (tree parent)
     std::vector<PeerIndex> children;
-    std::vector<PeerIndex> mesh_links;  // kMesh style extra links
-    std::vector<BypassLink> bypass;
+    std::unique_ptr<PeerExtras> extras;  // mesh, bypass and cache features
 
     proto::DataStore store;
-    // Section 7 caching scheme: recently fetched items.  The map gives O(1)
-    // hits on the lookup fast path; cache_fifo is a ring buffer of the cached
-    // ids in insertion order, its oldest at cache_oldest once it is full
-    // (each cached id appears in it exactly once).
-    struct CacheEntry {
-      proto::DataItem item;
-      sim::SimTime expires{};
-    };
-    std::unordered_map<DataId, CacheEntry> cache;
-    std::vector<DataId> cache_fifo;
-    std::size_t cache_oldest = 0;
     std::uint64_t answers_served = 0;
 
     // By neighbour peer index; written only while failure detection runs.
+    // Inline, not in extras: every heartbeat reads it.
     std::unordered_map<std::uint32_t, Liveness> liveness;
     bool heartbeat_running = false;
     /// Last time this orphaned s-peer asked to rejoin a tree; throttles the
@@ -392,8 +401,16 @@ class HybridSystem {
   // peers_ grows one join at a time; a throwing move would make every
   // reallocation deep-copy each peer's maps and vectors instead.
   static_assert(std::is_nothrow_move_constructible_v<Peer>);
-  // Every peer pays for Peer; only t-peers pay for a RingState.
-  static_assert(sizeof(Peer) <= 384);
+  // Every peer pays for Peer; only t-peers pay for a RingState, and only
+  // peers that use an optional feature for PeerExtras.
+  static_assert(sizeof(Peer) <= 216);
+
+  /// `p`'s feature state, allocated on first use.  For writers; readers
+  /// test p.extras for null instead, so a read never allocates.
+  static PeerExtras& extras_of(Peer& p) {
+    if (p.extras == nullptr) p.extras = std::make_unique<PeerExtras>();
+    return *p.extras;
+  }
 
   struct Query {
     PeerIndex origin = kNoPeer;
@@ -479,7 +496,9 @@ class HybridSystem {
   void for_each_link(const Peer& p, bool with_ring, F&& f) const {
     if (p.cp != kNoPeer) f(p.cp);
     for (const PeerIndex c : p.children) f(c);
-    for (const PeerIndex m : p.mesh_links) f(m);
+    if (p.extras != nullptr) {
+      for (const PeerIndex m : p.extras->mesh_links) f(m);
+    }
     if (!with_ring || p.role != Role::kTPeer || !p.joined) return;
     const PeerIndex suc = ring_view(p).successor.peer;
     const PeerIndex pre = ring_view(p).predecessor.peer;

@@ -15,6 +15,13 @@ using EdgeIndex = std::uint32_t;
 
 inline constexpr EdgeIndex kNoEdge = ~EdgeIndex{0};
 
+/// One undirected edge, as a graph is built from.
+struct Edge {
+  std::uint32_t u = 0;
+  std::uint32_t v = 0;
+  std::uint32_t latency_us = 0;  // propagation delay of the physical link
+};
+
 /// One directed half of an undirected edge, stored in adjacency lists.
 struct HalfEdge {
   std::uint32_t to = 0;
@@ -22,37 +29,36 @@ struct HalfEdge {
   EdgeIndex edge = kNoEdge;      // undirected edge id (shared by both halves)
 };
 
-/// Undirected weighted multigraph with O(1) degree/neighbor access.
+/// Immutable undirected weighted multigraph in compressed-row form: one
+/// offsets array and one array of half-edges, each node's row a contiguous
+/// slice.  O(1) degree/neighbor access, (V+1)·4 + 2E·12 bytes in all.
 class Graph {
  public:
-  explicit Graph(std::size_t num_nodes = 0);
+  /// Builds the graph of `num_nodes` nodes and `edges`.  Edge i gets id i,
+  /// and each node lists its neighbours in edge-id order.  Parallel edges
+  /// are allowed, but the generator avoids them.
+  explicit Graph(std::size_t num_nodes = 0, std::span<const Edge> edges = {});
 
-  [[nodiscard]] std::size_t num_nodes() const { return adjacency_.size(); }
-  [[nodiscard]] std::size_t num_edges() const { return edge_latency_.size(); }
-
-  /// Adds node and returns its index.
-  std::uint32_t add_node();
-
-  /// Adds an undirected edge; returns its edge id.  Parallel edges allowed
-  /// but the generator avoids them.
-  EdgeIndex add_edge(std::uint32_t u, std::uint32_t v,
-                     std::uint32_t latency_us);
+  [[nodiscard]] std::size_t num_nodes() const { return offsets_.size() - 1; }
+  [[nodiscard]] std::size_t num_edges() const { return half_edges_.size() / 2; }
 
   [[nodiscard]] std::span<const HalfEdge> neighbors(std::uint32_t node) const {
-    return adjacency_[node];
+    return {half_edges_.data() + offsets_[node],
+            offsets_[node + 1] - offsets_[node]};
   }
-  [[nodiscard]] std::uint32_t edge_latency_us(EdgeIndex e) const {
-    return edge_latency_[e];
+
+  /// Bytes held: the offsets and the half-edges.
+  [[nodiscard]] std::size_t memory_bytes() const {
+    return offsets_.capacity() * sizeof(std::uint32_t) +
+           half_edges_.capacity() * sizeof(HalfEdge);
   }
-  /// True when an edge already links u and v (used to avoid parallel edges).
-  [[nodiscard]] bool has_edge(std::uint32_t u, std::uint32_t v) const;
 
   /// True when every node can reach every other node.
   [[nodiscard]] bool connected() const;
 
  private:
-  std::vector<std::vector<HalfEdge>> adjacency_;
-  std::vector<std::uint32_t> edge_latency_;
+  std::vector<std::uint32_t> offsets_;  // row of node u: [offsets_[u], offsets_[u + 1])
+  std::vector<HalfEdge> half_edges_;
 };
 
 }  // namespace hp2p::net

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstddef>
+#include <vector>
 
 namespace hp2p::net {
 namespace {
@@ -12,19 +14,23 @@ std::uint32_t sample_latency(Rng& rng, LatencyRange range) {
 
 /// Connects `nodes` into a random tree plus extra random edges: the
 /// standard way to get a connected Waxman-ish domain without rejection
-/// sampling.
-void build_domain(Graph& g, const std::vector<std::uint32_t>& nodes,
+/// sampling.  Appends the domain's edges to `edges`.
+void build_domain(std::vector<Edge>& edges,
+                  const std::vector<std::uint32_t>& nodes,
                   LatencyRange latency, double extra_edge_prob, Rng& rng) {
   // Random spanning tree: attach node i to a uniformly random earlier node.
+  std::vector<std::size_t> parent(nodes.size(), 0);  // positions in `nodes`
   for (std::size_t i = 1; i < nodes.size(); ++i) {
-    const std::uint32_t parent = nodes[rng.index(i)];
-    g.add_edge(nodes[i], parent, sample_latency(rng, latency));
+    parent[i] = rng.index(i);
+    edges.push_back(
+        Edge{nodes[i], nodes[parent[i]], sample_latency(rng, latency)});
   }
-  // Extra edges for mesh-ness.
+  // Extra edges for mesh-ness.  Each pair comes up once, so the only edge
+  // (i, j), j > i, can already have is j's tree edge to parent i.
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     for (std::size_t j = i + 1; j < nodes.size(); ++j) {
-      if (rng.chance(extra_edge_prob) && !g.has_edge(nodes[i], nodes[j])) {
-        g.add_edge(nodes[i], nodes[j], sample_latency(rng, latency));
+      if (rng.chance(extra_edge_prob) && parent[j] != i) {
+        edges.push_back(Edge{nodes[i], nodes[j], sample_latency(rng, latency)});
       }
     }
   }
@@ -60,9 +66,9 @@ Topology generate_transit_stub(const TransitStubParams& params, Rng& rng) {
   topo.num_transit_nodes =
       params.transit_domains * params.transit_nodes_per_domain;
   const std::uint32_t total = params.total_nodes();
-  topo.graph = Graph{total};
   topo.role.assign(total, NodeRole::kStub);
   topo.domain.assign(total, 0);
+  std::vector<Edge> edges;
 
   // Transit nodes occupy indices [0, num_transit_nodes).
   std::vector<std::vector<std::uint32_t>> transit_domains(
@@ -74,22 +80,33 @@ Topology generate_transit_stub(const TransitStubParams& params, Rng& rng) {
       topo.domain[node] = d;
       transit_domains[d].push_back(node);
     }
-    build_domain(topo.graph, transit_domains[d], params.intra_transit,
+    build_domain(edges, transit_domains[d], params.intra_transit,
                  params.intra_domain_extra_edge_prob, rng);
   }
 
-  // Inter-transit-domain ring + extra edges for resilience.
+  // Inter-transit-domain ring + extra edges for resilience.  These join
+  // two domains, so they can only repeat one another: the ones from
+  // `inter_begin` on.
+  const std::size_t inter_begin = edges.size();
+  const auto add_inter_transit = [&](std::uint32_t u, std::uint32_t v) {
+    const bool linked =
+        std::any_of(edges.begin() + static_cast<std::ptrdiff_t>(inter_begin),
+                    edges.end(), [u, v](const Edge& e) {
+                      return (e.u == u && e.v == v) || (e.u == v && e.v == u);
+                    });
+    if (!linked) {
+      edges.push_back(Edge{u, v, sample_latency(rng, params.inter_transit)});
+    }
+  };
   for (std::uint32_t d = 0; d + 1 < params.transit_domains; ++d) {
     const std::uint32_t u = rng.pick(transit_domains[d]);
     const std::uint32_t v = rng.pick(transit_domains[d + 1]);
-    topo.graph.add_edge(u, v, sample_latency(rng, params.inter_transit));
+    edges.push_back(Edge{u, v, sample_latency(rng, params.inter_transit)});
   }
   if (params.transit_domains > 2) {
     const std::uint32_t u = rng.pick(transit_domains.back());
     const std::uint32_t v = rng.pick(transit_domains.front());
-    if (!topo.graph.has_edge(u, v)) {
-      topo.graph.add_edge(u, v, sample_latency(rng, params.inter_transit));
-    }
+    add_inter_transit(u, v);
   }
   for (std::uint32_t e = 0; e < params.extra_interdomain_edges &&
                             params.transit_domains > 1;
@@ -99,9 +116,7 @@ Topology generate_transit_stub(const TransitStubParams& params, Rng& rng) {
     if (a == b) continue;
     const std::uint32_t u = rng.pick(transit_domains[a]);
     const std::uint32_t v = rng.pick(transit_domains[b]);
-    if (!topo.graph.has_edge(u, v)) {
-      topo.graph.add_edge(u, v, sample_latency(rng, params.inter_transit));
-    }
+    add_inter_transit(u, v);
   }
 
   // Stub domains: consecutive index blocks after the transit nodes.
@@ -117,15 +132,19 @@ Topology generate_transit_stub(const TransitStubParams& params, Rng& rng) {
         members.push_back(node);
       }
       ++stub_domain_id;
-      build_domain(topo.graph, members, params.intra_stub,
+      build_domain(edges, members, params.intra_stub,
                    params.intra_domain_extra_edge_prob, rng);
       // Gateway link from a random stub node up to the anchoring transit
-      // node.
-      topo.graph.add_edge(rng.pick(members), t,
-                          sample_latency(rng, params.stub_transit));
+      // node.  The latency is drawn before the node, the order every
+      // pinned topology was generated in; two named statements keep it
+      // from resting on the compiler's argument evaluation order.
+      const std::uint32_t latency = sample_latency(rng, params.stub_transit);
+      const std::uint32_t gateway = rng.pick(members);
+      edges.push_back(Edge{gateway, t, latency});
     }
   }
 
+  topo.graph = Graph{total, edges};
   assert(topo.graph.connected());
   return topo;
 }

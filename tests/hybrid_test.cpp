@@ -1427,6 +1427,38 @@ TEST(Hybrid, NoLivenessStampsWhileDetectionIsOff) {
   EXPECT_EQ(static_cast<std::size_t>(stamped), f.peers.size());
 }
 
+TEST(Hybrid, QuietTreeRunAllocatesNoFeatureState) {
+  // Mesh links, bypass links and the cache live behind one pointer that a
+  // peer fills on its first such write: a tree-style run with neither
+  // bypass links nor caching, through joins, stores, lookups, a leave and
+  // heartbeats, leaves every peer's pointer null.
+  auto params = defaults();
+  params.hello_interval = sim::SimTime::millis(500);
+  HybridFixture f{218, params};
+  f.build(40);
+  const auto keys = f.populate(40);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    f.system.lookup(f.peers[(i * 7) % f.peers.size()], keys[i],
+                    [](proto::LookupResult) {});
+  }
+  f.world.sim.run();
+  f.system.leave(f.peers.back());
+  f.system.start_failure_detection();
+  f.world.sim.run_until(f.world.sim.now() + sim::SimTime::seconds(5));
+  for (const PeerIndex p : f.peers) {
+    EXPECT_FALSE(FaultInjector::holds_extras(f.system, p))
+        << "peer " << p.value();
+  }
+  // The mesh style writes its links there from the first join on.
+  auto mesh = defaults();
+  mesh.style = SNetworkStyle::kMesh;
+  HybridFixture g{218, mesh};
+  g.build(40);
+  EXPECT_TRUE(std::ranges::any_of(g.peers, [&g](PeerIndex p) {
+    return FaultInjector::holds_extras(g.system, p);
+  }));
+}
+
 TEST(Hybrid, SettledHeartbeatsAllocateNothing) {
   // Once every peer has stamped its neighbours, a beat reuses the link
   // snapshot and the stamps it already holds: further hello intervals on a
