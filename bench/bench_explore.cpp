@@ -94,8 +94,7 @@ int main() {
   census_row(table, reporter, "por", por);
   census_row(table, reporter, "naive", naive);
   census_row(table, reporter, "walks", walks);
-  table.print(std::cout);
-  reporter.add_table("state_space_census", table);
+  reporter.print_table("state_space_census", table);
 
   const double pruned_frac =
       naive.completed_runs == 0

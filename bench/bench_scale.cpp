@@ -292,8 +292,7 @@ int main() {
       }
     }
   }
-  table.print(std::cout);
-  reporter.add_table("scale_ladder", table);
+  reporter.print_table("scale_ladder", table);
 
   stats::JsonValue rungs = stats::JsonValue::array();
   for (const std::uint32_t peers : ladder) {

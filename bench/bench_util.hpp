@@ -1,4 +1,5 @@
-// Shared helpers for the figure/table bench binaries.
+// Shared helpers for the bench binaries: the experiments driver,
+// bench_scale, bench_explore and micro_kernel.
 #pragma once
 
 #include <cstdio>
@@ -91,16 +92,6 @@ inline void print_header(const char* figure, const char* claim,
   return s;
 }
 
-/// Mean of a metric across replicas of the same configuration.
-template <typename Fn>
-[[nodiscard]] double replicate_mean(const Scale& s, Fn make_and_measure) {
-  double total = 0;
-  for (std::size_t r = 0; r < s.replicas; ++r) {
-    total += make_and_measure(r);
-  }
-  return total / static_cast<double>(s.replicas);
-}
-
 /// Machine-readable run report, written next to the ASCII output as
 /// BENCH_<name>.json.  Schema (version 5; v1 fields are unchanged, v2 adds
 /// the always-present `timeseries` array, v3 adds the `replication.*`
@@ -138,10 +129,10 @@ template <typename Fn>
 ///     "profile": { ... }              // only on HP2P_PROFILE=1 runs
 ///   }
 ///
-/// Benches populate config()/metrics() through the registry API and mirror
-/// each printed stats::Table with add_table(); write() is the last line of
-/// main().  Files are written atomically (temp file + rename) so a crashed
-/// or concurrent run never leaves a truncated report behind.
+/// Benches populate config()/metrics() through the registry API and print
+/// each stats::Table through print_table(); write() comes last.  Files are
+/// written atomically (temp file + rename) so a crashed or concurrent run
+/// never leaves a truncated report behind.
 class Reporter {
  public:
   static constexpr std::int64_t kSchemaVersion = 5;
@@ -151,6 +142,12 @@ class Reporter {
 
   Reporter(std::string name, const Scale& s)
       : Reporter(std::move(name), s.seed) {
+    set_scale(s);
+  }
+
+  /// Records the scale in `config` and `run_info.peers`; an experiment that
+  /// resizes its scale calls this again with the resized one.
+  void set_scale(const Scale& s) {
     peers_ = s.peers;
     config_.set("peers", stats::JsonValue{std::uint64_t{s.peers}});
     config_.set("items", stats::JsonValue{static_cast<std::uint64_t>(s.items)});
@@ -163,6 +160,12 @@ class Reporter {
   [[nodiscard]] const std::string& name() const { return name_; }
   stats::MetricsRegistry& config() { return config_; }
   stats::MetricsRegistry& metrics() { return metrics_; }
+
+  /// Prints `table` to stdout and mirrors it into the report.
+  void print_table(const std::string& title, const stats::Table& table) {
+    table.print(std::cout);
+    add_table(title, table);
+  }
 
   /// Mirrors one printed table into the report (cells verbatim).
   void add_table(const std::string& title, const stats::Table& table) {
@@ -322,7 +325,7 @@ inline void report_profile(Reporter& reporter, const stats::Profiler& prof) {
         .cell(total.allocs)
         .cell(static_cast<double>(total.alloc_bytes) / 1024.0, 1);
   }
-  table.print(std::cout);
+  reporter.print_table("profile_components", table);
   std::printf("profile: dispatch %.2f ms, attributed %.2f ms (%.1f%%)\n",
               static_cast<double>(prof.dispatch_ns_total()) / 1e6,
               static_cast<double>(prof.attributed_ns()) / 1e6,
@@ -330,7 +333,6 @@ inline void report_profile(Reporter& reporter, const stats::Profiler& prof) {
                   ? 100.0 * static_cast<double>(prof.attributed_ns()) /
                         static_cast<double>(prof.dispatch_ns_total())
                   : 0.0);
-  reporter.add_table("profile_components", table);
   reporter.set_profile(prof.to_json());
   const std::string collapsed = "PROFILE_" + reporter.name() + ".collapsed";
   if (prof.write_collapsed(collapsed)) {

@@ -3,8 +3,8 @@
 // workload phases (build, populate, lookup; optionally a crash phase in
 // between) and returns every metric the evaluation section reports.
 //
-// Every bench binary is a thin loop over RunConfig values feeding
-// run_hybrid_experiment(); multi-replica sweeps go through parallel_map().
+// Every experiment in bench/experiments.cpp loops over RunConfig values
+// feeding run_hybrid_experiment(); its replicas run through parallel_map().
 #pragma once
 
 #include <atomic>

@@ -105,9 +105,9 @@ struct ScenarioReport {
 
 // --- Named scenario presets -------------------------------------------------
 //
-// One per shipped scenario, shared verbatim by bench_scenarios and the
-// workload-label tests so the bench numbers and the test assertions describe
-// the same run.  Each stacks a default chaos schedule under the workload.
+// One per shipped scenario, shared verbatim by `experiments scenarios` and
+// the workload-label tests so the bench numbers and the test assertions
+// describe the same run.  Each stacks a default chaos schedule under the workload.
 
 /// Diurnal curve with an s-peer crash storm through the midday peak.
 [[nodiscard]] ScenarioConfig diurnal_scenario(std::uint64_t seed);

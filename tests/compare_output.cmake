@@ -1,9 +1,10 @@
-# Runs COMMAND and compares its standard output byte for byte with the
-# EXPECTED file; the output is kept in ACTUAL for inspection.
+# Runs COMMAND with the optional ARGS and compares its standard output byte
+# for byte with the EXPECTED file; the output is kept in ACTUAL for
+# inspection.
 #
-#   cmake -DCOMMAND=<exe> -DEXPECTED=<file> -DACTUAL=<file> \
+#   cmake -DCOMMAND=<exe> [-DARGS=<arg>] -DEXPECTED=<file> -DACTUAL=<file> \
 #         -P compare_output.cmake
-execute_process(COMMAND ${COMMAND} OUTPUT_FILE ${ACTUAL}
+execute_process(COMMAND ${COMMAND} ${ARGS} OUTPUT_FILE ${ACTUAL}
                 RESULT_VARIABLE exit_code)
 if(NOT exit_code EQUAL 0)
   message(FATAL_ERROR "${COMMAND} exited with ${exit_code}")
