@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <ctime>
 #include <fstream>
 #include <iostream>
@@ -34,12 +35,27 @@ struct Scale {
   std::uint64_t seed;
 };
 
+/// One HP2P_* scale knob, or `fallback` when unset.  A value below `min`
+/// ends the program with a message and exit status 1: zero replicas would
+/// average into NaN cells, and a negative count would wrap to a huge one.
+[[nodiscard]] inline std::int64_t scale_knob(const char* name,
+                                             std::int64_t fallback,
+                                             std::int64_t min) {
+  const std::int64_t v = env_or(name, fallback);
+  if (v < min) {
+    std::fprintf(stderr, "error: %s=%lld is invalid: it must be at least %lld\n",
+                 name, static_cast<long long>(v), static_cast<long long>(min));
+    std::exit(EXIT_FAILURE);
+  }
+  return v;
+}
+
 [[nodiscard]] inline Scale scale_from_env() {
   Scale s{};
-  s.peers = static_cast<std::uint32_t>(env_or("HP2P_PEERS", std::int64_t{400}));
-  s.items = static_cast<std::size_t>(env_or("HP2P_ITEMS", std::int64_t{1000}));
-  s.lookups = static_cast<std::size_t>(env_or("HP2P_LOOKUPS", std::int64_t{1000}));
-  s.replicas = static_cast<std::size_t>(env_or("HP2P_SEEDS", std::int64_t{1}));
+  s.peers = static_cast<std::uint32_t>(scale_knob("HP2P_PEERS", 400, 2));
+  s.items = static_cast<std::size_t>(scale_knob("HP2P_ITEMS", 1000, 0));
+  s.lookups = static_cast<std::size_t>(scale_knob("HP2P_LOOKUPS", 1000, 0));
+  s.replicas = static_cast<std::size_t>(scale_knob("HP2P_SEEDS", 1, 1));
   s.seed = static_cast<std::uint64_t>(env_or("HP2P_SEED", std::int64_t{42}));
   return s;
 }

@@ -551,6 +551,63 @@ void BM_UnderlayLatency(benchmark::State& state) {
 }
 BENCHMARK(BM_UnderlayLatency)->Arg(0)->Arg(1)->Arg(2);
 
+/// One OverlayNetwork::hop_latency() per iteration over ~100k peers, one
+/// per host of a ~100k-host underlay, as in the harness.  Both ends of
+/// each of 2^20 seeded pairs are drawn from the whole population, so the
+/// peers' transport records are as cold as in a 100k run; unlike
+/// BM_UnderlayLatency's 4,096 pairs, they do not fit in L1.  Pairs sharing
+/// a stub domain are left out, so no query builds a domain table.  Which
+/// pair comes next depends on the previous answer, as a hop's handler
+/// waits for the hop before it: the time per query is the latency of its
+/// chain of loads, not how many queries the core overlaps.
+/// Arg 0: the transport alone, whose few MB stay in L2/L3.  Arg 1: each
+/// query also reads one random line of a 64 MiB block standing in for
+/// the rest of a 100k run (peer records, event queue, closures), which
+/// competes with the transport's arrays for the cache as a run does.
+void BM_TransportHopLatency(benchmark::State& state) {
+  Rng rng{6};
+  const net::Underlay underlay{
+      net::generate_transit_stub(
+          net::TransitStubParams::for_total_nodes(100'000), rng),
+      rng};
+  sim::Simulator sim;
+  proto::OverlayNetwork net{sim, underlay};
+  const std::uint32_t v = underlay.num_hosts();
+  for (std::uint32_t h = 0; h < v; ++h) (void)net.add_peer(HostIndex{h});
+  const net::Topology& topo = underlay.topology();
+  const auto stub_domain = [&](std::uint32_t host) {
+    return host < topo.num_transit_nodes ? ~std::uint32_t{0}
+                                         : topo.domain[host];
+  };
+  std::vector<std::pair<PeerIndex, PeerIndex>> pairs;
+  pairs.reserve(std::size_t{1} << 20);
+  while (pairs.size() < pairs.capacity()) {
+    const auto a = static_cast<std::uint32_t>(rng.index(v));
+    const auto b = static_cast<std::uint32_t>(rng.index(v));
+    if (stub_domain(a) == stub_domain(b) && stub_domain(a) != ~0u) continue;
+    pairs.emplace_back(PeerIndex{a}, PeerIndex{b});
+  }
+  const bool with_world = state.range(0) != 0;
+  constexpr std::size_t kWorldLines = (std::size_t{64} << 20) / 64;
+  std::vector<std::uint64_t> world(with_world ? kWorldLines * 8 : 0, 1);
+  std::uint64_t sink = 0;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto& [from, to] = pairs[i];
+    if (with_world) {
+      // Independent of the chain: it evicts, it does not wait.
+      sink += world[((i * 0x9E3779B97F4A7C15ull) >> 44) % kWorldLines * 8];
+    }
+    const sim::SimTime t = net.hop_latency(from, to, proto::kQueryBytes);
+    i = (i + 1 + static_cast<std::size_t>(t.as_micros() & 1)) &
+        (pairs.size() - 1);
+  }
+  benchmark::DoNotOptimize(sink);
+  state.counters["peers"] = v;
+  state.SetLabel(with_world ? "with_64MiB_world" : "alone");
+}
+BENCHMARK(BM_TransportHopLatency)->Arg(0)->Arg(1);
+
 /// The first same-domain query into a cold 64-host stub domain: builds its
 /// table (one intra-domain Dijkstra per member).  A fresh Underlay per
 /// iteration (untimed) keeps every table cold.

@@ -270,7 +270,7 @@ bool HybridSystem::route_intercept(const Route& r, PeerIndex at,
   if (r.kind != RouteKind::kLookup || !params_.enable_caching) return false;
   auto it = queries_.find(r.qid);
   if (it == queries_.end() || it->second.finished) return true;
-  if (it->second.visited.insert(at.value()).second) ++it->second.contacted;
+  if (it->second.visited.insert(at.value())) ++it->second.contacted;
   return try_answer(at, r.qid, hops);
 }
 
@@ -289,7 +289,7 @@ void HybridSystem::route_at_owner(Route& r, PeerIndex owner,
       auto it = queries_.find(qid);
       if (it == queries_.end() || it->second.finished) return;
       it->second.contacted += contacted;
-      if (it->second.visited.insert(owner.value()).second) {
+      if (it->second.visited.insert(owner.value())) {
         ++it->second.contacted;
       }
       if (params_.style == SNetworkStyle::kBitTorrent) {
@@ -581,7 +581,7 @@ void HybridSystem::lookup_id(PeerIndex from, DataId id, LookupCallback done) {
                 query_trace(qid), [this, to, qid] {
                   auto it = queries_.find(qid);
                   if (it == queries_.end() || it->second.finished) return;
-                  if (it->second.visited.insert(to.value()).second) {
+                  if (it->second.visited.insert(to.value())) {
                     ++it->second.contacted;
                   }
                   if (try_answer(to, qid, 1)) return;
@@ -610,7 +610,7 @@ void HybridSystem::bt_lookup(PeerIndex /*origin*/, std::uint64_t qid,
   auto it = queries_.find(qid);
   if (it == queries_.end() || it->second.finished) return;
   Peer& t = peer(tracker);
-  if (it->second.visited.insert(tracker.value()).second) {
+  if (it->second.visited.insert(tracker.value())) {
     ++it->second.contacted;
   }
   if (try_answer(tracker, qid, hops)) return;
@@ -637,7 +637,7 @@ void HybridSystem::bt_lookup(PeerIndex /*origin*/, std::uint64_t qid,
               [this, holder, qid, hops] {
                 auto qit = queries_.find(qid);
                 if (qit == queries_.end() || qit->second.finished) return;
-                if (qit->second.visited.insert(holder.value()).second) {
+                if (qit->second.visited.insert(holder.value())) {
                   ++qit->second.contacted;
                 }
                 try_answer(holder, qid, hops + 1);
@@ -747,7 +747,7 @@ void HybridSystem::walk(PeerIndex at, std::uint64_t qid, unsigned ttl,
               auto it = queries_.find(qid);
               if (it == queries_.end() || it->second.finished) return;
               // Walkers revisit peers; only first visits count as contacts.
-              if (it->second.visited.insert(next.value()).second) {
+              if (it->second.visited.insert(next.value())) {
                 ++it->second.contacted;
               }
               if (spans() != nullptr) {
@@ -776,7 +776,7 @@ void HybridSystem::flood(PeerIndex at, PeerIndex from, std::uint64_t qid,
                 auto it = queries_.find(qid);
                 if (it == queries_.end() || it->second.finished) return;
                 // Mesh topologies can deliver duplicates; a tree cannot.
-                if (!it->second.visited.insert(n.value()).second) return;
+                if (!it->second.visited.insert(n.value())) return;
                 ++it->second.contacted;
                 maybe_ack(n, at);
                 if (spans() != nullptr) {
@@ -940,7 +940,7 @@ void HybridSystem::keyword_ring_walk(PeerIndex at, PeerIndex stop_at,
   const Peer& here = peer(at);
   if (!here.joined || here.role != Role::kTPeer) return;
   if (at == stop_at) return;  // full circle
-  if (q.visited.insert(at.value()).second) {
+  if (q.visited.insert(at.value())) {
     ++q.result.peers_contacted;
     // The t-peer contributes its own matches and floods its s-network.
     keyword_report(at, qid, q);
@@ -966,7 +966,7 @@ void HybridSystem::keyword_flood(PeerIndex at, PeerIndex from,
       auto it = keyword_queries_.find(qid);
       if (it == keyword_queries_.end()) return;
       KeywordQuery& q = it->second;
-      if (!q.visited.insert(n.value()).second) return;
+      if (!q.visited.insert(n.value())) return;
       ++q.result.peers_contacted;
       keyword_report(n, qid, q);
       keyword_flood(n, at, qid, ttl - 1);

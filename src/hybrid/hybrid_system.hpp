@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "chord/finger_table.hpp"
+#include "common/flat_u32_set.hpp"
 #include "common/hashing.hpp"
 #include "common/ids.hpp"
 #include "common/ref_pool.hpp"
@@ -403,7 +404,7 @@ class HybridSystem {
   static_assert(std::is_nothrow_move_constructible_v<Peer>);
   // Every peer pays for Peer; only t-peers pay for a RingState, and only
   // peers that use an optional feature for PeerExtras.
-  static_assert(sizeof(Peer) <= 216);
+  static_assert(sizeof(Peer) <= 184);
 
   /// `p`'s feature state, allocated on first use.  For writers; readers
   /// test p.extras for null instead, so a read never allocates.
@@ -422,7 +423,7 @@ class HybridSystem {
     bool rerouted = false;
     sim::TimerId timer{};
     LookupCallback done;
-    std::unordered_set<std::uint32_t> visited;  // flood dedup + contacted
+    FlatU32Set visited;  // flood dedup + contacted, by peer index
     stats::TraceContext trace;  // root span of the lookup (when traced)
     stats::TraceContext stage;  // currently open stage span (climb/ring/...)
   };
@@ -939,7 +940,7 @@ class HybridSystem {
     PeerIndex origin = kNoPeer;
     std::string substring;
     KeywordResult result;
-    std::unordered_set<std::uint32_t> visited;
+    FlatU32Set visited;  // by peer index
     sim::TimerId timer{};
     KeywordCallback done;
   };

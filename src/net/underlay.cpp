@@ -12,14 +12,14 @@ namespace {
 constexpr std::uint64_t kInf64 = std::numeric_limits<std::uint64_t>::max();
 constexpr std::uint32_t kNoNode = std::numeric_limits<std::uint32_t>::max();
 
-std::uint32_t narrow_latency(std::uint64_t us) {
+}  // namespace
+
+std::uint32_t Underlay::narrow_latency(std::uint64_t us) {
   // Path latencies are bounded by diameter * max link latency (~seconds in
   // microseconds); anything near 2^32 us (~71 min) is a topology bug.
   assert(us < std::numeric_limits<std::uint32_t>::max());
   return static_cast<std::uint32_t>(us);
 }
-
-}  // namespace
 
 LinkStress::LinkStress(std::size_t num_edges, Mode mode)
     : num_edges_(num_edges),

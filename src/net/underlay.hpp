@@ -161,6 +161,42 @@ class Underlay {
     return sim::SimTime::micros(static_cast<std::int64_t>(us));
   }
 
+  /// Locator::domain of a core node.
+  static constexpr std::uint32_t kCoreDomain = ~std::uint32_t{0};
+
+  /// Where a host attaches to the transit core: everything a cross-domain
+  /// latency query reads about one endpoint, in 12 bytes.  A caller that
+  /// keeps it beside its own per-host record (proto::OverlayNetwork does)
+  /// answers such a query from that record plus one core-table cell.
+  struct Locator {
+    std::uint32_t domain = kCoreDomain;  // stub domain id, or kCoreDomain
+    std::uint32_t anchor = 0;     // core node anchoring the domain (or self)
+    std::uint32_t uplink_us = 0;  // gateway walk + gateway edge; 0 for core
+  };
+  static_assert(sizeof(Locator) == 12);
+
+  [[nodiscard]] Locator locate(HostIndex host) const {
+    const std::uint32_t n = host.value();
+    if (is_core(n)) return {kCoreDomain, n, 0};
+    return {topology_.domain[n], stub_of(n).anchor,
+            narrow_latency(uplink_us(n))};
+  }
+
+  /// built_latency() from the two hosts' locate() records.  A cross-domain
+  /// pair reads one core-table cell, uplink + core(anchor, anchor) +
+  /// uplink; a same-domain pair takes the domain-table path.
+  [[nodiscard]] std::optional<sim::SimTime> built_latency(
+      HostIndex from, const Locator& at_from, HostIndex to,
+      const Locator& at_to) const {
+    if (at_from.domain == at_to.domain && at_from.domain != kCoreDomain) {
+      return built_latency(from, to);
+    }
+    return sim::SimTime::micros(static_cast<std::int64_t>(
+        std::uint64_t{at_from.uplink_us} +
+        core_latency_us_[core_index(at_from.anchor, at_to.anchor)] +
+        at_to.uplink_us));
+  }
+
   /// Number of physical hops on the shortest path.
   [[nodiscard]] std::uint32_t path_hops(HostIndex from, HostIndex to) const;
 
@@ -256,6 +292,9 @@ class Underlay {
   [[nodiscard]] bool find_stub_domains();
   /// All-pairs tables over the core nodes [0, core_size_).
   void build_core();
+
+  /// `us` as 32 bits; asserts it fits.
+  [[nodiscard]] static std::uint32_t narrow_latency(std::uint64_t us);
 
   [[nodiscard]] bool is_core(std::uint32_t node) const {
     return node < core_size_;

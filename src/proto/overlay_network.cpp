@@ -34,6 +34,9 @@ OverlayNetwork::OverlayNetwork(sim::Simulator& simulator,
                                OverlayNetworkOptions options)
     : simulator_(simulator), underlay_(underlay), options_(options),
       loss_rng_(options.loss_seed) {
+  // Callers run one peer per underlay host; growth past that still works.
+  endpoints_.reserve(underlay_.num_hosts());
+  alive_.reserve(underlay_.num_hosts());
   if (options_.track_link_stress) {
     link_stress_.emplace(underlay_.topology().graph.num_edges(),
                          options_.link_stress_mode);
@@ -41,20 +44,20 @@ OverlayNetwork::OverlayNetwork(sim::Simulator& simulator,
 }
 
 PeerIndex OverlayNetwork::add_peer(HostIndex host) {
-  hosts_.push_back(host);
+  endpoints_.push_back({host, underlay_.locate(host)});
   alive_.push_back(true);
-  sent_by_.push_back(0);
-  received_by_.push_back(0);
-  return PeerIndex{static_cast<std::uint32_t>(hosts_.size() - 1)};
+  return PeerIndex{static_cast<std::uint32_t>(endpoints_.size() - 1)};
 }
 
 sim::SimTime OverlayNetwork::hop_latency(PeerIndex from, PeerIndex to,
                                          std::uint32_t bytes) const {
-  const HostIndex src = host_of(from);
-  const HostIndex dst = host_of(to);
-  sim::SimTime delay = host_latency(src, dst);
+  const Endpoint& src = endpoints_[from.value()];
+  const Endpoint& dst = endpoints_[to.value()];
+  const auto built = underlay_.built_latency(src.host, src.locator, dst.host,
+                                             dst.locator);
+  sim::SimTime delay = built ? *built : host_latency(src.host, dst.host);
   if (options_.model_transmission_delay) {
-    delay += underlay_.transmission_delay(src, dst, bytes);
+    delay += underlay_.transmission_delay(src.host, dst.host, bytes);
   }
   return delay;
 }
@@ -108,7 +111,7 @@ void OverlayNetwork::transmit(PeerIndex from, PeerIndex to, TrafficClass cls,
   }
   ++stats_.messages_sent;
   ++stats_.messages_in_flight;
-  ++sent_by_[from.value()];
+  ++endpoints_[from.value()].sent;
   stats_.bytes_sent += bytes;
   ++stats_.per_class_messages[static_cast<std::size_t>(cls)];
   stats_.per_class_bytes[static_cast<std::size_t>(cls)] += bytes;
@@ -162,7 +165,7 @@ void OverlayNetwork::transmit(PeerIndex from, PeerIndex to, TrafficClass cls,
     }
     if (watch != kNoWatch) settle_watch(watch, true);
     ++stats_.messages_delivered;
-    ++received_by_[to.value()];
+    ++endpoints_[to.value()].received;
     simulator_.note_message(static_cast<std::size_t>(cls),
                             traffic_class_name(cls), bytes);
     notify({Kind::kDeliver, from, to, cls, bytes});

@@ -163,10 +163,10 @@ class OverlayNetwork {
   PeerIndex add_peer(HostIndex host);
 
   [[nodiscard]] std::uint32_t num_peers() const {
-    return static_cast<std::uint32_t>(hosts_.size());
+    return static_cast<std::uint32_t>(endpoints_.size());
   }
   [[nodiscard]] HostIndex host_of(PeerIndex peer) const {
-    return hosts_[peer.value()];
+    return endpoints_[peer.value()].host;
   }
   [[nodiscard]] bool alive(PeerIndex peer) const {
     return alive_[peer.value()];
@@ -221,7 +221,9 @@ class OverlayNetwork {
   void note_drop(PeerIndex at, DropReason reason, TrafficClass cls,
                  stats::TraceContext ctx = {});
 
-  /// Latency of a single overlay hop, as send() would charge it.
+  /// Latency of a single overlay hop, as send() would charge it.  Reads
+  /// the two peers' Endpoint records and, for a cross-domain pair, one cell
+  /// of the underlay's core table.
   [[nodiscard]] sim::SimTime hop_latency(PeerIndex from, PeerIndex to,
                                          std::uint32_t bytes) const;
 
@@ -238,10 +240,10 @@ class OverlayNetwork {
   /// Messages this peer has sent / had delivered to it -- the raw material
   /// of the paper's t-peer vs s-peer load-imbalance argument (Section 5.1).
   [[nodiscard]] std::uint64_t messages_sent_by(PeerIndex peer) const {
-    return sent_by_[peer.value()];
+    return endpoints_[peer.value()].sent;
   }
   [[nodiscard]] std::uint64_t messages_received_by(PeerIndex peer) const {
-    return received_by_[peer.value()];
+    return endpoints_[peer.value()].received;
   }
 
   [[nodiscard]] const NetworkStats& stats() const { return stats_; }
@@ -307,14 +309,25 @@ class OverlayNetwork {
   [[gnu::cold]] void build_routes(HostIndex from, HostIndex to,
                                   bool walk) const;
 
+  /// One peer's transport record: its host, where that host attaches to
+  /// the underlay's core, and its message counters.  A send reads and
+  /// bumps the sender's record and reads the receiver's; a delivery bumps
+  /// the receiver's.  One 32-byte record per peer instead of parallel
+  /// arrays keeps a hop to about one cache line per endpoint.
+  struct Endpoint {
+    HostIndex host;
+    net::Underlay::Locator locator;
+    std::uint64_t sent = 0;
+    std::uint64_t received = 0;
+  };
+  static_assert(sizeof(Endpoint) == 32);
+
   sim::Simulator& simulator_;
   const net::Underlay& underlay_;
   OverlayNetworkOptions options_;
-  std::vector<HostIndex> hosts_;
+  std::vector<Endpoint> endpoints_;  // by peer index
   std::vector<bool> alive_;
   std::uint64_t liveness_epoch_ = 0;
-  std::vector<std::uint64_t> sent_by_;
-  std::vector<std::uint64_t> received_by_;
   NetworkStats stats_;
   std::optional<net::LinkStress> link_stress_;
   Rng loss_rng_;

@@ -305,6 +305,12 @@ class Simulator {
     for (Observer* o : frame_observers_) o->message(cls, name, bytes);
   }
 
+  /// The tag of the running code: the dispatched event's, or the innermost
+  /// open ComponentScope's.
+  [[nodiscard]] Component current_component() const {
+    return current_component_;
+  }
+
   /// Switches the current tag and opens an observer frame; returns the
   /// previous tag for end_component().  Use ComponentScope instead of
   /// calling these directly.
@@ -463,17 +469,25 @@ class Simulator {
 
 /// RAII component-tag switch: statements inside the scope -- and every event
 /// they schedule -- are attributed to `c`.  Nesting restores the previous
-/// tag on exit; observers see a matching enter/leave pair.
+/// tag on exit; observers see a matching enter/leave pair.  A scope naming
+/// the component that is current already (a flood hop's handler scoping
+/// kFlood inside its kFlood event) opens no frame: it would attribute
+/// nothing new and only cost every observer an enter and a leave.
 class ComponentScope {
  public:
   ComponentScope(Simulator& sim, Component c)
-      : sim_(sim), prev_(sim.begin_component(c)) {}
-  ~ComponentScope() { sim_.end_component(prev_); }
+      : sim_(sim),
+        open_(sim.current_component() != c),
+        prev_(open_ ? sim.begin_component(c) : c) {}
+  ~ComponentScope() {
+    if (open_) sim_.end_component(prev_);
+  }
   ComponentScope(const ComponentScope&) = delete;
   ComponentScope& operator=(const ComponentScope&) = delete;
 
  private:
   Simulator& sim_;
+  bool open_;
   Component prev_;
 };
 

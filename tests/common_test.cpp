@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/alloc_stats.hpp"
+#include "common/flat_u32_set.hpp"
 #include "common/hashing.hpp"
 #include "common/ids.hpp"
 #include "common/ref_pool.hpp"
@@ -293,6 +294,54 @@ TEST(RefPool, HandlesMayOutliveThePool) {
   auto copy = survivor;
   survivor = RefPool<Record>::Ref{};
   EXPECT_EQ(copy->hops[63], 2);  // the last handle frees it on scope exit
+}
+
+// --- FlatU32Set -----------------------------------------------------------------
+
+TEST(FlatU32Set, InsertReportsOnlyTheFirstOfEachKey) {
+  FlatU32Set set;
+  EXPECT_TRUE(set.insert(5));
+  EXPECT_FALSE(set.insert(5));
+  EXPECT_TRUE(set.insert(0));
+  EXPECT_FALSE(set.insert(0));
+  EXPECT_FALSE(set.insert(5));
+}
+
+TEST(FlatU32Set, OneArrayUntilHalfFullAndClearKeepsIt) {
+  // An empty set holds nothing; the first insert takes the one array,
+  // which holds kFirstCapacity / 2 keys.  Clearing keeps that array.
+  const std::uint64_t before = alloc_stats::allocation_count();
+  FlatU32Set set;
+  EXPECT_EQ(alloc_stats::allocation_count(), before);
+  constexpr std::uint32_t kFit = FlatU32Set::kFirstCapacity / 2;
+  for (std::uint32_t k = 0; k < kFit; ++k) EXPECT_TRUE(set.insert(k * 7));
+  EXPECT_EQ(alloc_stats::allocation_count(), before + 1);
+  set.clear();
+  for (std::uint32_t k = 0; k < kFit; ++k) {
+    EXPECT_TRUE(set.insert(k * 7)) << "clear() must forget key " << k * 7;
+  }
+  EXPECT_EQ(alloc_stats::allocation_count(), before + 1)
+      << "refilling a cleared set must reuse its array";
+  EXPECT_TRUE(set.insert(kFit * 7));  // one past half full: a doubling
+  EXPECT_EQ(alloc_stats::allocation_count(), before + 2);
+}
+
+TEST(FlatU32Set, GrowsPastItsFirstCapacityKeepingEveryKey) {
+  // Agrees with std::set on a seeded stream with repeats, across several
+  // doublings, up to the largest key (kNoPeer - 1).
+  FlatU32Set set;
+  std::set<std::uint32_t> reference;
+  Rng rng{11};
+  const std::uint32_t top = kNoPeer.value() - 1;
+  for (int i = 0; i < 5000; ++i) {
+    std::uint32_t key = static_cast<std::uint32_t>(rng.index(3000));
+    if (i % 3 == 0) key = top - key;  // keys near the top of the range
+    ASSERT_EQ(set.insert(key), reference.insert(key).second) << "key " << key;
+  }
+  ASSERT_GT(reference.size(), 16 * FlatU32Set::kFirstCapacity);
+  for (const std::uint32_t key : reference) EXPECT_FALSE(set.insert(key));
+  EXPECT_TRUE(set.insert(top - 4000));
+  EXPECT_FALSE(set.insert(top));
 }
 
 TEST(AllocStats, NothrowNewIsCountedAndFreed) {

@@ -1,6 +1,10 @@
 // Unit tests for the shared per-peer data store.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "common/alloc_stats.hpp"
 #include "common/rng.hpp"
 #include "proto/data_store.hpp"
 
@@ -156,6 +160,61 @@ TEST(DataStore, ContainsAndIdsInArc) {
   EXPECT_EQ(digest[0].value(), 10u);  // sorted by id
   EXPECT_EQ(digest[1].value(), kRingSize - 5);
   EXPECT_TRUE(store.ids_in_arc(PeerId{30}, PeerId{40}).empty());
+}
+
+/// Keys in the order the store enumerates them.
+std::vector<std::string> keys_of(const DataStore& store) {
+  std::vector<std::string> keys;
+  store.for_each([&](const DataItem& item) { keys.push_back(item.key); });
+  return keys;
+}
+std::vector<std::string> keys_of(const std::vector<DataItem>& items) {
+  std::vector<std::string> keys;
+  for (const DataItem& item : items) keys.push_back(item.key);
+  return keys;
+}
+
+TEST(DataStore, ChainedIdsKeepInsertionOrderEverywhere) {
+  // Items enumerate by id, then in insertion order within an id, through
+  // every reader and extractor.  The inserts interleave the ids.
+  DataStore store;
+  store.insert(DataItem{DataId{20}, "b1", 0, kNoPeer});
+  store.insert(DataItem{DataId{10}, "a1", 0, kNoPeer});
+  store.insert(DataItem{DataId{20}, "b2", 0, kNoPeer});
+  store.insert(DataItem{DataId{30}, "c1", 0, kNoPeer});
+  store.insert(DataItem{DataId{10}, "a2", 0, kNoPeer});
+  store.insert(DataItem{DataId{20}, "b3", 0, kNoPeer});
+  const std::vector<std::string> all{"a1", "a2", "b1", "b2", "b3", "c1"};
+  EXPECT_EQ(keys_of(store), all);
+  EXPECT_EQ(store.find(DataId{20})->key, "b1");
+  EXPECT_FALSE(store.merge(DataItem{DataId{20}, "b2", 0, kNoPeer}));
+  EXPECT_EQ(keys_of(store), all);
+  EXPECT_EQ(store.ids_in_arc(PeerId{5}, PeerId{25}),
+            (std::vector<DataId>{DataId{10}, DataId{20}}));
+
+  // A wrapping arc takes the low ids, then the high ones, chains intact.
+  const auto moved = store.extract_arc(PeerId{25}, PeerId{15});
+  EXPECT_EQ(keys_of(moved), (std::vector<std::string>{"a1", "a2", "c1"}));
+  EXPECT_EQ(keys_of(store), (std::vector<std::string>{"b1", "b2", "b3"}));
+  store.insert(DataItem{DataId{20}, "b4", 0, kNoPeer});
+  const auto rest = store.extract_all();
+  EXPECT_EQ(keys_of(rest), (std::vector<std::string>{"b1", "b2", "b3", "b4"}));
+  EXPECT_TRUE(store.empty());
+}
+
+TEST(DataStore, ExtractArcMatchingNothingAllocatesNothing) {
+  // The settled heartbeat's re-home check extracts the foreign arc of a
+  // store that holds none: it must neither allocate nor disturb the store.
+  DataStore store;
+  for (std::uint64_t id = 100; id < 110; ++id) {
+    store.insert(DataItem{DataId{id}, "k" + std::to_string(id), 0, kNoPeer});
+  }
+  const std::vector<std::string> before = keys_of(store);
+  const std::uint64_t allocs = alloc_stats::allocation_count();
+  const auto moved = store.extract_arc(PeerId{200}, PeerId{50});
+  EXPECT_EQ(alloc_stats::allocation_count(), allocs);
+  EXPECT_TRUE(moved.empty());
+  EXPECT_EQ(keys_of(store), before);
 }
 
 }  // namespace

@@ -556,6 +556,64 @@ TEST(UnderlayConstruction, ComposedTablesEqualWholeGraphAt3040Hosts) {
   expect_composed_tables_equal_whole_graph(3040);
 }
 
+/// The locator query (the transport's per-hop path) equals latency() for
+/// every pair: a cold same-domain pair reads nullopt, as built_latency()
+/// does, and answers once latency() has built the domain's table.
+void expect_locator_latency_equals_latency(const Underlay& u, HostIndex a,
+                                           HostIndex b) {
+  const Underlay::Locator la = u.locate(a);
+  const Underlay::Locator lb = u.locate(b);
+  ASSERT_EQ(u.built_latency(a, la, b, lb).has_value(),
+            u.built_latency(a, b).has_value())
+      << "pair (" << a << ", " << b << ")";
+  const sim::SimTime reference = u.latency(a, b);
+  const auto located = u.built_latency(a, la, b, lb);
+  ASSERT_TRUE(located.has_value()) << "pair (" << a << ", " << b << ")";
+  ASSERT_EQ(*located, reference) << "pair (" << a << ", " << b << ")";
+}
+
+TEST(UnderlayLocator, EveryPairOfThePinnedTopologiesMatchesLatency) {
+  for (const std::uint32_t hosts : {64u, 448u, 1024u, 3040u}) {
+    const auto params = TransitStubParams::for_total_nodes(hosts);
+    for (const std::uint64_t seed : {42u, 7u, 1234u}) {
+      Rng topo_rng = Rng{seed}.fork(1);
+      Rng cap{seed};
+      const Underlay u{generate_transit_stub(params, topo_rng), cap};
+      for (std::uint32_t a = 0; a < u.num_hosts(); ++a) {
+        const Underlay::Locator la = u.locate(HostIndex{a});
+        const bool core = a < u.topology().num_transit_nodes;
+        EXPECT_EQ(la.domain == Underlay::kCoreDomain, core) << "host " << a;
+        if (core) {
+          EXPECT_EQ(la.anchor, a);
+          EXPECT_EQ(la.uplink_us, 0u);
+        }
+        for (std::uint32_t b = 0; b < u.num_hosts(); ++b) {
+          expect_locator_latency_equals_latency(u, HostIndex{a}, HostIndex{b});
+          if (HasFatalFailure()) {
+            FAIL() << hosts << " hosts, seed " << seed;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(UnderlayLocator, SampledPairsAtOneHundredThousandHostsMatchLatency) {
+  Rng topo_rng = Rng{42}.fork(1);
+  Rng cap{42};
+  const Underlay u{generate_transit_stub(
+                       TransitStubParams::for_total_nodes(100'000), topo_rng),
+                   cap};
+  ASSERT_GE(u.num_hosts(), 100'000u);
+  Rng pick{9};
+  for (int i = 0; i < 100'000; ++i) {
+    const HostIndex a{static_cast<std::uint32_t>(pick.index(u.num_hosts()))};
+    const HostIndex b{static_cast<std::uint32_t>(pick.index(u.num_hosts()))};
+    expect_locator_latency_equals_latency(u, a, b);
+    if (HasFatalFailure()) FAIL() << "sample " << i;
+  }
+}
+
 TEST(UnderlayConstruction, HarnessRoutingTablesArePinned) {
   // Which of several equal-latency paths a pair takes depends on the tie
   // rule: settle in (distance, id) order, relax on strict improvement.  Any

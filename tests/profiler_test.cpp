@@ -98,6 +98,34 @@ TEST(Profiler, NestedScopesSplitSelfTimeByInnermostComponent) {
   EXPECT_LE(prof.attributed_ns(), prof.dispatch_ns_total());
 }
 
+TEST(Profiler, ScopeNamingTheCurrentComponentOpensNoFrame) {
+  sim::Simulator sim;
+  Profiler prof;
+  sim.add_observer(&prof);
+
+  // A flood handler scoping kFlood inside its own kFlood event: the scope
+  // keeps the tag and opens nothing, so the event is one frame, and what
+  // the handler schedules still runs as kFlood.
+  {
+    ComponentScope scope{sim, Component::kFlood};
+    sim.schedule_at(SimTime::millis(1), [&sim] {
+      ComponentScope same{sim, Component::kFlood};
+      EXPECT_EQ(sim.current_component(), Component::kFlood);
+      {
+        ComponentScope nested_same{sim, Component::kFlood};
+        sim.schedule_after(SimTime::millis(1), [] {});
+      }
+      EXPECT_EQ(sim.current_component(), Component::kFlood);
+    });
+  }
+  sim.run();
+
+  // The scheduling scope plus two dispatches; neither inner scope counts.
+  EXPECT_EQ(prof.component_total(Component::kFlood).enters, 1u + 2u);
+  EXPECT_EQ(sim.current_component(), Component::kKernel);
+  EXPECT_LE(prof.attributed_ns(), prof.dispatch_ns_total());
+}
+
 TEST(Profiler, MessageClassesAccrueCountsAndBytes) {
   sim::Simulator sim;
   Profiler prof;
@@ -134,11 +162,12 @@ TEST(Profiler, DepthOverflowFoldsIntoAncestorWithoutCorruption) {
 
   sim.schedule_at(SimTime::millis(1), [&sim] {
     // 1 dispatch frame + 20 nested scopes blows past kMaxDepth = 16; the
-    // excess folds into the ancestor and must unwind cleanly.
+    // excess folds into the ancestor and must unwind cleanly.  The scopes
+    // alternate: one naming the current component opens no frame.
     std::vector<std::unique_ptr<ComponentScope>> scopes;
     for (int i = 0; i < 20; ++i) {
-      scopes.push_back(
-          std::make_unique<ComponentScope>(sim, Component::kRing));
+      scopes.push_back(std::make_unique<ComponentScope>(
+          sim, i % 2 == 0 ? Component::kRing : Component::kFlood));
     }
   });
   sim.run();
@@ -159,18 +188,22 @@ TEST(Profiler, PathsPastTheTableFoldIntoTheOverflowBucket) {
   Profiler prof;
   sim.add_observer(&prof);
 
-  // Two depth-1 components, each with every two-level nesting below it:
-  // 2 * (13 + 169) distinct paths, more than kMaxPaths holds.
-  static_assert(2 * (sim::kNumComponents +
-                     sim::kNumComponents * sim::kNumComponents) >
-                Profiler::kMaxPaths);
+  // Two depth-1 components, each with every two-level nesting below it
+  // whose levels alternate (a scope naming the current component opens no
+  // frame): 2 * (12 + 12 * 12) distinct paths, more than kMaxPaths holds.
+  constexpr std::uint64_t kN = sim::kNumComponents;
+  static_assert(2 * ((kN - 1) + (kN - 1) * (kN - 1)) > Profiler::kMaxPaths);
   for (const Component top : {Component::kRing, Component::kFlood}) {
     ComponentScope scope{sim, top};
-    sim.schedule_at(SimTime::millis(1), [&sim] {
-      for (std::size_t a = 0; a < sim::kNumComponents; ++a) {
-        for (std::size_t b = 0; b < sim::kNumComponents; ++b) {
-          ComponentScope outer{sim, static_cast<Component>(a)};
-          ComponentScope inner{sim, static_cast<Component>(b)};
+    sim.schedule_at(SimTime::millis(1), [&sim, top] {
+      for (std::size_t a = 0; a < kN; ++a) {
+        const auto outer_c = static_cast<Component>(a);
+        if (outer_c == top) continue;
+        for (std::size_t b = 0; b < kN; ++b) {
+          const auto inner_c = static_cast<Component>(b);
+          if (inner_c == outer_c) continue;
+          ComponentScope outer{sim, outer_c};
+          ComponentScope inner{sim, inner_c};
         }
       }
     });
@@ -181,13 +214,12 @@ TEST(Profiler, PathsPastTheTableFoldIntoTheOverflowBucket) {
   // Folded or not, every frame is counted once: 2 scheduling scopes,
   // 4 kernel frames (each schedule grows the empty slot arena and heap,
   // and the kernel charges its own growth), 2 dispatches and
-  // 2 * 13 * 13 * 2 nested scopes (13 components).
+  // 2 * 12 * 12 * 2 nested scopes (13 components).
   std::uint64_t enters = 0;
-  for (std::size_t c = 0; c < sim::kNumComponents; ++c) {
+  for (std::size_t c = 0; c < kN; ++c) {
     enters += prof.component_total(static_cast<Component>(c)).enters;
   }
-  constexpr std::uint64_t kN = sim::kNumComponents;
-  EXPECT_EQ(enters, 2u + 4u + 2u + 2u * kN * kN * 2u);
+  EXPECT_EQ(enters, 2u + 4u + 2u + 2u * (kN - 1) * (kN - 1) * 2u);
   EXPECT_LE(prof.attributed_ns(), prof.dispatch_ns_total());
 }
 

@@ -81,6 +81,25 @@ TEST_F(OverlayNetworkTest, TransmissionDelayAddsWhenEnabled) {
             underlay_->latency(HostIndex{0}, HostIndex{50}));
 }
 
+TEST_F(OverlayNetworkTest, HopLatencyEqualsUnderlayLatencyOfTheHosts) {
+  // hop_latency() answers from the two peers' Endpoint records; it must
+  // equal the underlay's latency between their hosts for every pair,
+  // same-domain pairs (whose tables it builds) and core hosts included.
+  auto net = make_network();
+  const std::uint32_t hosts = underlay_->num_hosts();
+  for (std::uint32_t h = 0; h < hosts; ++h) (void)net.add_peer(HostIndex{h});
+  (void)net.add_peer(HostIndex{hosts - 1});  // two peers on one host
+  for (std::uint32_t a = 0; a < net.num_peers(); ++a) {
+    for (std::uint32_t b = 0; b < net.num_peers(); ++b) {
+      const PeerIndex pa{a};
+      const PeerIndex pb{b};
+      ASSERT_EQ(net.hop_latency(pa, pb, kQueryBytes),
+                underlay_->latency(net.host_of(pa), net.host_of(pb)))
+          << "peers (" << a << ", " << b << ")";
+    }
+  }
+}
+
 TEST_F(OverlayNetworkTest, DeadReceiverDropsAtDeliveryTime) {
   auto net = make_network();
   const PeerIndex a = net.add_peer(HostIndex{0});

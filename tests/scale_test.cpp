@@ -420,10 +420,34 @@ TEST(Scale, ChurnRungAllocationsStayWithinMeasuredCounts) {
   const std::uint64_t ring = prof.component_total(sim::Component::kRing).allocs;
   const std::uint64_t replication =
       prof.component_total(sim::Component::kReplication).allocs;
-  EXPECT_LE(membership, 5'652u);
-  EXPECT_LE(flood, 1'636u);
-  EXPECT_LE(ring, 1'091u);
-  EXPECT_LE(replication, 1'180u);
+  const std::uint64_t data = prof.component_total(sim::Component::kData).allocs;
+  EXPECT_LE(membership, 5'607u);
+  EXPECT_LE(flood, 6u);
+  EXPECT_LE(ring, 148u);
+  EXPECT_LE(replication, 1'049u);
+  EXPECT_LE(data, 2'294u);
+}
+
+TEST(Scale, QuietRungAllocationsStayWithinMeasuredCounts) {
+  // The quiet path at 20,000 peers (bench_scale's top default rung): joins,
+  // stores and finger lookups whose floods cover s-networks of ~100 peers.
+  // A lookup's flood dedups through one flat visited set, which allocates
+  // in the flood only when the lookup contacts more than 32 peers, and a
+  // peer keeps its items in one vector.  Each bound is the count measured
+  // when it was set.
+  auto cfg = profiled_rung_config();
+  stats::Profiler prof;
+  cfg.profiler = &prof;
+  const RunResult r = run_hybrid_experiment(cfg);
+  if (r.audit_runs != 0) {
+    GTEST_SKIP() << "the bounds were measured without the overlay auditor";
+  }
+  ASSERT_EQ(r.joins_completed, 20'000u);
+  ASSERT_EQ(r.sim_stats.events_executed, 237'314u) << "the rung's shape moved";
+  EXPECT_LE(prof.component_total(sim::Component::kFlood).allocs, 492u);
+  EXPECT_LE(prof.component_total(sim::Component::kData).allocs, 3'094u);
+  EXPECT_LE(prof.component_total(sim::Component::kMembership).allocs,
+            41'348u);
 }
 
 TEST(Scale, PaperScaleDigestIsPinned) {
