@@ -39,20 +39,27 @@ inline std::uint64_t usable_size(void* p, std::size_t requested) {
 #endif
 }
 
-/// Returns nullptr when malloc fails.
-void* counted_alloc(std::size_t size) noexcept {
+/// Returns nullptr when malloc fails.  `align` 0 means the default
+/// alignment; an over-aligned new passes its power of two.
+void* counted_alloc(std::size_t size,
+                    std::align_val_t align = std::align_val_t{0}) noexcept {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   g_alloc_bytes.fetch_add(static_cast<std::uint64_t>(size),
                           std::memory_order_relaxed);
-  void* p = std::malloc(size > 0 ? size : 1);
+  if (size == 0) size = 1;
+  const auto a = static_cast<std::size_t>(align);
+  // aligned_alloc wants a size that is a multiple of the alignment.
+  void* p = a == 0 ? std::malloc(size)
+                   : std::aligned_alloc(a, (size + a - 1) & ~(a - 1));
   if (p != nullptr) {
     g_live_bytes.fetch_add(usable_size(p, size), std::memory_order_relaxed);
   }
   return p;
 }
 
-void* counted_alloc_or_throw(std::size_t size) {
-  if (void* p = counted_alloc(size)) return p;
+void* counted_alloc_or_throw(std::size_t size,
+                             std::align_val_t align = std::align_val_t{0}) {
+  if (void* p = counted_alloc(size, align)) return p;
   throw std::bad_alloc{};
 }
 
@@ -66,26 +73,52 @@ void counted_free(void* p, std::size_t requested) {
 }  // namespace
 
 // The nothrow forms are replaced too (std::stable_sort's temporary buffer
-// uses them): every allocation and free must go through one allocator.
-void* operator new(std::size_t size) { return counted_alloc_or_throw(size); }
-void* operator new[](std::size_t size) { return counted_alloc_or_throw(size); }
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  return counted_alloc(size);
+// uses them), and so are the over-aligned ones (types declared alignas(N)
+// past the default new alignment): every allocation and free must go
+// through one allocator.  aligned_alloc's blocks are released by free().
+using std::align_val_t;
+using std::nothrow_t;
+using std::size_t;
+
+void* operator new(size_t n) { return counted_alloc_or_throw(n); }
+void* operator new[](size_t n) { return counted_alloc_or_throw(n); }
+void* operator new(size_t n, const nothrow_t&) noexcept {
+  return counted_alloc(n);
 }
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  return counted_alloc(size);
+void* operator new[](size_t n, const nothrow_t&) noexcept {
+  return counted_alloc(n);
+}
+void* operator new(size_t n, align_val_t a) {
+  return counted_alloc_or_throw(n, a);
+}
+void* operator new[](size_t n, align_val_t a) {
+  return counted_alloc_or_throw(n, a);
+}
+void* operator new(size_t n, align_val_t a, const nothrow_t&) noexcept {
+  return counted_alloc(n, a);
+}
+void* operator new[](size_t n, align_val_t a, const nothrow_t&) noexcept {
+  return counted_alloc(n, a);
 }
 void operator delete(void* p) noexcept { counted_free(p, 0); }
 void operator delete[](void* p) noexcept { counted_free(p, 0); }
-void operator delete(void* p, const std::nothrow_t&) noexcept {
+void operator delete(void* p, const nothrow_t&) noexcept { counted_free(p, 0); }
+void operator delete[](void* p, const nothrow_t&) noexcept {
   counted_free(p, 0);
 }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
+void operator delete(void* p, size_t n) noexcept { counted_free(p, n); }
+void operator delete[](void* p, size_t n) noexcept { counted_free(p, n); }
+void operator delete(void* p, align_val_t) noexcept { counted_free(p, 0); }
+void operator delete[](void* p, align_val_t) noexcept { counted_free(p, 0); }
+void operator delete(void* p, align_val_t, const nothrow_t&) noexcept {
   counted_free(p, 0);
 }
-void operator delete(void* p, std::size_t size) noexcept {
-  counted_free(p, size);
+void operator delete[](void* p, align_val_t, const nothrow_t&) noexcept {
+  counted_free(p, 0);
 }
-void operator delete[](void* p, std::size_t size) noexcept {
-  counted_free(p, size);
+void operator delete(void* p, size_t n, align_val_t) noexcept {
+  counted_free(p, n);
+}
+void operator delete[](void* p, size_t n, align_val_t) noexcept {
+  counted_free(p, n);
 }

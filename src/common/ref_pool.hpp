@@ -9,10 +9,15 @@
 // reusable capacity) and returns to the free list.  Once the pool has grown
 // to the high-water mark of concurrent requests, routing allocates nothing.
 //
+// Records are allocated kChunk at a time, so a pool that grows to n
+// records costs n / kChunk allocations, not n, and holds fewer than kChunk
+// records beyond its high-water mark: a handshake whose closures used to
+// fit inline pays no more for its record than it did.
+//
 // Handles may outlive the pool: the event queue that holds message closures
 // is normally destroyed after the protocol object that owns the pool.  The
-// destructor therefore hands each still-referenced record over to its
-// handles, and the last of them deletes it.
+// chunks therefore live in a store that the pool hands over to the
+// outstanding handles when it goes, and the last of them deletes it.
 //
 // Single-threaded, like the simulator whose events carry the handles.
 #pragma once
@@ -27,10 +32,29 @@ namespace hp2p {
 
 template <typename T>
 class RefPool {
+  struct Store;
   struct Node {
     T value{};
     std::uint32_t refs = 0;
-    RefPool* pool = nullptr;  // nullptr once the pool is gone
+    Store* store = nullptr;
+    Node* next_free = nullptr;  // while on the free list
+  };
+  /// Every record of the pool, in chunks, and the free list through them.
+  struct Store {
+    std::vector<std::unique_ptr<Node[]>> chunks;
+    Node* free = nullptr;   // unreferenced records, ready for acquire()
+    std::size_t live = 0;   // records referenced by a handle
+    bool orphaned = false;  // the pool is gone; the last release deletes
+
+    void recycle(Node* node) noexcept {
+      --live;
+      if (orphaned) {
+        if (live == 0) delete this;
+        return;
+      }
+      node->value.clear();
+      node->next_free = std::exchange(free, node);
+    }
   };
 
  public:
@@ -60,12 +84,7 @@ class RefPool {
 
     void release() noexcept {
       Node* node = std::exchange(node_, nullptr);
-      if (node == nullptr || --node->refs != 0) return;
-      if (node->pool != nullptr) {
-        node->pool->recycle(node);
-      } else {
-        delete node;
-      }
+      if (node != nullptr && --node->refs == 0) node->store->recycle(node);
     }
 
     Node* node_ = nullptr;
@@ -76,47 +95,44 @@ class RefPool {
   RefPool& operator=(const RefPool&) = delete;
 
   ~RefPool() {
-    for (Node* node : nodes_) {
-      if (node->refs == 0) {
-        delete node;
-      } else {
-        node->pool = nullptr;  // the last handle deletes it
-      }
+    if (store_ == nullptr) return;
+    if (store_->live == 0) {
+      delete store_;
+    } else {
+      store_->orphaned = true;
     }
   }
 
   /// A record no other handle references, cleared by its previous release
   /// (or value-initialized when the pool had to grow).
   [[nodiscard]] Ref acquire() {
-    Node* node;
-    if (free_.empty()) {
-      auto fresh = std::make_unique<Node>();
-      fresh->pool = this;
-      nodes_.push_back(fresh.get());
-      // recycle() runs inside noexcept release(): it must never grow free_.
-      free_.reserve(nodes_.size());
-      node = fresh.release();
-    } else {
-      node = free_.back();
-      free_.pop_back();
-    }
-    ++live_;
+    if (store_ == nullptr) store_ = new Store;
+    if (store_->free == nullptr) grow();
+    Node* node = std::exchange(store_->free, store_->free->next_free);
+    ++store_->live;
     return Ref{node};
   }
 
   /// Records currently referenced by at least one handle.
-  [[nodiscard]] std::size_t live() const { return live_; }
-
- private:
-  void recycle(Node* node) {
-    node->value.clear();
-    free_.push_back(node);
-    --live_;
+  [[nodiscard]] std::size_t live() const {
+    return store_ == nullptr ? 0 : store_->live;
   }
 
-  std::vector<Node*> nodes_;  // every record this pool owns
-  std::vector<Node*> free_;   // unreferenced records, ready for acquire()
-  std::size_t live_ = 0;
+ private:
+  static constexpr std::size_t kChunk = 8;
+
+  void grow() {
+    Store& s = *store_;
+    auto chunk = std::make_unique<Node[]>(kChunk);
+    // Linked in reverse, so records are handed out in chunk order.
+    for (std::size_t i = kChunk; i-- > 0;) {
+      chunk[i].store = &s;
+      chunk[i].next_free = std::exchange(s.free, &chunk[i]);
+    }
+    s.chunks.push_back(std::move(chunk));
+  }
+
+  Store* store_ = nullptr;  // created on first acquire()
 };
 
 }  // namespace hp2p

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <limits>
 #include <memory>
+#include <utility>
 
 #include "hybrid/hybrid_system.hpp"
 
@@ -212,11 +213,21 @@ PeerIndex HybridSystem::server_pick_snetwork(PeerIndex joiner) {
 
 // --- Peer admission -----------------------------------------------------------
 
+HybridSystem::JoinRef HybridSystem::new_join(PeerIndex joiner,
+                                             std::uint32_t hops) {
+  JoinRef j = joins_.acquire();
+  j->joiner = joiner;
+  j->hops = hops;
+  j->started = sim_.now();
+  return j;
+}
+
 PeerIndex HybridSystem::add_peer(HostIndex host, JoinCallback done) {
-  return admit_peer(
-      host, std::nullopt,
-      static_cast<std::uint32_t>(rng_.index(params_.num_interests)),
-      std::move(done));
+  const auto interest =
+      static_cast<std::uint32_t>(rng_.index(params_.num_interests));
+  JoinRef j = new_join(kNoPeer);
+  j->done = std::move(done);
+  return admit_peer(host, std::nullopt, interest, std::move(j));
 }
 
 PeerIndex HybridSystem::add_peer_with_role(HostIndex host, Role role,
@@ -230,11 +241,13 @@ PeerIndex HybridSystem::add_peer_with_role(HostIndex host, Role role,
 PeerIndex HybridSystem::add_peer_with_interest(HostIndex host, Role role,
                                                std::uint32_t interest,
                                                JoinCallback done) {
-  return admit_peer(host, role, interest, std::move(done));
+  JoinRef j = new_join(kNoPeer);
+  j->done = std::move(done);
+  return admit_peer(host, role, interest, std::move(j));
 }
 
 PeerIndex HybridSystem::admit_peer(HostIndex host, std::optional<Role> forced,
-                                   std::uint32_t interest, JoinCallback done) {
+                                   std::uint32_t interest, JoinRef j) {
   sim::ComponentScope prof{sim_, sim::Component::kMembership};
   // Pre-register the endpoint; the request message then travels to the
   // server, which settles the role.
@@ -245,21 +258,20 @@ PeerIndex HybridSystem::admit_peer(HostIndex host, std::optional<Role> forced,
   p.role = forced.value_or(Role::kSPeer);
   p.interest = interest;
   peers_.push_back(std::move(p));
+  j->joiner = i;
 
-  const sim::SimTime started = sim_.now();
   net_.send(i, server_, TrafficClass::kControl, proto::kControlBytes,
-            [this, i, host, forced, started, done = std::move(done)]() mutable {
+            [this, host, forced, j = std::move(j)] {
               // Someone must seed the ring; past that a forced role stands
               // and the server picks the rest.
               const Role role = registry_.empty() ? Role::kTPeer
                                 : forced          ? *forced
                                                   : server_pick_role(host);
-              peer(i).role = role;
+              peer(j->joiner).role = role;
               if (role == Role::kTPeer) {
-                start_tpeer_join(i, started, std::move(done));
+                start_tpeer_join(j);
               } else {
-                start_speer_join(i, server_pick_snetwork(i), started,
-                                 std::move(done));
+                start_speer_join(server_pick_snetwork(j->joiner), j);
               }
             });
   return i;
@@ -267,8 +279,8 @@ PeerIndex HybridSystem::admit_peer(HostIndex host, std::optional<Role> forced,
 
 // --- T-peer join (Sections 3.2.1 and 3.3) ---------------------------------------
 
-void HybridSystem::start_tpeer_join(PeerIndex joiner, sim::SimTime started,
-                                    JoinCallback done) {
+void HybridSystem::start_tpeer_join(const JoinRef& j) {
+  const PeerIndex joiner = j->joiner;
   Peer& n = peer(joiner);
   n.pid = server_generate_pid();
   n.ring = std::make_unique<RingState>();
@@ -283,11 +295,13 @@ void HybridSystem::start_tpeer_join(PeerIndex joiner, sim::SimTime started,
     set_snetwork_size(joiner, 0);
     // Server informs the peer it is the seed (one reply message).
     net_.send(server_, joiner, TrafficClass::kControl, proto::kControlBytes,
-              [this, joiner, started, done = std::move(done)] {
-                peer(joiner).joined = true;
+              [this, j] {
+                peer(j->joiner).joined = true;
                 membership_changed();
-                if (failure_detection_) heartbeat_tick(joiner);
-                if (done) done(proto::JoinResult{sim_.now() - started, 1});
+                if (failure_detection_) heartbeat_tick(j->joiner);
+                if (j->done) {
+                  j->done(proto::JoinResult{sim_.now() - j->started, 1});
+                }
               });
     return;
   }
@@ -296,40 +310,42 @@ void HybridSystem::start_tpeer_join(PeerIndex joiner, sim::SimTime started,
   // Server replies with the bootstrap address; joiner sends the join
   // request to it; the request walks the ring.
   net_.send(server_, joiner, TrafficClass::kControl, proto::kControlBytes,
-            [this, joiner, bootstrap, started, done = std::move(done)]() mutable {
-              net_.send(joiner, bootstrap, TrafficClass::kControl,
-                        proto::kControlBytes,
-                        [this, bootstrap, joiner, started,
-                         done = std::move(done)]() mutable {
-                          route_tjoin(bootstrap, joiner, 1, started,
-                                      std::move(done));
+            [this, bootstrap, j] {
+              net_.send(j->joiner, bootstrap, TrafficClass::kControl,
+                        proto::kControlBytes, [this, bootstrap, j] {
+                          j->hops = 1;
+                          route_tjoin(bootstrap, j);
                         });
             });
 }
 
-void HybridSystem::route_tjoin(PeerIndex at, PeerIndex joiner,
-                               std::uint32_t hops, sim::SimTime started,
-                               JoinCallback done) {
+void HybridSystem::route_tjoin(PeerIndex at, const JoinRef& j) {
   Peer& here = peer(at);
   if (!here.joined || here.role != Role::kTPeer) {
     // The walk hit a peer that just left; restart from the server's view.
     const PeerIndex retry = server_random_tpeer();
     if (retry == kNoPeer) return;
     net_.send(at, retry, TrafficClass::kControl, proto::kControlBytes,
-              [this, retry, joiner, hops, started, done = std::move(done)]() mutable {
-                route_tjoin(retry, joiner, hops + 1, started, std::move(done));
+              [this, retry, j] {
+                ++j->hops;
+                route_tjoin(retry, j);
               });
     return;
   }
-  const RingState& r = ring(here);
-  const std::uint64_t target = peer(joiner).pid.value();
+  RingState& r = ring(here);
+  const std::uint64_t target = peer(j->joiner).pid.value();
   // `at` is the insertion predecessor when the target lies in
   // (at, at.successor]; equality with the successor id is the conflict case
   // resolved inside the triangle.
   if (r.successor.peer == at ||
       ring::in_arc_open_closed(target, here.pid.value(),
                                r.successor.id.value())) {
-    tjoin_at_pre(at, PendingJoin{joiner, hops, started, std::move(done)});
+    if (r.joining_mutex || here.leaving_mutex) {
+      // Section 3.3: serialize -- queue behind the in-flight operation.
+      r.pending_joins.push_back(j);
+    } else {
+      run_join_triangle(at, j);
+    }
     return;
   }
   PeerIndex next = r.successor.peer;
@@ -338,26 +354,17 @@ void HybridSystem::route_tjoin(PeerIndex at, PeerIndex joiner,
     if (f.node != kNoPeer && f.node != at) next = f.node;
   }
   net_.send(at, next, TrafficClass::kControl, proto::kControlBytes,
-            [this, next, joiner, hops, started, done = std::move(done)]() mutable {
-              route_tjoin(next, joiner, hops + 1, started, std::move(done));
+            [this, next, j] {
+              ++j->hops;
+              route_tjoin(next, j);
             });
 }
 
-void HybridSystem::tjoin_at_pre(PeerIndex pre, PendingJoin req) {
-  Peer& p = peer(pre);
-  if (ring(p).joining_mutex || p.leaving_mutex) {
-    // Section 3.3: serialize -- queue behind the in-flight operation.
-    ring(p).pending_joins.push_back(std::move(req));
-    return;
-  }
-  run_join_triangle(pre, std::move(req));
-}
-
-void HybridSystem::run_join_triangle(PeerIndex pre, PendingJoin req) {
+void HybridSystem::run_join_triangle(PeerIndex pre, const JoinRef& j) {
   Peer& p = peer(pre);
   RingState& pr = ring(p);
   pr.joining_mutex = true;
-  Peer& n = peer(req.joiner);
+  Peer& n = peer(j->joiner);
 
   // Id-conflict resolution (pre.check of Table 1): midpoint of the arc.
   if (n.pid == p.pid || n.pid == pr.successor.id) {
@@ -368,25 +375,24 @@ void HybridSystem::run_join_triangle(PeerIndex pre, PendingJoin req) {
       pr.joining_mutex = false;
       n.pid = server_generate_pid();
       ring(n).fingers.init(n.pid);
-      route_tjoin(pre, req.joiner, req.hops, req.started, std::move(req.done));
+      route_tjoin(pre, j);
       return;
     }
   }
 
   const RingLink suc_link = pr.successor;
-  const PeerIndex joiner = req.joiner;
+  const PeerIndex joiner = j->joiner;
 
   // Join triangle (Fig. 2): pre -> new (successor address), new -> suc
   // (adopt me as predecessor), suc -> pre (ack; pre flips its successor).
   net_.send(pre, joiner, TrafficClass::kControl, proto::kControlBytes,
-            [this, pre, joiner, suc_link,
-             req = std::make_shared<PendingJoin>(std::move(req))]() mutable {
+            [this, pre, joiner, suc_link, j] {
     RingState& jr = ring(peer(joiner));
     jr.successor = suc_link;
     jr.predecessor = link_to(pre);
     const PeerIndex suc = suc_link.peer;
     net_.send(joiner, suc, TrafficClass::kControl, proto::kControlBytes,
-              [this, pre, joiner, suc, req] {
+              [this, pre, joiner, suc, j] {
       Peer& s = peer(suc);
       const PeerId old_pred_id = ring_view(s).predecessor.id;
       set_link(s, &RingState::predecessor, link_to(joiner));
@@ -396,18 +402,10 @@ void HybridSystem::run_join_triangle(PeerIndex pre, PendingJoin req) {
       const PeerId lo = old_pred_id;
       const PeerId hi = peer(joiner).pid;
       for (PeerIndex member : snetwork_members(suc)) {
-        auto items = peer(member).store.extract_arc(lo, hi);
-        if (items.empty()) continue;
-        net_.send(member, joiner, TrafficClass::kData,
-                  proto::kDataBytes * static_cast<std::uint32_t>(items.size()),
-                  [this, joiner, items = std::move(items)]() mutable {
-                    for (auto& item : items) {
-                      insert_or_rehome(joiner, std::move(item));
-                    }
-                  });
+        send_items(member, joiner, peer(member).store.extract_arc(lo, hi));
       }
       net_.send(suc, pre, TrafficClass::kControl, proto::kControlBytes,
-                [this, pre, joiner, req] {
+                [this, pre, joiner, j] {
         Peer& pp = peer(pre);
         Peer& nn2 = peer(joiner);
         ring(pp).successor = link_to(joiner);
@@ -419,8 +417,8 @@ void HybridSystem::run_join_triangle(PeerIndex pre, PendingJoin req) {
         // The joiner carved a segment out of its successor's: rebuild the
         // replica sets on both sides of the new boundary.
         trigger_re_replication(joiner);
-        if (req->done) {
-          req->done(proto::JoinResult{sim_.now() - req->started, req->hops});
+        if (j->done) {
+          j->done(proto::JoinResult{sim_.now() - j->started, j->hops});
         }
         ring(pp).joining_mutex = false;
         process_pending_joins(pre);
@@ -437,27 +435,21 @@ void HybridSystem::process_pending_joins(PeerIndex pre) {
   // belong to a different arc (another peer was inserted meanwhile), and a
   // request that re-routes away must not strand the ones behind it.  A
   // request that still belongs here starts a triangle and the rest re-queue.
-  std::vector<PendingJoin> drained = std::exchange(ring(p).pending_joins, {});
-  for (auto& next : drained) {
-    route_tjoin(pre, next.joiner, next.hops, next.started,
-                std::move(next.done));
-  }
+  const std::vector<JoinRef> drained = std::exchange(ring(p).pending_joins, {});
+  for (const JoinRef& next : drained) route_tjoin(pre, next);
 }
 
 // --- S-peer join (Section 3.2.2) -------------------------------------------------
 
-void HybridSystem::start_speer_join(PeerIndex joiner, PeerIndex target_tpeer,
-                                    sim::SimTime started, JoinCallback done) {
+void HybridSystem::start_speer_join(PeerIndex target_tpeer, const JoinRef& j) {
   if (target_tpeer == kNoPeer) return;  // no s-network exists (ps misuse)
   // Server reply (t-peer address), then the join request enters the tree.
-  net_.send(server_, joiner, TrafficClass::kControl, proto::kControlBytes,
-            [this, joiner, target_tpeer, started, done = std::move(done)]() mutable {
-              net_.send(joiner, target_tpeer, TrafficClass::kControl,
-                        proto::kControlBytes,
-                        [this, target_tpeer, joiner, started,
-                         done = std::move(done)]() mutable {
-                          descend_sjoin(target_tpeer, joiner, 1, started,
-                                        std::move(done));
+  net_.send(server_, j->joiner, TrafficClass::kControl, proto::kControlBytes,
+            [this, target_tpeer, j] {
+              net_.send(j->joiner, target_tpeer, TrafficClass::kControl,
+                        proto::kControlBytes, [this, target_tpeer, j] {
+                          j->hops = 1;
+                          descend_sjoin(target_tpeer, j);
                         });
             });
 }
@@ -494,14 +486,12 @@ bool HybridSystem::accepts_child(const Peer& p) const {
   return tree_degree(p) < limit;
 }
 
-void HybridSystem::descend_sjoin(PeerIndex at, PeerIndex joiner,
-                                 std::uint32_t hops, sim::SimTime started,
-                                 JoinCallback done) {
+void HybridSystem::descend_sjoin(PeerIndex at, const JoinRef& j) {
+  const PeerIndex joiner = j->joiner;
   Peer& here = peer(at);
   if (!here.joined && here.role != Role::kTPeer) {
     // Connect point vanished mid-join; restart from the server.
-    start_speer_join(joiner, server_pick_snetwork(joiner), started,
-                     std::move(done));
+    start_speer_join(server_pick_snetwork(joiner), j);
     return;
   }
   const bool mesh = params_.style == SNetworkStyle::kMesh;
@@ -510,9 +500,9 @@ void HybridSystem::descend_sjoin(PeerIndex at, PeerIndex joiner,
     // Section 3.3 -- each message is processed atomically in the DES).
     const PeerIndex next = here.children[rng_.index(here.children.size())];
     net_.send(at, next, TrafficClass::kControl, proto::kControlBytes,
-              [this, next, joiner, hops, started, done = std::move(done)]() mutable {
-                descend_sjoin(next, joiner, hops + 1, started,
-                              std::move(done));
+              [this, next, j] {
+                ++j->hops;
+                descend_sjoin(next, j);
               });
     return;
   }
@@ -527,8 +517,7 @@ void HybridSystem::descend_sjoin(PeerIndex at, PeerIndex joiner,
     std::size_t steps = 0;
     while (cur != kNoPeer && steps++ <= peers_.size()) {
       if (cur == joiner) {
-        start_speer_join(joiner, server_pick_snetwork(joiner), started,
-                         std::move(done));
+        start_speer_join(server_pick_snetwork(joiner), j);
         return;
       }
       const Peer& q = peer(cur);
@@ -545,7 +534,7 @@ void HybridSystem::descend_sjoin(PeerIndex at, PeerIndex joiner,
   }
   const PeerIndex root = here.tpeer;
   net_.send(at, joiner, TrafficClass::kControl, proto::kControlBytes,
-            [this, at, joiner, root, hops, started, done = std::move(done)] {
+            [this, at, joiner, root, j] {
               Peer& n = peer(joiner);
               if (n.cp != kNoPeer && n.cp != at) {
                 // A raced earlier acceptance registered us under another
@@ -594,7 +583,9 @@ void HybridSystem::descend_sjoin(PeerIndex at, PeerIndex joiner,
                   ++added;
                 }
               }
-              if (done) done(proto::JoinResult{sim_.now() - started, hops});
+              if (j->done) {
+                j->done(proto::JoinResult{sim_.now() - j->started, j->hops});
+              }
             });
 }
 
@@ -625,60 +616,55 @@ void HybridSystem::speer_leave(PeerIndex leaving) {
   }
 
   // Transfer load to a neighbour (Section 3.2.2): prefer the connect point,
-  // then children, then the root.  The candidate list is fixed before the
-  // tree links are torn down; the handoff walks it until a live heir acks.
-  auto candidates = std::make_shared<std::vector<PeerIndex>>();
-  if (p.cp != kNoPeer) candidates->push_back(p.cp);
-  candidates->insert(candidates->end(), p.children.begin(), p.children.end());
-  if (root != kNoPeer) candidates->push_back(root);
-
-  auto items =
-      std::make_shared<std::vector<proto::DataItem>>(p.store.extract_all());
+  // then children, then the root.  The heir list is fixed before the tree
+  // links are torn down; the handoff walks it until a live heir acks.
+  const HandoffRef h = handoffs_.acquire();
+  h->leaver = leaving;
+  if (p.cp != kNoPeer) h->heirs.push_back({p.cp});
+  for (const PeerIndex c : p.children) h->heirs.push_back({c});
+  if (root != kNoPeer) h->heirs.push_back({root});
+  h->items = p.store.extract_all();
   detach_from_tree(leaving, /*notify_children=*/true);
-  if (items->empty()) {
+  if (h->items.empty()) {
     net_.set_alive(leaving, false);
     return;
   }
-  speer_leave_handoff(leaving, std::move(candidates), 0, std::move(items));
+  speer_leave_handoff(h, 0);
 }
 
-void HybridSystem::speer_leave_handoff(
-    PeerIndex leaving, std::shared_ptr<std::vector<PeerIndex>> candidates,
-    std::size_t next, std::shared_ptr<std::vector<proto::DataItem>> items) {
+void HybridSystem::speer_leave_handoff(const HandoffRef& h, std::size_t next) {
+  const PeerIndex leaving = h->leaver;
   // Skip candidates that are already gone (or themselves mid-leave: a heir
   // that is draining its own store would just re-hand our items again, and
   // one that dies before our transfer lands would lose them silently).
-  while (next < candidates->size()) {
-    const PeerIndex c = (*candidates)[next];
+  while (next < h->heirs.size()) {
+    const PeerIndex c = h->heirs[next].peer;
     if (c != kNoPeer && c != leaving && net_.alive(c) && peer(c).joined &&
         !peer(c).leaving_mutex) {
       break;
     }
     ++next;
   }
-  if (next >= candidates->size()) {
+  if (next >= h->heirs.size()) {
     // Every neighbour is gone; nobody can take the load (same outcome as
     // crashing with it).
     net_.set_alive(leaving, false);
     return;
   }
-  const PeerIndex heir = (*candidates)[next];
+  const PeerIndex heir = h->heirs[next].peer;
   const auto bytes =
-      proto::kDataBytes * static_cast<std::uint32_t>(items->size());
-  auto acked = std::make_shared<bool>(false);
+      proto::kDataBytes * static_cast<std::uint32_t>(h->items.size());
   net_.send(leaving, heir, TrafficClass::kData, bytes,
-            [this, heir, leaving, items, acked] {
+            [this, heir, next, h] {
               // Delivered, but the heir may have started leaving while the
               // transfer was in flight; refuse so the watchdog re-hands.
               if (!peer(heir).joined || peer(heir).leaving_mutex) return;
-              for (const auto& item : *items) {
-                insert_or_rehome(heir, item);
-              }
+              for (const auto& item : h->items) insert_or_rehome(heir, item);
               trigger_re_replication(heir);
-              net_.send(heir, leaving, TrafficClass::kControl,
-                        proto::kControlBytes, [this, leaving, acked] {
-                          *acked = true;
-                          net_.set_alive(leaving, false);
+              net_.send(heir, h->leaver, TrafficClass::kControl,
+                        proto::kControlBytes, [this, next, h] {
+                          h->heirs[next].acked = true;
+                          net_.set_alive(h->leaver, false);
                         });
             });
   // Watchdog: delivery closures of dead receivers never run, so an unacked
@@ -688,10 +674,20 @@ void HybridSystem::speer_leave_handoff(
                              net_.hop_latency(heir, leaving,
                                               proto::kControlBytes) +
                              params_.ring_retry_base;
-  sim_.schedule_after(wait, [this, leaving, candidates, next, items, acked] {
-    if (*acked) return;
-    speer_leave_handoff(leaving, candidates, next + 1, items);
+  sim_.schedule_after(wait, [this, next, h] {
+    if (h->heirs[next].acked) return;
+    speer_leave_handoff(h, next + 1);
   });
+}
+
+void HybridSystem::send_items(PeerIndex from, PeerIndex to,
+                              std::vector<proto::DataItem> items) {
+  if (items.empty()) return;
+  net_.send(from, to, TrafficClass::kData,
+            proto::kDataBytes * static_cast<std::uint32_t>(items.size()),
+            [this, to, items = std::move(items)]() mutable {
+              for (auto& item : items) insert_or_rehome(to, std::move(item));
+            });
 }
 
 void HybridSystem::detach_from_tree(PeerIndex p_idx, bool notify_children) {
@@ -745,7 +741,7 @@ void HybridSystem::rejoin_subtree(PeerIndex child) {
             [this, root, child] {
               peer(child).joined = false;  // re-enters via descend
               membership_changed();
-              descend_sjoin(root, child, 1, sim_.now(), {});
+              descend_sjoin(root, new_join(child, 1));
             });
 }
 
@@ -869,14 +865,7 @@ void HybridSystem::promote_speer(PeerIndex heir, PeerIndex old_t,
 
   // Data load moves with the role on a graceful handover.
   if (with_data) {
-    auto items = o.store.extract_all();
-    if (!items.empty()) {
-      net_.send(old_t, heir, TrafficClass::kData,
-                proto::kDataBytes * static_cast<std::uint32_t>(items.size()),
-                [this, heir, items = std::move(items)]() mutable {
-                  for (auto& item : items) insert_or_rehome(heir, std::move(item));
-                });
-    }
+    send_items(old_t, heir, o.store.extract_all());
     // Tracker entries naming the leaver are stale the moment it goes dark;
     // its items travel to the heir in the transfer above, so rewrite them.
     for (auto& [id, holders] : r.tracker_index) {
@@ -993,17 +982,7 @@ void HybridSystem::ring_leave_step2(RingLink pre_link, RingLink suc_link,
               [this, leaving, suc] {
                 // loaddump(): everything to the successor, then go dark.
                 Peer& lp = peer(leaving);
-                auto items = lp.store.extract_all();
-                if (!items.empty()) {
-                  net_.send(leaving, suc, TrafficClass::kData,
-                            proto::kDataBytes *
-                                static_cast<std::uint32_t>(items.size()),
-                            [this, suc, items = std::move(items)]() mutable {
-                              for (auto& item : items) {
-                                insert_or_rehome(suc, std::move(item));
-                              }
-                            });
-                }
+                send_items(leaving, suc, lp.store.extract_all());
                 lp.joined = false;
                 membership_changed();
                 lp.leaving_mutex = false;
@@ -1090,7 +1069,7 @@ void HybridSystem::server_handle_compete(PeerIndex orphan,
                 o.tpeer = heir;
                 o.joined = false;
                 membership_changed();
-                descend_sjoin(heir, orphan, 1, sim_.now(), {});
+                descend_sjoin(heir, new_join(orphan, 1));
               });
   }
 }
@@ -1216,7 +1195,7 @@ void HybridSystem::heartbeat_step(PeerIndex p_idx) {
       rejoin_subtree(p_idx);
     } else {
       const PeerIndex target = server_pick_snetwork(p_idx);
-      if (target != kNoPeer) start_speer_join(p_idx, target, now, {});
+      if (target != kNoPeer) start_speer_join(target, new_join(p_idx));
     }
   }
   // Churn can strand items outside their segment (route_and_place falls

@@ -13,7 +13,6 @@
 // rng draw, or timer differs from the unreplicated system.
 #include <algorithm>
 #include <cassert>
-#include <memory>
 #include <utility>
 
 #include "hybrid/hybrid_system.hpp"
@@ -184,8 +183,8 @@ void HybridSystem::replication_sweep(PeerIndex root) {
   sim::ComponentScope prof{sim_, sim::Component::kReplication};
   Peer& t = peer(root);
   if (!net_.alive(root) || !t.joined || t.role != Role::kTPeer) return;
-  auto digest = std::make_shared<const std::vector<DataId>>(
-      t.store.ids_in_arc(ring_view(t).predecessor.id, t.pid));
+  const DigestRef digest = sweeps_.acquire();
+  t.store.ids_in_arc(ring_view(t).predecessor.id, t.pid, *digest);
   const auto digest_bytes = static_cast<std::uint32_t>(
       proto::kControlBytes + 8 * digest->size());
   const auto send_digest = [&](PeerIndex m) {
@@ -200,9 +199,8 @@ void HybridSystem::replication_sweep(PeerIndex root) {
   }
 }
 
-void HybridSystem::sweep_at_member(
-    PeerIndex member, PeerIndex root,
-    std::shared_ptr<const std::vector<DataId>> digest) {
+void HybridSystem::sweep_at_member(PeerIndex member, PeerIndex root,
+                                   const DigestRef& digest) {
   sim::ComponentScope prof{sim_, sim::Component::kReplication};
   Peer& m = peer(member);
   Peer& t = peer(root);

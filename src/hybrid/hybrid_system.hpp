@@ -288,6 +288,15 @@ class HybridSystem {
   /// the event queue has drained; a nonzero count then is a leaked record.
   [[nodiscard]] std::size_t routes_in_flight() const { return routes_.live(); }
 
+  /// Handshake records (joins, s-peer leave handoffs, anti-entropy digests)
+  /// still referenced by an in-flight message, timer or join queue.  Zero
+  /// once the event queue has drained, like routes_in_flight().
+  [[nodiscard]] std::size_t joins_in_flight() const { return joins_.live(); }
+  [[nodiscard]] std::size_t handoffs_in_flight() const {
+    return handoffs_.live();
+  }
+  [[nodiscard]] std::size_t sweeps_in_flight() const { return sweeps_.live(); }
+
   /// Registers `o` (not owned; must outlive its registration).
   void add_flood_observer(FloodObserver* o) { flood_observers_.push_back(o); }
   void remove_flood_observer(FloodObserver* o) {
@@ -307,13 +316,38 @@ class HybridSystem {
     sim::SimTime expires{};
   };
 
-  /// A queued t-peer join request (Section 3.3 serialization).
-  struct PendingJoin {
+  // Handshake records (DESIGN.md §5.25): a handshake's closures capture
+  // {this, positions, handle}, as a routed request's do (Route).
+
+  /// One peer's join: the t-join ring walk and triangle, or the s-join
+  /// descent.  Only one message of a join is in flight at a time.
+  struct Join {
     PeerIndex joiner = kNoPeer;
     std::uint32_t hops = 0;
     sim::SimTime started{};
     JoinCallback done;
+    void clear() { done = nullptr; }
   };
+  using JoinRef = RefPool<Join>::Ref;
+
+  /// A leaving s-peer's load and the neighbours it may hand it to, in
+  /// preference order.  Each attempt owns its heir's ack flag, so a late
+  /// ack from an earlier heir never silences a later attempt's watchdog.
+  struct Handoff {
+    struct Heir {
+      PeerIndex peer = kNoPeer;
+      bool acked = false;
+    };
+    PeerIndex leaver = kNoPeer;
+    std::vector<Heir> heirs;
+    std::vector<proto::DataItem> items;
+    void clear() { heirs.clear(); items.clear(); }
+  };
+  using HandoffRef = RefPool<Handoff>::Ref;
+
+  /// The in-segment id digest (ascending) one anti-entropy sweep sends to
+  /// every member.
+  using DigestRef = RefPool<std::vector<DataId>>::Ref;
 
   /// One ring link: a neighbour t-peer and the ring id it is known by.
   struct RingLink {
@@ -332,7 +366,7 @@ class HybridSystem {
     chord::FingerTable fingers;
     // Section 3.3 join serialization: the mutex and the queue behind it.
     bool joining_mutex = false;
-    std::vector<PendingJoin> pending_joins;  // pushed, then drained whole
+    std::vector<JoinRef> pending_joins;  // pushed, then drained whole
     // BitTorrent style: tracker index at the t-peer (d_id -> holders, in
     // announce order).  Multiple holders per id is what makes multi-peer
     // swarm downloads work: the tracker hands the query to every announced
@@ -543,22 +577,21 @@ class HybridSystem {
 
   // --- Join protocols ----------------------------------------------------------
 
-  /// The one admission path behind add_peer*: registers the endpoint and
-  /// sends the join request to the server.  A forced role shows from
-  /// creation; otherwise the peer reads kSPeer until the server picks.
+  /// A fresh join record for `joiner`, started now, with no completion
+  /// callback.
+  [[nodiscard]] JoinRef new_join(PeerIndex joiner, std::uint32_t hops = 0);
+  /// The one admission path behind add_peer*: registers the endpoint as
+  /// j's joiner and sends the join request to the server.  A forced role
+  /// shows from creation; otherwise the peer reads kSPeer until the server
+  /// picks.
   PeerIndex admit_peer(HostIndex host, std::optional<Role> forced,
-                       std::uint32_t interest, JoinCallback done);
-  void start_tpeer_join(PeerIndex joiner, sim::SimTime started,
-                        JoinCallback done);
-  void route_tjoin(PeerIndex at, PeerIndex joiner, std::uint32_t hops,
-                   sim::SimTime started, JoinCallback done);
-  void tjoin_at_pre(PeerIndex pre, PendingJoin req);
-  void run_join_triangle(PeerIndex pre, PendingJoin req);
+                       std::uint32_t interest, JoinRef j);
+  void start_tpeer_join(const JoinRef& j);
+  void route_tjoin(PeerIndex at, const JoinRef& j);
+  void run_join_triangle(PeerIndex pre, const JoinRef& j);
   void process_pending_joins(PeerIndex pre);
-  void start_speer_join(PeerIndex joiner, PeerIndex target_tpeer,
-                        sim::SimTime started, JoinCallback done);
-  void descend_sjoin(PeerIndex at, PeerIndex joiner, std::uint32_t hops,
-                     sim::SimTime started, JoinCallback done);
+  void start_speer_join(PeerIndex target_tpeer, const JoinRef& j);
+  void descend_sjoin(PeerIndex at, const JoinRef& j);
   [[nodiscard]] bool accepts_child(const Peer& p) const;
   [[nodiscard]] unsigned tree_degree(const Peer& p) const;
 
@@ -570,10 +603,8 @@ class HybridSystem {
   /// down the list when the transfer is never acknowledged (the chosen heir
   /// crashed or left with the kData message in flight).  The leaver only
   /// goes dark once an heir acked receipt -- or every candidate is gone.
-  void speer_leave_handoff(PeerIndex leaving,
-                           std::shared_ptr<std::vector<PeerIndex>> candidates,
-                           std::size_t next,
-                           std::shared_ptr<std::vector<proto::DataItem>> items);
+  /// `next` indexes h.heirs.
+  void speer_leave_handoff(const HandoffRef& h, std::size_t next);
   /// Promotes s-peer `heir` into the ring position of `old_t` (graceful
   /// role transfer or crash replacement).  `with_data` carries old_t's
   /// store across (graceful only).
@@ -700,6 +731,10 @@ class HybridSystem {
   /// Inserts locally when `at` is (or can't determine) the responsible
   /// s-network; otherwise forwards via route_and_place.
   void insert_or_rehome(PeerIndex at, proto::DataItem item);
+  /// A load transfer: one data message from `from` to `to`, whose items
+  /// land through insert_or_rehome.  Sends nothing when `items` is empty.
+  void send_items(PeerIndex from, PeerIndex to,
+                  std::vector<proto::DataItem> items);
   /// Re-homes every stored item at `at` that falls outside its s-network's
   /// segment (called after `at` lands in a possibly different s-network).
   void rehome_foreign_items(PeerIndex at);
@@ -727,7 +762,7 @@ class HybridSystem {
   /// request in-segment items they should hold but don't.
   void replication_sweep(PeerIndex root);
   void sweep_at_member(PeerIndex member, PeerIndex root,
-                       std::shared_ptr<const std::vector<DataId>> digest);
+                       const DigestRef& digest);
   /// Schedules a near-term sweep at `at`'s root after a churn event
   /// (gated on re_replicate_on_churn).
   void trigger_re_replication(PeerIndex at);
@@ -920,6 +955,9 @@ class HybridSystem {
   std::vector<HostIndex> landmarks_;
   std::unordered_map<std::uint64_t, Query> queries_;
   RefPool<Route> routes_;
+  RefPool<Join> joins_;
+  RefPool<Handoff> handoffs_;
+  RefPool<std::vector<DataId>> sweeps_;
   std::uint64_t next_query_id_ = 1;
   std::uint64_t next_key_ = 1;
   bool failure_detection_ = false;

@@ -21,16 +21,9 @@ std::uint32_t Underlay::narrow_latency(std::uint64_t us) {
   return static_cast<std::uint32_t>(us);
 }
 
-LinkStress::LinkStress(std::size_t num_edges, Mode mode)
-    : num_edges_(num_edges),
-      sparse_(mode == Mode::kSparse ||
-              (mode == Mode::kAuto && num_edges > kSparseThreshold)) {
-  if (!sparse_) counts_.assign(num_edges, 0);
-}
-
 double LinkStress::mean_stress() const {
-  if (num_edges_ == 0) return 0.0;
-  return static_cast<double>(total_) / static_cast<double>(num_edges_);
+  if (counts_.empty()) return 0.0;
+  return static_cast<double>(total_) / static_cast<double>(counts_.size());
 }
 
 Underlay::Underlay(Topology topology, Rng& capacity_rng)

@@ -43,7 +43,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -72,51 +71,27 @@ enum class CapacityClass : std::uint8_t { kLow, kMedium, kHigh };
   return 1e6;
 }
 
-/// Per-physical-edge message-copy counters (link stress, Section 5.2).
-///
-/// Dense mode keeps one counter per edge; sparse mode keeps counters only
-/// for edges actually touched (hash map), which is what a sampled run at
-/// 100k+ hosts wants.  Both modes report identical max_stress() /
-/// mean_stress() / total_copies() values: the mean still divides by the
-/// full edge count, and max/total are maintained incrementally on bump()
-/// (counters only grow, so the running max never goes stale).
+/// Per-physical-edge message-copy counters (link stress, Section 5.2): one
+/// counter per edge.  max_stress() and total_copies() are maintained on
+/// bump() (counters only grow, so the running max never goes stale); the
+/// mean divides by the full edge count.
 class LinkStress {
  public:
-  enum class Mode : std::uint8_t { kAuto, kDense, kSparse };
-
-  /// Edge-count threshold above which kAuto picks sparse storage.
-  static constexpr std::size_t kSparseThreshold = std::size_t{1} << 20;
-
-  explicit LinkStress(std::size_t num_edges, Mode mode = Mode::kAuto);
+  explicit LinkStress(std::size_t num_edges) : counts_(num_edges, 0) {}
 
   void bump(EdgeIndex e) {
-    std::uint64_t c;
-    if (sparse_) {
-      c = ++sparse_counts_[e];
-    } else {
-      c = ++counts_[e];
-    }
+    const std::uint64_t c = ++counts_[e];
     ++total_;
     if (c > max_) max_ = c;
   }
 
-  [[nodiscard]] std::uint64_t count(EdgeIndex e) const {
-    if (!sparse_) return counts_[e];
-    const auto it = sparse_counts_.find(e);
-    return it == sparse_counts_.end() ? 0 : it->second;
-  }
+  [[nodiscard]] std::uint64_t count(EdgeIndex e) const { return counts_[e]; }
   [[nodiscard]] std::uint64_t max_stress() const { return max_; }
   [[nodiscard]] double mean_stress() const;
   [[nodiscard]] std::uint64_t total_copies() const { return total_; }
-  [[nodiscard]] bool sparse() const { return sparse_; }
 
  private:
-  std::size_t num_edges_;
-  bool sparse_;
-  std::vector<std::uint64_t> counts_;  // dense storage
-  // Lookup/insert only -- never iterated, so hash order cannot leak into
-  // any result.
-  std::unordered_map<std::uint32_t, std::uint64_t> sparse_counts_;
+  std::vector<std::uint64_t> counts_;
   std::uint64_t total_ = 0;
   std::uint64_t max_ = 0;
 };

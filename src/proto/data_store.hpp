@@ -78,10 +78,10 @@ class DataStore {
     return true;
   }
 
-  /// Sorted distinct ids held in the ring arc (from, to]; the anti-entropy
-  /// digest.
-  [[nodiscard]] std::vector<DataId> ids_in_arc(PeerId from, PeerId to) const {
-    std::vector<DataId> out;
+  /// Sets `out` to the sorted distinct ids held in the ring arc (from, to],
+  /// the anti-entropy digest, reusing its capacity.
+  void ids_in_arc(PeerId from, PeerId to, std::vector<DataId>& out) const {
+    out.clear();
     for (const DataItem& item : items_) {
       if (!out.empty() && out.back() == item.id) continue;
       if (ring::in_arc_open_closed(item.id.value(), from.value(),
@@ -89,7 +89,6 @@ class DataStore {
         out.push_back(item.id);
       }
     }
-    return out;
   }
 
   /// Removes and returns all items with d_id in the half-open ring arc

@@ -38,8 +38,7 @@ OverlayNetwork::OverlayNetwork(sim::Simulator& simulator,
   endpoints_.reserve(underlay_.num_hosts());
   alive_.reserve(underlay_.num_hosts());
   if (options_.track_link_stress) {
-    link_stress_.emplace(underlay_.topology().graph.num_edges(),
-                         options_.link_stress_mode);
+    link_stress_.emplace(underlay_.topology().graph.num_edges());
   }
 }
 

@@ -142,9 +142,6 @@ struct OverlayNetworkOptions {
   double loss_rate = 0.0;
   /// Seed of the loss process (independent of protocol randomness).
   std::uint64_t loss_seed = 0x10552eed;
-  /// Link-stress counter storage: kAuto switches to a sparse hash map past
-  /// LinkStress::kSparseThreshold edges (identical reported values).
-  net::LinkStress::Mode link_stress_mode = net::LinkStress::Mode::kAuto;
 };
 
 /// The transport.  One instance per simulation replica.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <new>
 #include <set>
@@ -354,6 +355,30 @@ TEST(AllocStats, NothrowNewIsCountedAndFreed) {
   EXPECT_EQ(alloc_stats::allocation_count(), allocs + 1);
   EXPECT_GT(alloc_stats::live_bytes(), live);
   delete[] block;
+  EXPECT_EQ(alloc_stats::live_bytes(), live);
+}
+
+TEST(AllocStats, OverAlignedNewIsCountedAndFreed) {
+  // A type aligned past the default new alignment allocates through the
+  // align_val_t forms of operator new; they must count like the rest.
+  struct alignas(64) Line {
+    std::uint64_t words[8];
+  };
+  static_assert(alignof(Line) > __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+  const std::uint64_t allocs = alloc_stats::allocation_count();
+  const std::uint64_t bytes = alloc_stats::allocated_bytes();
+  const std::uint64_t live = alloc_stats::live_bytes();
+  {
+    auto one = std::make_unique<Line>();
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(one.get()) % 64, 0u);
+    EXPECT_EQ(alloc_stats::allocation_count(), allocs + 1);
+    EXPECT_EQ(alloc_stats::allocated_bytes(), bytes + sizeof(Line));
+    EXPECT_GT(alloc_stats::live_bytes(), live);
+    std::vector<Line> many(5);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(many.data()) % 64, 0u);
+    EXPECT_EQ(alloc_stats::allocation_count(), allocs + 2);
+    EXPECT_EQ(alloc_stats::allocated_bytes(), bytes + 6 * sizeof(Line));
+  }
   EXPECT_EQ(alloc_stats::live_bytes(), live);
 }
 

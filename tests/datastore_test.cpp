@@ -155,11 +155,13 @@ TEST(DataStore, ContainsAndIdsInArc) {
   EXPECT_TRUE(store.contains(DataId{10}));
   EXPECT_FALSE(store.contains(DataId{11}));
   // Wrapping arc (kRingSize-10, 20]: catches both ends of the ring.
-  const auto digest = store.ids_in_arc(PeerId{kRingSize - 10}, PeerId{20});
+  std::vector<DataId> digest;
+  store.ids_in_arc(PeerId{kRingSize - 10}, PeerId{20}, digest);
   ASSERT_EQ(digest.size(), 2u);
   EXPECT_EQ(digest[0].value(), 10u);  // sorted by id
   EXPECT_EQ(digest[1].value(), kRingSize - 5);
-  EXPECT_TRUE(store.ids_in_arc(PeerId{30}, PeerId{40}).empty());
+  store.ids_in_arc(PeerId{30}, PeerId{40}, digest);
+  EXPECT_TRUE(digest.empty()) << "the previous digest is replaced";
 }
 
 /// Keys in the order the store enumerates them.
@@ -189,8 +191,9 @@ TEST(DataStore, ChainedIdsKeepInsertionOrderEverywhere) {
   EXPECT_EQ(store.find(DataId{20})->key, "b1");
   EXPECT_FALSE(store.merge(DataItem{DataId{20}, "b2", 0, kNoPeer}));
   EXPECT_EQ(keys_of(store), all);
-  EXPECT_EQ(store.ids_in_arc(PeerId{5}, PeerId{25}),
-            (std::vector<DataId>{DataId{10}, DataId{20}}));
+  std::vector<DataId> ids;
+  store.ids_in_arc(PeerId{5}, PeerId{25}, ids);
+  EXPECT_EQ(ids, (std::vector<DataId>{DataId{10}, DataId{20}}));
 
   // A wrapping arc takes the low ids, then the high ones, chains intact.
   const auto moved = store.extract_arc(PeerId{25}, PeerId{15});

@@ -106,9 +106,9 @@ std::size_t expect_sweep_matches_replica_set(const hybrid::HybridSystem& sys) {
     live.push_back(p);
     if (sys.role_of(p) != hybrid::Role::kTPeer) continue;
     const auto [lo, hi] = sys.segment_of(p);
-    for (const DataId id : sys.store_of(p).ids_in_arc(lo, hi)) {
-      digest_ids.push_back(id);
-    }
+    std::vector<DataId> ids;
+    sys.store_of(p).ids_in_arc(lo, hi, ids);
+    digest_ids.insert(digest_ids.end(), ids.begin(), ids.end());
   }
   EXPECT_FALSE(digest_ids.empty());
   std::size_t fallbacks = 0;

@@ -811,6 +811,126 @@ TEST(Hybrid, SPeerLeaveSurvivesDeadHeirMidHandover) {
   EXPECT_EQ(f.system.total_items(), 1u);
 }
 
+TEST(Hybrid, SPeerLeaveLateAckDoesNotSilenceTheNextAttempt) {
+  // Each handoff attempt owns its ack.  The first heir's ack is held back
+  // until after the first watchdog has re-handed the load, and the second
+  // heir's ack is lost: the late first ack lets the leaver go dark, but the
+  // second attempt's watchdog must still fire and move on to the next
+  // candidate (whose transfer a dead leaver can no longer send).  The
+  // counts are those of the handoff before its state moved into a pooled
+  // record; one ack flag shared by all attempts would skip the third
+  // attempt and its dead-sender drop.
+  auto params = defaults();
+  params.ps = 0.9;  // single t-peer, deep tree
+  params.delta = 2;
+  HybridFixture f{68, params};
+  f.build(10);
+  ASSERT_EQ(f.system.num_tpeers(), 1u);
+  PeerIndex leaver = kNoPeer;
+  for (const auto p : f.peers) {
+    const PeerIndex cp = f.system.parent_of(p);
+    if (f.system.role_of(p) == Role::kSPeer && cp != kNoPeer &&
+        f.system.role_of(cp) == Role::kSPeer) {
+      leaver = p;
+      break;
+    }
+  }
+  ASSERT_NE(leaver, kNoPeer);
+  f.system.store_id(leaver, DataId{12345}, "survivor", 7);
+  f.world.sim.run();
+  ASSERT_NE(f.system.store_of(leaver).find(DataId{12345}), nullptr);
+
+  int acks = 0;
+  f.world.network.set_fault([&](PeerIndex, PeerIndex to,
+                                 proto::TrafficClass cls, std::uint32_t) {
+    proto::FaultAction action;
+    if (to == leaver && cls == proto::TrafficClass::kControl) {
+      ++acks;
+      if (acks == 1) action.extra_delay = sim::SimTime::millis(750);
+      if (acks == 2) action.drop = true;
+    }
+    return action;
+  });
+  const proto::NetworkStats before = f.world.network.stats();
+  f.system.leave(leaver);
+  f.world.sim.run();
+  const proto::NetworkStats& after = f.world.network.stats();
+  EXPECT_EQ(acks, 2);
+  EXPECT_FALSE(f.system.is_alive(leaver));
+  EXPECT_EQ(after.messages_sent - before.messages_sent, 13u);
+  EXPECT_EQ(after.class_messages(proto::TrafficClass::kData) -
+                before.class_messages(proto::TrafficClass::kData),
+            2u);
+  EXPECT_EQ(after.messages_lost - before.messages_lost, 1u);
+  EXPECT_EQ(after.reason_drops(proto::DropReason::kDeadSender) -
+                before.reason_drops(proto::DropReason::kDeadSender),
+            1u);
+  EXPECT_EQ(after.messages_dropped - before.messages_dropped, 1u);
+  EXPECT_EQ(f.system.handoffs_in_flight(), 0u);
+}
+
+TEST(Hybrid, HandshakeRecordsDrainAfterJoinsLeavesAndSweeps) {
+  // Concurrent t-joins into a small ring (they queue behind each other's
+  // triangles), s-peer leaves, one of them to an heir that crashes before
+  // the transfer lands, and the r = 2 sweeps the churn triggers.  Every
+  // record is referenced while its handshake runs and back in its pool once
+  // the queue drains.
+  auto params = defaults();
+  params.ps = 0.6;
+  params.delta = 2;
+  params.replication_factor = 2;
+  HybridFixture f{86, params};
+  f.build(20);
+  f.populate(60);
+  std::vector<PeerIndex> leavers;
+  PeerIndex dead_heir = kNoPeer;
+  for (const auto p : f.peers) {
+    const PeerIndex cp = f.system.parent_of(p);
+    if (f.system.role_of(p) != Role::kSPeer || cp == kNoPeer ||
+        f.system.store_of(p).size() == 0) {
+      continue;
+    }
+    if (dead_heir == kNoPeer && f.system.role_of(cp) == Role::kSPeer) {
+      dead_heir = cp;
+      leavers.insert(leavers.begin(), p);
+    } else if (leavers.size() < 3 && cp != dead_heir) {
+      leavers.push_back(p);
+    }
+  }
+  ASSERT_NE(dead_heir, kNoPeer);
+  std::erase(leavers, dead_heir);  // it crashes instead
+  ASSERT_GE(leavers.size(), 2u);
+  std::size_t joined = 0;
+  f.world.sim.schedule_after(sim::SimTime::millis(1), [&] {
+    for (const PeerIndex p : leavers) f.system.leave(p);
+    for (int i = 0; i < 12; ++i) {
+      f.system.add_peer_with_role(f.world.next_host(), Role::kTPeer,
+                                  [&](proto::JoinResult) { ++joined; });
+    }
+  });
+  // The first heir dies with the transfer in flight; its watchdog re-hands.
+  f.world.sim.schedule_after(sim::SimTime::millis(2),
+                             [&] { f.system.crash(dead_heir); });
+  std::size_t joins = 0;
+  std::size_t handoffs = 0;
+  std::size_t sweeps = 0;
+  while (!f.world.sim.idle()) {
+    f.world.sim.run_until(f.world.sim.now() + sim::SimTime::millis(5));
+    joins = std::max(joins, f.system.joins_in_flight());
+    handoffs = std::max(handoffs, f.system.handoffs_in_flight());
+    sweeps = std::max(sweeps, f.system.sweeps_in_flight());
+  }
+  EXPECT_EQ(joined, 12u);
+  EXPECT_GT(joins, 1u);
+  EXPECT_GT(handoffs, 0u);
+  EXPECT_GT(sweeps, 0u);
+  EXPECT_EQ(f.system.joins_in_flight(), 0u);
+  EXPECT_EQ(f.system.handoffs_in_flight(), 0u);
+  EXPECT_EQ(f.system.sweeps_in_flight(), 0u);
+  EXPECT_EQ(f.system.routes_in_flight(), 0u);
+  EXPECT_TRUE(f.system.verify_ring());
+}
+
 // --- Crash handling ------------------------------------------------------------------
 
 TEST(Hybrid, CrashLosesOnlyTheVictimsData) {

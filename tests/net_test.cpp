@@ -239,29 +239,6 @@ TEST(LinkStress, Counters) {
   EXPECT_DOUBLE_EQ(ls.mean_stress(), 0.75);
 }
 
-TEST(LinkStress, SparseAgreesWithDense) {
-  // The sparse (hash-map) counters must report exactly what the dense
-  // per-edge vector reports, including the mean's full-edge-count
-  // denominator.
-  constexpr std::size_t kEdges = 64;
-  LinkStress dense{kEdges, LinkStress::Mode::kDense};
-  LinkStress sparse{kEdges, LinkStress::Mode::kSparse};
-  ASSERT_FALSE(dense.sparse());
-  ASSERT_TRUE(sparse.sparse());
-  Rng rng{9};
-  for (int i = 0; i < 1000; ++i) {
-    const auto e = static_cast<EdgeIndex>(rng.index(kEdges));
-    dense.bump(e);
-    sparse.bump(e);
-  }
-  for (std::uint32_t e = 0; e < kEdges; ++e) {
-    EXPECT_EQ(sparse.count(e), dense.count(e)) << "edge " << e;
-  }
-  EXPECT_EQ(sparse.max_stress(), dense.max_stress());
-  EXPECT_EQ(sparse.total_copies(), dense.total_copies());
-  EXPECT_DOUBLE_EQ(sparse.mean_stress(), dense.mean_stress());
-}
-
 TEST(TransitStub, ForTotalNodesKeepsHistoricalShapeAtPaperScale) {
   // Up to 48*64+16 nodes the parameters must be exactly what the original
   // formula produced -- the paper-figure topologies (and their RNG streams)

@@ -383,13 +383,22 @@ TEST(Scale, EventQueueHoldsTheWorkInFlightNotEveryDriverOp) {
       << " slots at 5k to " << slots[1] << " at 20k peers";
 }
 
+/// Bounds one component's allocation count and requested bytes.
+void expect_allocs_within(const stats::Profiler& prof, sim::Component c,
+                          std::uint64_t max_allocs, std::uint64_t max_bytes) {
+  const stats::Profiler::ComponentTotal total = prof.component_total(c);
+  EXPECT_LE(total.allocs, max_allocs) << sim::component_name(c);
+  EXPECT_LE(total.alloc_bytes, max_bytes) << sim::component_name(c);
+}
+
 TEST(Scale, ChurnRungAllocationsStayWithinMeasuredCounts) {
   // The costly steady state at 1,000 peers: 5% crashes, 30 s of failure
   // detection and replication factor 2, so heartbeats, repair and floods
   // all run, and finger lookups walk the ring with retries armed.  Profiler
-  // allocation counts are exact and deterministic, so each bound is the
-  // count measured when it was set; a change that adds allocations to a
-  // gated component fails here and must justify raising it.
+  // allocation counts and requested bytes are exact and deterministic, so
+  // each bound is the value measured when it was set; a change that adds
+  // allocations or bytes to a gated component fails here and must justify
+  // raising it.
   RunConfig cfg;
   cfg.seed = 42;
   cfg.num_peers = 1000;
@@ -413,19 +422,11 @@ TEST(Scale, ChurnRungAllocationsStayWithinMeasuredCounts) {
     GTEST_SKIP() << "the bounds were measured without the overlay auditor";
   }
   ASSERT_EQ(r.sim_stats.events_executed, 111'752u) << "the rung's shape moved";
-  const std::uint64_t membership =
-      prof.component_total(sim::Component::kMembership).allocs;
-  const std::uint64_t flood =
-      prof.component_total(sim::Component::kFlood).allocs;
-  const std::uint64_t ring = prof.component_total(sim::Component::kRing).allocs;
-  const std::uint64_t replication =
-      prof.component_total(sim::Component::kReplication).allocs;
-  const std::uint64_t data = prof.component_total(sim::Component::kData).allocs;
-  EXPECT_LE(membership, 5'607u);
-  EXPECT_LE(flood, 6u);
-  EXPECT_LE(ring, 148u);
-  EXPECT_LE(replication, 1'049u);
-  EXPECT_LE(data, 2'294u);
+  expect_allocs_within(prof, sim::Component::kMembership, 5'606u, 264'400u);
+  expect_allocs_within(prof, sim::Component::kFlood, 6u, 3'072u);
+  expect_allocs_within(prof, sim::Component::kRing, 148u, 45'040u);
+  expect_allocs_within(prof, sim::Component::kReplication, 667u, 49'792u);
+  expect_allocs_within(prof, sim::Component::kData, 2'032u, 427'728u);
 }
 
 TEST(Scale, QuietRungAllocationsStayWithinMeasuredCounts) {
@@ -433,7 +434,7 @@ TEST(Scale, QuietRungAllocationsStayWithinMeasuredCounts) {
   // stores and finger lookups whose floods cover s-networks of ~100 peers.
   // A lookup's flood dedups through one flat visited set, which allocates
   // in the flood only when the lookup contacts more than 32 peers, and a
-  // peer keeps its items in one vector.  Each bound is the count measured
+  // peer keeps its items in one vector.  Each bound is the value measured
   // when it was set.
   auto cfg = profiled_rung_config();
   stats::Profiler prof;
@@ -444,10 +445,10 @@ TEST(Scale, QuietRungAllocationsStayWithinMeasuredCounts) {
   }
   ASSERT_EQ(r.joins_completed, 20'000u);
   ASSERT_EQ(r.sim_stats.events_executed, 237'314u) << "the rung's shape moved";
-  EXPECT_LE(prof.component_total(sim::Component::kFlood).allocs, 492u);
-  EXPECT_LE(prof.component_total(sim::Component::kData).allocs, 3'094u);
-  EXPECT_LE(prof.component_total(sim::Component::kMembership).allocs,
-            41'348u);
+  expect_allocs_within(prof, sim::Component::kFlood, 492u, 340'480u);
+  expect_allocs_within(prof, sim::Component::kData, 2'087u, 505'688u);
+  expect_allocs_within(prof, sim::Component::kMembership, 41'149u,
+                       1'421'928u);
 }
 
 TEST(Scale, PaperScaleDigestIsPinned) {
